@@ -8,15 +8,20 @@
 //! access to an output link" — a cycle here is exactly that circular
 //! dependency, made static.
 
-use fractanet_graph::{AdjList, ChannelId, Network, NodeId};
-use fractanet_route::{Paths, RouteSet, Routes};
+use fractanet_graph::{AdjList, ChannelId, Network, NodeId, PortId};
+use fractanet_route::{DestForest, Paths, RouteSet, Routes};
+
+/// Where a dependency first occurs in the s-major pair walk:
+/// `(source, destination, window position along the path)`.
+type Occurrence = (u32, u32, u32);
 
 /// The channel dependency graph of a routed network.
 #[derive(Clone, Debug)]
 pub struct ChannelDependencyGraph {
     graph: AdjList,
-    /// Which (src,dst) pair contributed each dependency — kept sparse:
-    /// one witness pair per distinct edge, for diagnostics.
+    /// One witness pair per distinct dependency `(a, b, src, dst)`,
+    /// sorted by `(a, b)` for lookup — the pair whose path the
+    /// dependency first occurs on in s-major pair order.
     witnesses: Vec<(u32, u32, usize, usize)>,
 }
 
@@ -27,23 +32,32 @@ impl ChannelDependencyGraph {
         Self::from_paths(net, Paths::dense(routes))
     }
 
-    /// Builds the CDG by walking destination tables directly — no
-    /// dense path matrix is materialized. Pairs whose trace fails
-    /// (holes, loops) contribute no dependencies; the linter reports
-    /// those separately.
+    /// Builds the CDG from destination tables, one routing forest per
+    /// destination — no pair is traced and no dense path matrix is
+    /// materialized. Pairs whose trace fails (holes, loops) contribute
+    /// no dependencies; the linter reports those separately.
     pub fn from_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
         Self::from_paths(net, Paths::tables(net, ends, routes))
     }
 
     /// Builds the CDG from any per-pair path view. Duplicate
-    /// dependencies (contributed by many pairs) are collapsed.
+    /// dependencies (contributed by many pairs) are collapsed; edges
+    /// are inserted in the order of their first occurrence walking the
+    /// pairs source-major, whichever view they come from.
     pub fn from_paths(net: &Network, paths: Paths<'_>) -> Self {
-        let n = net.channel_count();
-        let mut graph = AdjList::new(n);
+        match paths {
+            Paths::Dense(rs) => Self::from_pair_walk(net, rs),
+            Paths::Tables { net, ends, routes } => Self::from_forests(net, ends, routes),
+        }
+    }
+
+    /// Per-pair routes need not agree on a next hop per destination,
+    /// so a dense view is walked pair by pair: O(N² · path length).
+    fn from_pair_walk(net: &Network, routes: &RouteSet) -> Self {
+        let mut graph = AdjList::new(net.channel_count());
         let mut seen = std::collections::HashSet::new();
         let mut witnesses = Vec::new();
-        paths.for_each_pair(|s, d, res| {
-            let Ok(path) = res else { return };
+        for (s, d, path) in routes.pairs() {
             for w in path.windows(2) {
                 let (a, b) = (w[0].0, w[1].0);
                 if seen.insert((a, b)) {
@@ -51,7 +65,69 @@ impl ChannelDependencyGraph {
                     witnesses.push((a, b, s, d));
                 }
             }
-        });
+        }
+        Self::indexed(graph, witnesses)
+    }
+
+    /// Reads the dependencies off one routing forest per destination:
+    /// O(nodes · N). The result is identical to the pair walk over the
+    /// same tables — same edges in the same order, same witnesses —
+    /// because each dependency is keyed by its first occurrence in
+    /// s-major pair order and edges are inserted sorted by that key.
+    fn from_forests(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
+        // A dependency a → b turns at the router a enters, so b is
+        // named by its output port there: one slot per (channel, port).
+        let ports = net
+            .nodes()
+            .map(|v| net.kind(v).ports() as usize)
+            .max()
+            .unwrap_or(0);
+        let never = (u32::MAX, u32::MAX, u32::MAX);
+        let mut first: Vec<Occurrence> = vec![never; net.channel_count() * ports];
+        // `claimed[v] == d`: some source already walked on from `v`
+        // toward `d`, offering every later window at a smaller key.
+        let mut claimed = vec![usize::MAX; net.node_count()];
+        let mut forest = DestForest::new(net, ends, routes);
+        for d in 0..ends.len() {
+            forest.resolve(d);
+            for s in (0..ends.len()).filter(|&s| s != d) {
+                // A failed route has no hop out of its first node and
+                // so adds nothing, exactly as a failed trace.
+                let (mut a, mut v) = forest.inject(s);
+                let mut pos = 0u32;
+                while let Some(b) = forest.hop(v) {
+                    let slot = &mut first[a.index() * ports + net.channel_src_port(b).index()];
+                    *slot = (*slot).min((s as u32, d as u32, pos));
+                    if claimed[v.index()] == d {
+                        break;
+                    }
+                    claimed[v.index()] = d;
+                    (a, v, pos) = (b, net.channel_dst(b), pos + 1);
+                }
+            }
+        }
+        let mut deps: Vec<(Occurrence, usize)> = first
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, k)| k != never)
+            .map(|(i, k)| (k, i))
+            .collect();
+        deps.sort_unstable();
+        let mut graph = AdjList::new(net.channel_count());
+        let mut witnesses = Vec::with_capacity(deps.len());
+        for ((s, d, _), i) in deps {
+            let a = ChannelId((i / ports) as u32);
+            let b = net
+                .channel_out(net.channel_dst(a), PortId((i % ports) as u8))
+                .expect("a dependency slot names a cabled port");
+            graph.add_edge(a.0, b.0);
+            witnesses.push((a.0, b.0, s as usize, d as usize));
+        }
+        Self::indexed(graph, witnesses)
+    }
+
+    fn indexed(graph: AdjList, mut witnesses: Vec<(u32, u32, usize, usize)>) -> Self {
+        witnesses.sort_unstable_by_key(|&(a, b, _, _)| (a, b));
         ChannelDependencyGraph { graph, witnesses }
     }
 
@@ -82,10 +158,12 @@ impl ChannelDependencyGraph {
     /// A witness route pair `(src, dst)` whose path contains the
     /// dependency `a → b`, if that dependency exists.
     pub fn witness(&self, a: ChannelId, b: ChannelId) -> Option<(usize, usize)> {
-        self.witnesses
-            .iter()
-            .find(|&&(x, y, _, _)| x == a.0 && y == b.0)
-            .map(|&(_, _, s, d)| (s, d))
+        let i = self
+            .witnesses
+            .binary_search_by_key(&(a.0, b.0), |&(x, y, _, _)| (x, y))
+            .ok()?;
+        let (_, _, s, d) = self.witnesses[i];
+        Some((s, d))
     }
 
     /// Pretty-prints a cycle as `router --(link)--> router` steps for

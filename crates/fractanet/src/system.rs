@@ -338,8 +338,10 @@ impl System {
     }
 
     /// Runs the full analytical battery (hops, contention, bisection,
-    /// deadlock freedom). `O(pairs × path length)` plus a handful of
-    /// max-flows — instant at the paper's 64-node scale.
+    /// deadlock freedom). Hops and the channel dependency graph are read
+    /// off one routing forest per destination, `O(nodes × N)`; link
+    /// contention still walks `O(pairs × path length)`; plus a handful
+    /// of max-flows — instant at the paper's 64-node scale.
     pub fn analyze(&self) -> AnalysisReport {
         let net = self.net();
         let ends = self.end_nodes();

@@ -1,7 +1,7 @@
 //! Router-hop statistics (Tables 1 & 2).
 
 use fractanet_graph::{bfs, Network, NodeId};
-use fractanet_route::{Paths, RouteSet, Routes};
+use fractanet_route::{DestForest, Paths, RouteSet, Routes};
 
 /// Hop statistics of a network or a routed network.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,8 +56,9 @@ impl HopStats {
         Self::routed_paths(Paths::dense(routes))
     }
 
-    /// [`HopStats::routed`] over destination tables directly, walking
-    /// the table per pair instead of materializing a path matrix.
+    /// [`HopStats::routed`] over destination tables directly, reading
+    /// each route's hop count off its destination's routing forest
+    /// instead of tracing pairs: O(nodes · N).
     pub fn routed_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Option<Self> {
         Self::routed_paths(Paths::tables(net, ends, routes))
     }
@@ -69,27 +70,30 @@ impl HopStats {
             return None;
         }
         let mut histogram = Vec::new();
-        let mut total = 0usize;
-        let mut pairs = 0usize;
-        let mut unrouted = false;
-        paths.for_each_pair(|_, _, res| {
-            let hops = match res {
-                Ok(p) if !p.is_empty() => p.len() - 1,
-                _ => {
-                    unrouted = true;
-                    return;
-                }
-            };
+        let mut count = |hops: usize| {
             if histogram.len() <= hops {
                 histogram.resize(hops + 1, 0);
             }
             histogram[hops] += 1;
-            total += hops;
-            pairs += 1;
-        });
-        if unrouted {
-            return None;
+        };
+        match paths {
+            Paths::Dense(rs) => {
+                for (_, _, p) in rs.pairs() {
+                    count(p.len().checked_sub(1)?);
+                }
+            }
+            Paths::Tables { net, ends, routes } => {
+                let mut forest = DestForest::new(net, ends, routes);
+                for d in 0..ends.len() {
+                    forest.resolve(d);
+                    for s in (0..ends.len()).filter(|&s| s != d) {
+                        count(forest.route_hops(s)?);
+                    }
+                }
+            }
         }
+        let pairs: usize = histogram.iter().sum();
+        let total: usize = histogram.iter().enumerate().map(|(h, &c)| h * c).sum();
         Some(HopStats {
             max: histogram.len() - 1,
             avg: total as f64 / pairs as f64,

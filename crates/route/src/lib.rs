@@ -17,6 +17,9 @@
 //!   per-pair slices (corrupted-fixture tests, dense baselines).
 //! * [`paths::Paths`] — a unified per-pair view over either
 //!   representation, so analyses never materialize a path matrix.
+//! * [`forest::DestForest`] — one destination's table routes as an
+//!   in-forest, resolved in O(nodes), for analyses that need every
+//!   route's hops or channel dependencies without tracing N² pairs.
 //! * Generators, one per topology family:
 //!   [`direct`] (fully-connected clusters, Fig 3/4),
 //!   [`dor`] (dimension-order mesh §3.1 and e-cube hypercube §3.2),
@@ -34,6 +37,7 @@
 pub mod direct;
 pub mod dor;
 pub mod fattree;
+pub mod forest;
 pub mod fractal;
 pub mod genfracta;
 pub mod paths;
@@ -42,6 +46,7 @@ pub mod ringroute;
 pub mod table;
 pub mod treeroute;
 
+pub use forest::DestForest;
 pub use paths::Paths;
 pub use repair::{
     repair_routes, repair_tables, DeadMask, IncrementalRepair, RepairError, RepairReport,

@@ -1,12 +1,19 @@
 //! A unified per-pair path view over either routing representation.
 //!
-//! The analyses (lint L1–L5, the channel-dependency graph, hop /
-//! contention / utilization metrics) all want the same thing: every
-//! ordered source→destination path, once. [`Paths`] hands them that
-//! without dictating a representation — a dense [`RouteSet`] is walked
-//! in place, while canonical [`Routes`] tables are traced pair by pair
-//! into one reused scratch buffer, so no O(N² · path length) matrix is
-//! ever materialized for analysis.
+//! The pair-level analyses (lint L1/L2/L4, contention / utilization
+//! metrics) all want the same thing: every ordered source→destination
+//! path, once. [`Paths`] hands them that without dictating a
+//! representation — a dense [`RouteSet`] is walked in place, while
+//! canonical [`Routes`] tables are traced pair by pair into one reused
+//! scratch buffer, so no O(N² · path length) matrix is ever
+//! materialized for analysis.
+//!
+//! Analyses that only need what routes share — the channel dependency
+//! graph and hop statistics — read table views per destination through
+//! [`DestForest`](crate::DestForest) instead, in O(nodes · N) rather
+//! than O(N² · path length); dense views keep the pair walk there,
+//! because per-pair routes need not agree on a next hop per
+//! destination.
 
 use crate::table::{RouteError, RouteSet, Routes};
 use fractanet_graph::{ChannelId, Network, NodeId};

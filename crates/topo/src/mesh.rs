@@ -31,6 +31,14 @@ pub const PORT_SOUTH: PortId = PortId(3);
 /// First end-node attach port.
 pub const PORT_NODE0: PortId = PortId(4);
 
+/// `(x, y)` of `router` in a row-major router grid. Builders add the
+/// routers first, in grid order, so a router's node index is its grid
+/// position; anything else (end nodes, foreign ids) is `None`.
+fn grid_coords(routers: &[NodeId], cols: usize, router: NodeId) -> Option<(usize, usize)> {
+    let i = router.index();
+    (routers.get(i) == Some(&router)).then(|| (i % cols, i / cols))
+}
+
 /// A `cols × rows` 2-D mesh of routers with `nodes_per_router` end
 /// nodes on each router.
 #[derive(Clone, Debug)]
@@ -145,12 +153,9 @@ impl Mesh2D {
         self.routers[y * self.cols + x]
     }
 
-    /// Coordinates of a router id.
+    /// Coordinates of a router id, in O(1).
     pub fn coords_of(&self, router: NodeId) -> Option<(usize, usize)> {
-        self.routers
-            .iter()
-            .position(|&r| r == router)
-            .map(|i| (i % self.cols, i / self.cols))
+        grid_coords(&self.routers, self.cols, router)
     }
 
     /// End node `k` of router `(x, y)`.
@@ -279,12 +284,9 @@ impl Torus2D {
         self.nodes_per_router
     }
 
-    /// Coordinates of a router id.
+    /// Coordinates of a router id, in O(1).
     pub fn coords_of(&self, router: NodeId) -> Option<(usize, usize)> {
-        self.routers
-            .iter()
-            .position(|&r| r == router)
-            .map(|i| (i % self.cols, i / self.cols))
+        grid_coords(&self.routers, self.cols, router)
     }
 }
 
@@ -372,7 +374,16 @@ mod tests {
         for addr in 0..m.end_nodes().len() {
             let (x, y, k) = m.end_coords(addr);
             assert_eq!(m.end_at(x, y, k), m.end_nodes()[addr]);
+            assert_eq!(m.coords_of(m.end_nodes()[addr]), None);
         }
+        let t = Torus2D::new(4, 3, 1, 6).unwrap();
+        for y in 0..3 {
+            for x in 0..4 {
+                assert_eq!(t.coords_of(t.router_at(x, y)), Some((x, y)));
+            }
+        }
+        assert_eq!(t.coords_of(t.end_nodes()[0]), None);
+        assert_eq!(t.coords_of(NodeId(1000)), None);
     }
 
     #[test]
