@@ -273,14 +273,16 @@ proptest! {
         prop_assert_eq!(dense.deadlock.is_some(), tabled.deadlock.is_some());
     }
 
-    /// The sharded parallel engine is bit-identical to the serial
-    /// oracle across the full config grammar — including random
-    /// kill/repair/brownout/flaky schedules, healing epoch installs
-    /// mid-run, and telemetry recording. Every field of the result
-    /// (latencies, busy counts, recovery stats, the telemetry event
-    /// ring) must match at 2, 4, and 8 threads — at every FIFO depth
-    /// (including the unbounded sentinel) and credit delay, over the
-    /// engine grammar with its virtual-channel configs.
+    /// The engine at widths 2, 4 and 8 is bit-identical to width 1 —
+    /// one shard scanning on the calling thread — across the full
+    /// config grammar, including random kill/repair/brownout/flaky
+    /// schedules, healing epoch installs mid-run, and telemetry
+    /// recording. Every field of the result (latencies, busy counts,
+    /// recovery stats, the telemetry event ring) must match at every
+    /// FIFO depth (including the unbounded sentinel) and credit delay,
+    /// over the engine grammar with its virtual-channel configs. Debug
+    /// builds shard down to one live item per shard, so there every
+    /// width > 1 forks real shards and merges them.
     #[test]
     fn parallel_and_serial_engines_agree(
         cfg in engine_configs(),
