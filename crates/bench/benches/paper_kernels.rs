@@ -1,7 +1,8 @@
 //! Criterion benches, one group per paper artifact, measuring the
 //! computational kernels behind each reproduction: construction,
 //! route tracing, contention matching, bisection max-flow,
-//! channel-dependency analysis, and simulator cycle throughput.
+//! channel-dependency analysis, certification, and simulator cycle
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fractanet::deadlock::{verify_deadlock_free, ChannelDependencyGraph};
@@ -102,6 +103,25 @@ fn bench_mesh(c: &mut Criterion) {
     });
 }
 
+/// Certification on mesh:10x10 (200 end nodes): shortest-allowed-path
+/// routing of every pair with no turn disabled (the first step of
+/// every Fig 2 synthesis), and the exact lint (L3 and L6 with its
+/// synthesized certificate).
+fn bench_certify(c: &mut Criterion) {
+    use fractanet::deadlock::{disables::route_all, DisableSet};
+    let m = "mesh:10x10".parse::<TopoSpec>().unwrap().build();
+    c.bench_function("synth_route_all_mesh_10x10", |b| {
+        b.iter(|| {
+            route_all(m.net(), m.end_nodes(), &DisableSet::new())
+                .unwrap()
+                .len()
+        })
+    });
+    c.bench_function("lint_exact_mesh_10x10", |b| {
+        b.iter(|| assert!(m.lint_exact().is_clean()))
+    });
+}
+
 /// §4 simulation: engine cycle throughput at moderate load.
 fn bench_sim(c: &mut Criterion) {
     let ff = System::fat_fractahedron(2);
@@ -170,6 +190,6 @@ criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
     targets = bench_fig1, bench_fig2, bench_fig3, bench_table1, bench_table2, bench_mesh,
-              bench_sim, bench_extensions
+              bench_certify, bench_sim, bench_extensions
 }
 criterion_main!(paper);

@@ -34,7 +34,8 @@
 //! The synthesis itself ([`synthesize_disables_exact`]) replaces the
 //! first-routable-turn loop of
 //! [`synthesize_disables`](crate::disables::synthesize_disables) with
-//! a lazy exact loop: route every pair by shortest allowed path,
+//! a lazy exact loop: route every pair by shortest allowed path (one
+//! BFS per source, [`route_from_masked`](crate::route_from_masked)),
 //! enumerate the elementary cycles of the resulting CDG, solve a
 //! branch-and-bound **minimum hitting set over the enumerated cycle
 //! space** (seeded with the greedy result as upper bound and pruned by
@@ -47,7 +48,7 @@
 //! gap instead.
 
 use crate::cdg::ChannelDependencyGraph;
-use crate::disables::{route_one_masked, DisableSet, SynthesisError};
+use crate::disables::{synthesize_greedy, DisableSet, RowRouter, SynthesisError};
 use fractanet_graph::hitting::{greedy_hitting_set, min_hitting_set};
 use fractanet_graph::json::{JsonArray, JsonObject};
 use fractanet_graph::{ChannelId, Network, NodeId};
@@ -315,42 +316,6 @@ fn components(net: &Network, mask: Option<&DeadMask>) -> Vec<u32> {
     comp
 }
 
-/// Routes every pair that is connected in the surviving network;
-/// severed pairs get empty paths. `Err((s, d))` names a pair that is
-/// connected yet unroutable under the disables — a genuine synthesis
-/// failure, never mere fault degradation.
-fn route_all_components(
-    net: &Network,
-    ends: &[NodeId],
-    disables: &DisableSet,
-    mask: Option<&DeadMask>,
-    comp: &[u32],
-) -> Result<(RouteSet, usize), (usize, usize)> {
-    let n = ends.len();
-    let mut failed = None;
-    let mut covered = 0usize;
-    let rs = RouteSet::from_pairs(n, |s, d| {
-        let (cs, cd) = (comp[ends[s].index()], comp[ends[d].index()]);
-        if cs == DEAD || cd == DEAD || cs != cd {
-            return Vec::new();
-        }
-        match route_one_masked(net, ends, disables, mask, s, d) {
-            Some(p) => {
-                covered += 1;
-                p
-            }
-            None => {
-                failed.get_or_insert((s, d));
-                Vec::new()
-            }
-        }
-    });
-    match failed {
-        Some(pair) => Err(pair),
-        None => Ok((rs, covered)),
-    }
-}
-
 /// The turn (edge) sets of each cycle, for hitting-set solving.
 fn cycle_turn_sets(cycles: &[Vec<u32>]) -> Vec<Vec<(u32, u32)>> {
     cycles
@@ -393,57 +358,9 @@ pub fn min_cycle_disables(cycles: &[Vec<u32>], bb_node_budget: usize) -> CycleDi
     }
 }
 
-/// Greedy synthesis (the Fig 2 loop), masked and component-aware:
-/// severed pairs stay severed, everything else must route. Used as the
-/// exact loop's fallback and as the gap-reporting baseline.
-fn synthesize_greedy_masked(
-    net: &Network,
-    ends: &[NodeId],
-    mask: Option<&DeadMask>,
-    comp: &[u32],
-    max_iterations: usize,
-) -> Result<(DisableSet, RouteSet, usize), SynthesisError> {
-    let mut disables = DisableSet::new();
-    let (mut routes, mut covered) = route_all_components(net, ends, &disables, mask, comp)
-        .map_err(|(src, dst)| SynthesisError::Unroutable { src, dst })?;
-    for _ in 0..max_iterations {
-        let cdg = ChannelDependencyGraph::from_routes(net, &routes);
-        let Some(cycle) = cdg.find_cycle() else {
-            return Ok((disables, routes, covered));
-        };
-        let mut advanced = false;
-        for i in 0..cycle.len() {
-            let a = cycle[i];
-            let b = cycle[(i + 1) % cycle.len()];
-            let mut candidate = disables.clone();
-            candidate.insert(a, b);
-            if let Ok((rs, cov)) = route_all_components(net, ends, &candidate, mask, comp) {
-                disables = candidate;
-                routes = rs;
-                covered = cov;
-                advanced = true;
-                break;
-            }
-        }
-        if !advanced {
-            return Err(SynthesisError::DidNotConverge {
-                disables: disables.len(),
-            });
-        }
-    }
-    let cdg = ChannelDependencyGraph::from_routes(net, &routes);
-    if cdg.find_cycle().is_none() {
-        return Ok((disables, routes, covered));
-    }
-    Err(SynthesisError::DidNotConverge {
-        disables: disables.len(),
-    })
-}
-
-/// Builds the rank certificate for a routing whose CDG is acyclic: a
-/// topological order of the CDG, one rank per channel.
-fn rank_certificate(net: &Network, routes: &RouteSet) -> Option<Vec<u32>> {
-    let cdg = ChannelDependencyGraph::from_routes(net, routes);
+/// Builds the rank certificate from an acyclic CDG: a topological
+/// order of it, one rank per channel.
+fn rank_certificate(net: &Network, cdg: &ChannelDependencyGraph) -> Option<Vec<u32>> {
     let order = cdg.graph().topo_sort()?;
     let mut rank = vec![0u32; net.channel_count()];
     for (pos, &v) in order.iter().enumerate() {
@@ -469,9 +386,17 @@ pub fn synthesize_disables_exact(
     let comp = components(net, mask);
     let n = ends.len();
     let total_pairs = n * n.saturating_sub(1);
+    // Severed pairs (different surviving components, or a dead end)
+    // stay unrouted; every other pair must route.
+    let required = |s: usize, d: usize| {
+        let (cs, cd) = (comp[ends[s].index()], comp[ends[d].index()]);
+        cs != DEAD && cs == cd
+    };
+    let mut router = RowRouter::new(net, ends, mask);
 
     let finalize = |disables: DisableSet,
                     routes: RouteSet,
+                    cdg: &ChannelDependencyGraph,
                     covered: usize,
                     greedy_size: usize,
                     lower_bound: usize,
@@ -481,7 +406,7 @@ pub fn synthesize_disables_exact(
                     bb_nodes: usize,
                     rounds: usize|
      -> Result<ExactSynthesis, SynthesisError> {
-        let rank = rank_certificate(net, &routes).ok_or(SynthesisError::DidNotConverge {
+        let rank = rank_certificate(net, cdg).ok_or(SynthesisError::DidNotConverge {
             disables: disables.len(),
         })?;
         Ok(ExactSynthesis {
@@ -508,11 +433,13 @@ pub fn synthesize_disables_exact(
     let mut lower_bound = 0usize;
     let mut bb_nodes = 0usize;
     let mut proven = true;
-    let mut fell_back = false;
+    // Each round's routes are those of the candidate check that
+    // admitted `chosen`; only the empty start is routed up front.
+    let (mut routes, mut covered) = router
+        .route_pairs(&chosen, &required)
+        .map_err(|(src, dst)| SynthesisError::Unroutable { src, dst })?;
 
     for round in 0..cfg.max_rounds {
-        let (routes, covered) = route_all_components(net, ends, &chosen, mask, &comp)
-            .map_err(|(src, dst)| SynthesisError::Unroutable { src, dst })?;
         let cdg = ChannelDependencyGraph::from_routes(net, &routes);
         if cdg.find_cycle().is_none() {
             // Greedy baseline for the gap report; when zero disables
@@ -520,13 +447,14 @@ pub fn synthesize_disables_exact(
             let greedy_size = if chosen.is_empty() {
                 0
             } else {
-                synthesize_greedy_masked(net, ends, mask, &comp, cfg.greedy_iterations)
-                    .map(|(d, _, _)| d.len())
+                synthesize_greedy(&mut router, &required, cfg.greedy_iterations)
+                    .map(|g| g.disables.len())
                     .unwrap_or(usize::MAX)
             };
             return finalize(
                 chosen,
                 routes,
+                &cdg,
                 covered,
                 greedy_size,
                 lower_bound,
@@ -551,7 +479,6 @@ pub fn synthesize_disables_exact(
         if !grew {
             // The (truncated) enumeration shows nothing new to hit —
             // the exact loop cannot make progress.
-            fell_back = true;
             break;
         }
         let sol = min_hitting_set(&pool, cfg.bb_node_budget);
@@ -562,25 +489,26 @@ pub fn synthesize_disables_exact(
         for &(a, b) in &sol.chosen {
             candidate.insert(ChannelId(a), ChannelId(b));
         }
-        if route_all_components(net, ends, &candidate, mask, &comp).is_ok() {
-            chosen = candidate;
-        } else {
+        match router.route_pairs(&candidate, &required) {
+            Ok((rs, cov)) => {
+                chosen = candidate;
+                routes = rs;
+                covered = cov;
+            }
             // The exact minimum would disconnect a pair; minimality
             // under the routability side-constraint is out of scope.
-            fell_back = true;
-            break;
+            Err(_) => break,
         }
     }
 
     // Greedy fallback with gap accounting.
-    let _ = fell_back;
-    let (disables, routes, covered) =
-        synthesize_greedy_masked(net, ends, mask, &comp, cfg.greedy_iterations)?;
-    let greedy_size = disables.len();
+    let greedy = synthesize_greedy(&mut router, &required, cfg.greedy_iterations)?;
+    let greedy_size = greedy.disables.len();
     finalize(
-        disables,
-        routes,
-        covered,
+        greedy.disables,
+        greedy.routes,
+        &greedy.cdg,
+        greedy.covered,
         greedy_size,
         lower_bound,
         pool.len(),
@@ -643,8 +571,9 @@ pub fn decide(
             let the_mask = mask.unwrap_or(&empty);
             let rep = fractanet_route::repair::repair_tables(net, ends, the_mask);
             let routes = fractanet_route::repair::trace_surviving(net, ends, the_mask, &rep.tables);
-            let rank = rank_certificate(net, &routes)
-                .expect("up*/down* routing is acyclic by construction");
+            let cdg = ChannelDependencyGraph::from_routes(net, &routes);
+            let rank =
+                rank_certificate(net, &cdg).expect("up*/down* routing is acyclic by construction");
             Decision::Free(Box::new(ExactSynthesis {
                 witness: Witness {
                     routes,

@@ -23,7 +23,7 @@ pub mod verify;
 pub mod waitgraph;
 
 pub use cdg::ChannelDependencyGraph;
-pub use disables::{route_one_masked, synthesize_disables, DisableSet, SynthesisError};
+pub use disables::{route_from_masked, synthesize_disables, DisableSet, SynthesisError};
 pub use exact::{
     deadlock_free_routing_exists, decide, min_cycle_disables, synthesize_disables_exact,
     CycleDisables, Decision, ExactConfig, ExactSynthesis, Obstruction, Witness,

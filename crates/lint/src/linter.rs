@@ -25,7 +25,7 @@
 use crate::diag::{Diagnostic, LintReport, RuleId, Severity};
 use crate::discipline::Discipline;
 use fractanet_deadlock::{
-    min_cycle_disables, route_one_masked, synthesize_disables, synthesize_disables_exact,
+    min_cycle_disables, route_from_masked, synthesize_disables, synthesize_disables_exact,
     ChannelDependencyGraph, DisableSet, ExactConfig,
 };
 use fractanet_graph::{ChannelId, Network, NodeId};
@@ -691,18 +691,30 @@ impl<'a> Linter<'a> {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let empty = DisableSet::new();
         let mut forgone = 0usize;
         let mut free_edges = std::collections::HashSet::new();
-        for s in 0..self.ends.len() {
-            for d in 0..self.ends.len() {
-                if s == d || !self.node_ok(self.ends[s]) || !self.node_ok(self.ends[d]) {
+        let mut add_free = |p: &[ChannelId]| {
+            for w in p.windows(2) {
+                free_edges.insert((w[0].0, w[1].0));
+            }
+        };
+        if synth.disables() == 0 {
+            // A witness without disables is that same unrestricted
+            // routing, with severed pairs (dead ends included) empty.
+            for (_, _, p) in synth.witness.routes.pairs() {
+                add_free(p);
+            }
+        } else {
+            let empty = DisableSet::new();
+            for s in 0..self.ends.len() {
+                if !self.node_ok(self.ends[s]) {
                     continue;
                 }
-                if let Some(p) = route_one_masked(self.net, self.ends, &empty, self.mask, s, d) {
-                    for w in p.windows(2) {
-                        free_edges.insert((w[0].0, w[1].0));
-                    }
+                // Dead destinations are never reached, so their
+                // entries are `None`.
+                let row = route_from_masked(self.net, self.ends, &empty, self.mask, s);
+                for p in row.iter().flatten() {
+                    add_free(p);
                 }
             }
         }
