@@ -1,8 +1,8 @@
 //! Criterion benches, one group per paper artifact, measuring the
 //! computational kernels behind each reproduction: construction,
-//! route tracing, contention matching, bisection max-flow,
-//! channel-dependency analysis, certification, and simulator cycle
-//! throughput.
+//! route tracing, contention matching (dense pair sets and
+//! destination forests), bisection max-flow, channel-dependency
+//! analysis, certification, and simulator cycle throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fractanet::deadlock::{verify_deadlock_free, ChannelDependencyGraph};
@@ -122,6 +122,30 @@ fn bench_certify(c: &mut Criterion) {
     });
 }
 
+/// Table-view certification on fat-fractahedron:3 (512 end nodes),
+/// read from one routing forest per destination: the default lint
+/// (L1–L5 with the depth-first discipline, contention included) and
+/// the contention report alone.
+fn bench_forest_certify(c: &mut Criterion) {
+    use fractanet::lint::Discipline;
+    use fractanet::metrics::max_link_contention_paths;
+    use fractanet::route::fractal::fractal_routes;
+    let f = Fractahedron::new(3, Variant::Fat, false).unwrap();
+    let routes = fractal_routes(&f);
+    let (net, ends) = (f.net(), f.end_nodes());
+    c.bench_function("lint_check_fat_fractahedron_3", |b| {
+        b.iter(|| {
+            let report = Linter::new(net, ends)
+                .with_discipline(Discipline::fractahedral(&f))
+                .check_tables(&routes);
+            assert!(report.is_clean());
+        })
+    });
+    c.bench_function("contention_tables_fat_fractahedron_3", |b| {
+        b.iter(|| max_link_contention_paths(net, Paths::tables(net, ends, &routes)).worst)
+    });
+}
+
 /// §4 simulation: engine cycle throughput at moderate load.
 fn bench_sim(c: &mut Criterion) {
     let ff = System::fat_fractahedron(2);
@@ -190,6 +214,6 @@ criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
     targets = bench_fig1, bench_fig2, bench_fig3, bench_table1, bench_table2, bench_mesh,
-              bench_certify, bench_sim, bench_extensions
+              bench_certify, bench_forest_certify, bench_sim, bench_extensions
 }
 criterion_main!(paper);

@@ -5,7 +5,9 @@
 use fractanet_deadlock::verify_deadlock_free_tables;
 use fractanet_graph::{LinkClass, Network, NodeId};
 use fractanet_lint::{Discipline, LintReport, Linter};
-use fractanet_metrics::{bisection_estimate, max_link_contention_paths, CostSummary, HopStats};
+use fractanet_metrics::{
+    bisection_estimate, max_link_contention_paths, ContentionReport, CostSummary, HopStats,
+};
 use fractanet_route::fattree::{fattree_routes, UpPolicy};
 use fractanet_route::fractal::fractal_routes;
 use fractanet_route::ringroute::ring_shortest_routes;
@@ -150,6 +152,9 @@ pub struct System {
     /// Dense per-pair view, traced lazily the first time a caller
     /// actually asks for frozen paths.
     routeset: OnceLock<RouteSet>,
+    /// Worst-case link contention of the canonical tables, computed the
+    /// first time `lint`, `lint_exact` or `analyze` needs it.
+    contention: OnceLock<ContentionReport>,
     /// Virtual-channel discipline, when enabled via
     /// [`System::with_vcs`].
     vc: Option<VcState>,
@@ -162,6 +167,7 @@ impl System {
             built,
             routes,
             routeset: OnceLock::new(),
+            contention: OnceLock::new(),
             vc: None,
         }
     }
@@ -318,6 +324,17 @@ impl System {
         })
     }
 
+    /// Worst-case link contention of the canonical tables, read off one
+    /// routing forest per destination (`O(nodes × N)`) on first use and
+    /// shared by [`System::analyze`], [`System::lint`] and
+    /// [`System::lint_exact`].
+    fn contention(&self) -> &ContentionReport {
+        self.contention.get_or_init(|| {
+            let (net, ends) = (self.net(), self.end_nodes());
+            max_link_contention_paths(net, Paths::tables(net, ends, &self.routes))
+        })
+    }
+
     /// Topology name, including the VC discipline when one is
     /// installed.
     pub fn name(&self) -> String {
@@ -338,15 +355,15 @@ impl System {
     }
 
     /// Runs the full analytical battery (hops, contention, bisection,
-    /// deadlock freedom). Hops and the channel dependency graph are read
-    /// off one routing forest per destination, `O(nodes × N)`; link
-    /// contention still walks `O(pairs × path length)`; plus a handful
-    /// of max-flows — instant at the paper's 64-node scale.
+    /// deadlock freedom). Hops, link contention and the channel
+    /// dependency graph are all read off one routing forest per
+    /// destination, `O(nodes × N)`, with contention cached on the
+    /// system; bisection adds a handful of max-flows.
     pub fn analyze(&self) -> AnalysisReport {
         let net = self.net();
         let ends = self.end_nodes();
         let hops = HopStats::routed_tables(net, ends, &self.routes).expect("≥ 2 nodes");
-        let cont = max_link_contention_paths(net, Paths::tables(net, ends, &self.routes));
+        let cont = self.contention();
         let local = cont
             .worst_in_class(net, LinkClass::Local)
             .map(|(k, _)| k)
@@ -407,7 +424,9 @@ impl System {
     /// discipline conformance, and the paper's contention bound where
     /// published. See `fractanet-lint` for the rule catalogue.
     pub fn lint(&self) -> LintReport {
-        let mut linter = Linter::new(self.net(), self.end_nodes()).with_subject(self.name());
+        let mut linter = Linter::new(self.net(), self.end_nodes())
+            .with_subject(self.name())
+            .with_contention(self.contention());
         if let Some(d) = self.discipline() {
             linter = linter.with_discipline(d);
         }
@@ -427,6 +446,7 @@ impl System {
     pub fn lint_exact(&self) -> LintReport {
         let mut linter = Linter::new(self.net(), self.end_nodes())
             .with_subject(self.name())
+            .with_contention(self.contention())
             .with_exact(fractanet_deadlock::ExactConfig::default());
         if let Some(d) = self.discipline() {
             linter = linter.with_discipline(d);

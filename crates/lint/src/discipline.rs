@@ -13,6 +13,7 @@
 
 use fractanet_graph::{ChannelId, Network, NodeId};
 use fractanet_topo::{FatTree, Fractahedron, Hypercube, Mesh2D, Topology};
+use std::cmp::Ordering;
 
 /// A statically checkable routing discipline over a concrete network.
 #[derive(Clone, Debug)]
@@ -136,61 +137,120 @@ impl Discipline {
     /// first hop that violates the discipline; attach hops (to or from
     /// end nodes) and hops touching unclassified routers are skipped.
     pub fn check_path(&self, net: &Network, path: &[ChannelId]) -> Result<(), String> {
-        match self {
-            Discipline::AscendThenDescend { rank, .. } => {
-                let mut descended = false;
-                for &ch in path {
-                    let Some((rs, rd)) = hop_meta(net, ch, rank) else {
-                        continue;
-                    };
-                    if rd < rs {
-                        descended = true;
-                    } else if rd > rs && descended {
-                        return Err(format!(
-                            "hop {} -> {} re-ascends (rank {} -> {}) after a descent",
-                            net.label(net.channel_src(ch)),
-                            net.label(net.channel_dst(ch)),
-                            rs,
-                            rd
-                        ));
-                    }
+        let name = |ch: ChannelId| {
+            (
+                net.label(net.channel_src(ch)),
+                net.label(net.channel_dst(ch)),
+            )
+        };
+        let mut descended = false;
+        let mut last_dim: Option<usize> = None;
+        for &ch in path {
+            match self.classify(net, ch) {
+                Hop::Skip => {}
+                Hop::Rank(rs, rd) if rd < rs => descended = true,
+                Hop::Rank(rs, rd) if rd > rs && descended => {
+                    let (a, b) = name(ch);
+                    return Err(format!(
+                        "hop {a} -> {b} re-ascends (rank {rs} -> {rd}) after a descent"
+                    ));
                 }
-                Ok(())
-            }
-            Discipline::DimensionOrder { coords, .. } => {
-                let mut last_dim: Option<usize> = None;
-                for &ch in path {
-                    let Some((cs, cd)) = hop_meta(net, ch, coords) else {
-                        continue;
-                    };
-                    let changed: Vec<usize> = (0..cs.len().min(cd.len()))
-                        .filter(|&i| cs[i] != cd[i])
-                        .collect();
-                    let [dim] = changed[..] else {
+                Hop::Rank(..) => {}
+                Hop::Dims { changed: 1, dim } => {
+                    if let Some(prev) = last_dim.filter(|&prev| dim < prev) {
+                        let (a, b) = name(ch);
                         return Err(format!(
-                            "hop {} -> {} changes {} dimensions at once",
-                            net.label(net.channel_src(ch)),
-                            net.label(net.channel_dst(ch)),
-                            changed.len()
+                            "hop {a} -> {b} corrects dimension {dim} after dimension {prev}"
                         ));
-                    };
-                    if let Some(prev) = last_dim {
-                        if dim < prev {
-                            return Err(format!(
-                                "hop {} -> {} corrects dimension {} after dimension {}",
-                                net.label(net.channel_src(ch)),
-                                net.label(net.channel_dst(ch)),
-                                dim,
-                                prev
-                            ));
-                        }
                     }
                     last_dim = Some(dim);
                 }
-                Ok(())
+                Hop::Dims { changed, .. } => {
+                    let (a, b) = name(ch);
+                    return Err(format!(
+                        "hop {a} -> {b} changes {changed} dimensions at once"
+                    ));
+                }
             }
         }
+        Ok(())
     }
+
+    /// How hop `ch` moves through the discipline's metadata.
+    fn classify(&self, net: &Network, ch: ChannelId) -> Hop {
+        match self {
+            Discipline::AscendThenDescend { rank, .. } => match hop_meta(net, ch, rank) {
+                Some((&rs, &rd)) => Hop::Rank(rs, rd),
+                None => Hop::Skip,
+            },
+            Discipline::DimensionOrder { coords, .. } => match hop_meta(net, ch, coords) {
+                Some((cs, cd)) => {
+                    let (mut changed, mut dim) = (0, 0);
+                    for (i, (a, b)) in cs.iter().zip(cd).enumerate() {
+                        if a != b {
+                            changed += 1;
+                            dim = i;
+                        }
+                    }
+                    Hop::Dims { changed, dim }
+                }
+                None => Hop::Skip,
+            },
+        }
+    }
+
+    /// The verdict on hop `ch` followed by a path whose verdict is
+    /// `rest`: [`Discipline::check_path`]'s answer, built backwards one
+    /// hop at a time, so every route toward one destination is judged
+    /// in O(1) from its next hop's verdict.
+    pub(crate) fn prepend(&self, net: &Network, ch: ChannelId, rest: Verdict) -> Verdict {
+        match self.classify(net, ch) {
+            Hop::Skip => rest,
+            Hop::Rank(rs, rd) => match rd.cmp(&rs) {
+                Ordering::Equal => rest,
+                // After a descent, any later ascent is the violation.
+                Ordering::Less => Verdict {
+                    bad: rest.ascends,
+                    ..rest
+                },
+                Ordering::Greater => Verdict {
+                    ascends: true,
+                    ..rest
+                },
+            },
+            Hop::Dims { changed: 1, dim } => Verdict {
+                bad: rest.bad || rest.first_dim.is_some_and(|next| next < dim),
+                first_dim: Some(dim),
+                ..rest
+            },
+            Hop::Dims { .. } => Verdict { bad: true, ..rest },
+        }
+    }
+}
+
+/// What [`Discipline::check_path`] needs to know about a path suffix
+/// to judge the path it ends: whether the suffix fails on its own, and
+/// what an earlier hop must not precede. The empty path's verdict is
+/// `Verdict::default()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    /// The path violates the discipline.
+    pub(crate) bad: bool,
+    /// Some hop ascends (so no earlier hop may descend).
+    ascends: bool,
+    /// The first corrected dimension (no earlier hop may correct a
+    /// larger one).
+    first_dim: Option<usize>,
+}
+
+/// One hop, classified by the discipline.
+enum Hop {
+    /// An attach hop or one touching an unclassified router.
+    Skip,
+    /// Source and destination rank.
+    Rank(u32, u32),
+    /// How many coordinates change, and the last one that does.
+    Dims { changed: usize, dim: usize },
 }
 
 /// Metadata of both endpoints of a hop, when both are classified
@@ -267,6 +327,39 @@ mod tests {
         let d = Discipline::fat_tree(&t);
         for (s, dst, p) in rs.pairs() {
             assert!(d.check_path(t.net(), p).is_ok(), "{s}->{dst}");
+        }
+    }
+
+    #[test]
+    fn prepended_verdicts_equal_check_path() {
+        // Arbitrary channel sequences (continuity is not the
+        // discipline's business) on a fat tree and a mesh, judged both
+        // ways.
+        let t = FatTree::paper_4_2_64();
+        let m = Mesh2D::new(4, 4, 1, 6).unwrap();
+        let h = Hypercube::new(3, 1, 6).unwrap();
+        let cases = [
+            (t.net(), Discipline::fat_tree(&t)),
+            (m.net(), Discipline::mesh_xy(&m)),
+            (h.net(), Discipline::ecube(&h)),
+        ];
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        for (net, d) in &cases {
+            let n = net.channel_count() as u64;
+            for _ in 0..2_000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let len = (state >> 60) as usize;
+                let path: Vec<ChannelId> = (0..len)
+                    .map(|i| ChannelId(((state >> (i * 4)) % n) as u32))
+                    .collect();
+                let verdict = path
+                    .iter()
+                    .rev()
+                    .fold(Verdict::default(), |rest, &ch| d.prepend(net, ch, rest));
+                assert_eq!(verdict.bad, d.check_path(net, &path).is_err(), "{path:?}");
+            }
         }
     }
 

@@ -23,14 +23,14 @@
 //! [`fractanet_deadlock::synthesize_disables_exact`].
 
 use crate::diag::{Diagnostic, LintReport, RuleId, Severity};
-use crate::discipline::Discipline;
+use crate::discipline::{Discipline, Verdict};
 use fractanet_deadlock::{
     min_cycle_disables, route_from_masked, synthesize_disables, synthesize_disables_exact,
     ChannelDependencyGraph, DisableSet, ExactConfig,
 };
 use fractanet_graph::{ChannelId, Network, NodeId};
-use fractanet_metrics::max_link_contention_paths;
-use fractanet_route::{DeadMask, Paths, RouteError, RouteSet, Routes};
+use fractanet_metrics::{max_link_contention_paths, ContentionReport};
+use fractanet_route::{DeadMask, DestForest, Failure, Paths, RouteError, RouteSet, Routes};
 use std::collections::VecDeque;
 
 /// How many example pairs / channels a single diagnostic carries
@@ -56,6 +56,7 @@ pub struct Linter<'a> {
     mask: Option<&'a DeadMask>,
     discipline: Option<Discipline>,
     contention_bound: Option<usize>,
+    contention: Option<&'a ContentionReport>,
     subject: String,
     max_cycles: usize,
     max_cycle_steps: usize,
@@ -83,6 +84,7 @@ impl<'a> Linter<'a> {
             mask: None,
             discipline: None,
             contention_bound: None,
+            contention: None,
             subject: "network".into(),
             max_cycles: 16,
             max_cycle_steps: 100_000,
@@ -116,6 +118,13 @@ impl<'a> Linter<'a> {
     /// `k:1`). Without a bound L5 only reports the observed value.
     pub fn with_contention_bound(mut self, k: usize) -> Self {
         self.contention_bound = Some(k);
+        self
+    }
+
+    /// Supplies rule L5's contention report, already computed for the
+    /// routes about to be checked, instead of computing it again.
+    pub fn with_contention(mut self, report: &'a ContentionReport) -> Self {
+        self.contention = Some(report);
         self
     }
 
@@ -204,19 +213,20 @@ impl<'a> Linter<'a> {
     }
 
     /// Runs every applicable rule directly over destination tables,
-    /// walking each pair's table entries in place — no dense path
-    /// matrix is ever materialized. Tracing failures surface as
-    /// diagnostics: missing entries as L1 coverage findings (severed
-    /// vs hole, by surviving component), forwarding loops as L2 errors
-    /// naming the visited-router sequence. When a fault mask is set,
-    /// pairs whose own attach channels are dead lint as severed (the
-    /// tables cannot represent an end node's death; the dense view
-    /// encodes it as an empty path).
+    /// judging each destination's routing forest once per node — no
+    /// pair is traced and no dense path matrix is materialized.
+    /// Tracing failures surface as diagnostics: missing entries as L1
+    /// coverage findings (severed vs hole, by surviving component),
+    /// forwarding loops as L2 errors naming the visited-router
+    /// sequence. When a fault mask is set, pairs whose own attach
+    /// channels are dead lint as severed (the tables cannot represent
+    /// an end node's death; the dense view encodes it as an empty
+    /// path).
     pub fn check_tables(&self, routes: &Routes) -> LintReport {
         self.check_paths(Paths::tables(self.net, self.ends, routes))
     }
 
-    /// Runs every applicable rule over any per-pair path view.
+    /// Runs every applicable rule over either routing representation.
     pub fn check_paths(&self, paths: Paths<'_>) -> LintReport {
         let mut diags = Vec::new();
         let mut rules_run = vec![
@@ -224,11 +234,15 @@ impl<'a> Linter<'a> {
             RuleId::L2WellFormed,
             RuleId::L3CdgCycles,
         ];
-        let pairs_checked = self.check_coverage_and_paths(paths, &mut diags);
+        let mut findings = PairFindings::default();
+        let pairs_checked = match paths {
+            Paths::Dense(rs) => self.walk_pairs(rs, &mut findings),
+            Paths::Tables { routes, .. } => self.sweep_forests(routes, &mut findings),
+        };
+        findings.emit(self.discipline.as_ref(), &mut diags);
         self.check_cycles(paths, &mut diags);
-        if let Some(d) = &self.discipline {
+        if self.discipline.is_some() {
             rules_run.push(RuleId::L4Discipline);
-            self.check_discipline(paths, d, &mut diags);
         }
         rules_run.push(RuleId::L5Contention);
         self.check_contention(paths, &mut diags);
@@ -246,93 +260,44 @@ impl<'a> Linter<'a> {
         }
     }
 
-    /// Whether both of the pair's attach channels survive the mask
-    /// (vacuously true without one).
-    fn attach_ok(&self, s: usize, d: usize) -> bool {
-        let inject = self.net.channels_from(self.ends[s]).first();
-        let eject = self.net.channels_from(self.ends[d]).first();
-        match (inject, eject) {
-            (Some(&(i, _)), Some(&(e, _))) => self.channel_ok(i) && self.channel_ok(e.reverse()),
-            _ => false,
-        }
+    /// Whether both endpoints of pair `(s, d)` are live addresses.
+    fn pair_live(&self, s: usize, d: usize) -> bool {
+        s < self.ends.len()
+            && d < self.ends.len()
+            && self.node_ok(self.ends[s])
+            && self.node_ok(self.ends[d])
     }
 
-    /// L1 + L2 in a single pass over all pairs. Returns the number of
-    /// live pairs examined.
-    fn check_coverage_and_paths(&self, paths: Paths<'_>, out: &mut Vec<Diagnostic>) -> usize {
+    /// L1, L2 and L4 in a single pass over every pair of a dense route
+    /// set. Returns the number of live pairs examined.
+    fn walk_pairs(&self, rs: &RouteSet, f: &mut PairFindings) -> usize {
         let comp = self.components();
-        let table_view = matches!(paths, Paths::Tables { .. });
-        let mut holes: Vec<(usize, usize)> = Vec::new();
-        let mut severed: Vec<(usize, usize)> = Vec::new();
-        let mut misdelivered: Vec<(usize, usize)> = Vec::new();
-        let mut wrong_source: Vec<(usize, usize)> = Vec::new();
-        let mut discontinuous: Vec<(usize, usize)> = Vec::new();
-        let mut dead: Vec<(usize, usize)> = Vec::new();
-        let mut dead_channels: Vec<ChannelId> = Vec::new();
-        let mut repeated: Vec<(usize, usize)> = Vec::new();
-        let mut through_end: Vec<(usize, usize)> = Vec::new();
-        let mut loops: Vec<(usize, usize)> = Vec::new();
-        let mut loop_detail: Option<String> = None;
+        let mut bad = Tally::default();
+        let mut first_err = None;
         let mut checked = 0usize;
-
         let mut seen_stamp = vec![0u32; self.net.channel_count()];
         let mut stamp = 0u32;
-        paths.for_each_pair(|s, d, res| {
-            if s >= self.ends.len()
-                || d >= self.ends.len()
-                || !self.node_ok(self.ends[s])
-                || !self.node_ok(self.ends[d])
-            {
-                return;
+        for (s, d, p) in rs.pairs() {
+            if !self.pair_live(s, d) {
+                continue;
             }
             checked += 1;
-            let empty_route = |holes: &mut Vec<(usize, usize)>,
-                               severed: &mut Vec<(usize, usize)>| {
-                if comp[self.ends[s].index()] == comp[self.ends[d].index()] {
-                    holes.push((s, d));
-                } else {
-                    severed.push((s, d));
+            if let Some(disc) = &self.discipline {
+                if let Err(e) = disc.check_path(self.net, p) {
+                    first_err.get_or_insert(e);
+                    bad.push((s, d));
                 }
-            };
-            // Destination tables only describe surviving routers'
-            // entries; a pair whose own attach channel died traces
-            // right across it. Treat those pairs as severed, matching
-            // the dense view's empty paths.
-            if table_view && self.mask.is_some() && !self.attach_ok(s, d) {
-                empty_route(&mut holes, &mut severed);
-                return;
             }
-            let p = match res {
-                Ok([]) => {
-                    empty_route(&mut holes, &mut severed);
-                    return;
-                }
-                Ok(p) => p,
-                Err(RouteError::ForwardingLoop { ref visited, .. }) => {
-                    loops.push((s, d));
-                    if loop_detail.is_none() {
-                        let names: Vec<&str> = visited.iter().map(|&v| self.net.label(v)).collect();
-                        loop_detail = Some(names.join(" -> "));
-                    }
-                    return;
-                }
-                Err(RouteError::Misdelivered { .. }) => {
-                    misdelivered.push((s, d));
-                    return;
-                }
-                // Missing or unconnected table entries: the route just
-                // isn't there — a hole or a severed pair.
-                Err(_) => {
-                    empty_route(&mut holes, &mut severed);
-                    return;
-                }
+            let Some(&last) = p.last() else {
+                f.unrouted(&comp, self.ends, s, d);
+                continue;
             };
             // L1: endpoints.
             if self.net.channel_src(p[0]) != self.ends[s] {
-                wrong_source.push((s, d));
+                f.wrong_source.push((s, d));
             }
-            if self.net.channel_dst(*p.last().expect("non-empty")) != self.ends[d] {
-                misdelivered.push((s, d));
+            if self.net.channel_dst(last) != self.ends[d] {
+                f.misdelivered.push((s, d));
             }
             // L2: consecutive, alive, simple, router-interior.
             stamp += 1;
@@ -340,135 +305,135 @@ impl<'a> Linter<'a> {
             let mut flagged_rep = false;
             for (i, &ch) in p.iter().enumerate() {
                 if !self.channel_ok(ch) && !flagged_dead {
-                    dead.push((s, d));
-                    if dead_channels.len() < SAMPLE && !dead_channels.contains(&ch) {
-                        dead_channels.push(ch);
+                    f.dead.push((s, d));
+                    if f.dead_channels.len() < SAMPLE && !f.dead_channels.contains(&ch) {
+                        f.dead_channels.push(ch);
                     }
                     flagged_dead = true;
                 }
                 if seen_stamp[ch.index()] == stamp && !flagged_rep {
-                    repeated.push((s, d));
+                    f.repeated.push((s, d));
                     flagged_rep = true;
                 }
                 seen_stamp[ch.index()] = stamp;
                 if i + 1 < p.len() {
                     let next = p[i + 1];
                     if self.net.channel_dst(ch) != self.net.channel_src(next) {
-                        discontinuous.push((s, d));
+                        f.discontinuous.push((s, d));
                         break;
                     }
                     if !self.net.is_router(self.net.channel_dst(ch)) {
-                        through_end.push((s, d));
+                        f.through_end.push((s, d));
                         break;
                     }
                 }
             }
-        });
-
-        if !loops.is_empty() {
-            let total = loops.len();
-            let sample: Vec<_> = loops.into_iter().take(SAMPLE).collect();
-            let mut diag = Diagnostic::new(
-                RuleId::L2WellFormed,
-                Severity::Error,
-                format!(
-                    "{total} pair(s) forward in a loop (e.g. {:?} via {})",
-                    sample[0],
-                    loop_detail.as_deref().unwrap_or("?"),
-                ),
-            )
-            .with_pairs(sample);
-            diag.affected_pairs = total;
-            out.push(diag);
         }
+        f.discipline = first_err.map(|e| (bad, e));
+        checked
+    }
 
-        fn emit(
-            out: &mut Vec<Diagnostic>,
-            rule: RuleId,
-            sev: Severity,
-            pairs: Vec<(usize, usize)>,
-            what: &str,
-        ) {
-            if pairs.is_empty() {
-                return;
+    /// L1, L2 and L4 over destination tables, one routing forest per
+    /// destination (DESIGN.md §13). Each node is judged once per
+    /// forest — its failure, the first dead channel on its route and
+    /// its discipline verdict, carried outward from the target — and
+    /// each pair then reads its verdicts off its source's first router
+    /// in O(1). Traced routes are channel-consecutive, router-interior
+    /// and simple by construction, so of L2 only loops and dead
+    /// channels can fire. Samples keep the smallest pairs, which is the
+    /// source-major order of the pair walk; the one loop route and the
+    /// one discipline violation a message spells out are traced again.
+    /// Returns the number of live pairs examined.
+    fn sweep_forests(&self, routes: &Routes, f: &mut PairFindings) -> usize {
+        let (net, ends) = (self.net, self.ends);
+        let comp = self.components();
+        let n = ends.len();
+        let mut forest = DestForest::new(net, ends, routes);
+        // The tables cannot describe an end node's death: a pair whose
+        // own attach channel died is severed, as in the dense view.
+        let eject_ok: Vec<bool> = (0..n)
+            .map(|d| self.channel_ok(forest.inject(d).0.reverse()))
+            .collect();
+        let never = (usize::MAX, usize::MAX);
+        let mut dead_first_seen = vec![never; net.channel_count()];
+        let mut dead_on_route: Vec<Option<ChannelId>> = vec![None; net.node_count()];
+        let mut verdict = vec![Verdict::default(); net.node_count()];
+        let mut bad = Tally::default();
+        let mut checked = 0usize;
+        for d in (0..n).filter(|&d| self.node_ok(ends[d])) {
+            forest.resolve(d);
+            for &v in forest.routed() {
+                let Some(ch) = forest.hop(v) else {
+                    dead_on_route[v.index()] = None;
+                    verdict[v.index()] = Verdict::default();
+                    continue;
+                };
+                let next = net.channel_dst(ch).index();
+                dead_on_route[v.index()] = if self.channel_ok(ch) {
+                    dead_on_route[next]
+                } else {
+                    Some(ch)
+                };
+                if let Some(disc) = &self.discipline {
+                    verdict[v.index()] = disc.prepend(net, ch, verdict[next]);
+                }
             }
-            let total = pairs.len();
-            let sample: Vec<_> = pairs.into_iter().take(SAMPLE).collect();
-            let mut diag = Diagnostic::new(
-                rule,
-                sev,
-                format!("{total} pair(s) {what} (e.g. {:?})", sample[0]),
-            )
-            .with_pairs(sample);
-            diag.affected_pairs = total;
-            out.push(diag);
+            for s in (0..n).filter(|&s| s != d && self.node_ok(ends[s])) {
+                checked += 1;
+                let (ch, first) = forest.inject(s);
+                if let Some(disc) = &self.discipline {
+                    let routed = forest.depth(first).is_some();
+                    if routed && disc.prepend(net, ch, verdict[first.index()]).bad {
+                        bad.push((s, d));
+                    }
+                }
+                if !(self.channel_ok(ch) && eject_ok[d]) {
+                    f.unrouted(&comp, ends, s, d);
+                    continue;
+                }
+                match forest.failure(first) {
+                    None => {
+                        if let Some(dead) = dead_on_route[first.index()] {
+                            f.dead.push((s, d));
+                            let seen = &mut dead_first_seen[dead.index()];
+                            *seen = (*seen).min((s, d));
+                        }
+                    }
+                    Some(Failure::Unrouted) => f.unrouted(&comp, ends, s, d),
+                    Some(Failure::Misdelivered) => f.misdelivered.push((s, d)),
+                    Some(Failure::Loop) => f.loops.push((s, d)),
+                }
+            }
         }
-        emit(
-            out,
-            RuleId::L1Coverage,
-            Severity::Error,
-            holes,
-            "have no route despite src and dst being connected in the surviving network \
-             (coverage hole)",
-        );
-        emit(
-            out,
-            RuleId::L1Coverage,
-            Severity::Info,
-            severed,
-            "are severed by faults (no surviving physical path); graceful degradation",
-        );
-        emit(
-            out,
-            RuleId::L1Coverage,
-            Severity::Error,
-            wrong_source,
-            "have a route that does not start at the source end node",
-        );
-        emit(
-            out,
-            RuleId::L1Coverage,
-            Severity::Error,
-            misdelivered,
-            "have a route that does not end at the destination end node",
-        );
-        emit(
-            out,
-            RuleId::L2WellFormed,
-            Severity::Error,
-            discontinuous,
-            "have a discontinuous path (consecutive channels do not share a router)",
-        );
-        if !dead.is_empty() {
-            let total = dead.len();
-            let sample: Vec<_> = dead.into_iter().take(SAMPLE).collect();
-            let mut diag = Diagnostic::new(
-                RuleId::L2WellFormed,
-                Severity::Error,
-                format!(
-                    "{total} pair(s) routed over dead channels (e.g. {:?} via {:?})",
-                    sample[0], dead_channels[0]
-                ),
-            )
-            .with_pairs(sample)
-            .with_channels(dead_channels);
-            diag.affected_pairs = total;
-            out.push(diag);
+        // The pair walk keeps each dead pair's first dead channel, in
+        // pair order, until it holds SAMPLE distinct ones.
+        let mut dead: Vec<(usize, usize, usize)> = dead_first_seen
+            .iter()
+            .enumerate()
+            .filter(|&(_, &seen)| seen != never)
+            .map(|(ch, &(s, d))| (s, d, ch))
+            .collect();
+        dead.sort_unstable();
+        f.dead_channels = dead
+            .iter()
+            .take(SAMPLE)
+            .map(|&(_, _, ch)| ChannelId(ch as u32))
+            .collect();
+        if let Some(&(s, d)) = f.loops.sample.first() {
+            if let Err(RouteError::ForwardingLoop { visited, .. }) = routes.trace(net, ends, s, d) {
+                let names: Vec<&str> = visited.iter().map(|&v| net.label(v)).collect();
+                f.loop_detail = Some(names.join(" -> "));
+            }
         }
-        emit(
-            out,
-            RuleId::L2WellFormed,
-            Severity::Error,
-            repeated,
-            "repeat a channel within one path (wormhole self-block)",
-        );
-        emit(
-            out,
-            RuleId::L2WellFormed,
-            Severity::Error,
-            through_end,
-            "route through an end node as if it were a router",
-        );
+        if let (Some(disc), Some(&(s, d))) = (&self.discipline, bad.sample.first()) {
+            let path = routes
+                .trace(net, ends, s, d)
+                .expect("a judged route traces");
+            let first_err = disc
+                .check_path(net, &path)
+                .expect_err("the forest verdict matches the pair check");
+            f.discipline = Some((bad, first_err));
+        }
         checked
     }
 
@@ -763,49 +728,17 @@ impl<'a> Linter<'a> {
         );
     }
 
-    /// L4: every path obeys the declared discipline.
-    fn check_discipline(&self, paths: Paths<'_>, d: &Discipline, out: &mut Vec<Diagnostic>) {
-        let mut bad: Vec<(usize, usize)> = Vec::new();
-        let mut first_err = None;
-        paths.for_each_pair(|s, dst, res| {
-            if s >= self.ends.len()
-                || dst >= self.ends.len()
-                || !self.node_ok(self.ends[s])
-                || !self.node_ok(self.ends[dst])
-            {
-                return;
-            }
-            // Untraceable pairs are L1/L2 findings, not discipline ones.
-            let Ok(p) = res else { return };
-            if let Err(e) = d.check_path(self.net, p) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-                bad.push((s, dst));
-            }
-        });
-        if let Some(err) = first_err {
-            let total = bad.len();
-            let sample: Vec<_> = bad.into_iter().take(SAMPLE).collect();
-            let mut diag = Diagnostic::new(
-                RuleId::L4Discipline,
-                Severity::Error,
-                format!(
-                    "{total} pair(s) violate the {} discipline; first: pair {:?}, {err}",
-                    d.name(),
-                    sample[0]
-                ),
-            )
-            .with_pairs(sample);
-            diag.affected_pairs = total;
-            out.push(diag);
-        }
-    }
-
     /// L5: worst-case per-link contention against the configured bound
     /// (informational without one).
     fn check_contention(&self, paths: Paths<'_>, out: &mut Vec<Diagnostic>) {
-        let rep = max_link_contention_paths(self.net, paths);
+        let computed;
+        let rep = match self.contention {
+            Some(rep) => rep,
+            None => {
+                computed = max_link_contention_paths(self.net, paths);
+                &computed
+            }
+        };
         match self.contention_bound {
             Some(bound) if rep.worst > bound => {
                 let over: Vec<ChannelId> = rep
@@ -846,6 +779,152 @@ impl<'a> Linter<'a> {
                 )
                 .with_channels(vec![rep.worst_channel]),
             ),
+        }
+    }
+}
+
+/// How many pairs a finding covers, and its [`SAMPLE`] smallest pairs
+/// in source-major order, whatever order the pairs arrive in.
+#[derive(Default)]
+struct Tally {
+    total: usize,
+    sample: Vec<(usize, usize)>,
+}
+
+impl Tally {
+    fn push(&mut self, pair: (usize, usize)) {
+        self.total += 1;
+        let at = self.sample.partition_point(|&p| p < pair);
+        if at < SAMPLE {
+            self.sample.truncate(SAMPLE - 1);
+            self.sample.insert(at, pair);
+        }
+    }
+}
+
+/// The per-pair findings of rules L1, L2 and L4, gathered by either
+/// the dense pair walk or the forest sweep and reported alike.
+#[derive(Default)]
+struct PairFindings {
+    holes: Tally,
+    severed: Tally,
+    wrong_source: Tally,
+    misdelivered: Tally,
+    discontinuous: Tally,
+    dead: Tally,
+    /// The first dead channel of each dead pair, distinct, in pair
+    /// order.
+    dead_channels: Vec<ChannelId>,
+    repeated: Tally,
+    through_end: Tally,
+    loops: Tally,
+    /// The visited-router sequence of the first looping pair.
+    loop_detail: Option<String>,
+    /// L4 violations and the first violating pair's description.
+    discipline: Option<(Tally, String)>,
+}
+
+impl PairFindings {
+    /// A live pair with no route: a coverage hole when its ends share
+    /// a surviving component, else severed by faults.
+    fn unrouted(&mut self, comp: &[u32], ends: &[NodeId], s: usize, d: usize) {
+        if comp[ends[s].index()] == comp[ends[d].index()] {
+            self.holes.push((s, d));
+        } else {
+            self.severed.push((s, d));
+        }
+    }
+
+    /// The L1, L2 and L4 diagnostics, in rule order.
+    fn emit(self, discipline: Option<&Discipline>, out: &mut Vec<Diagnostic>) {
+        fn finding(rule: RuleId, sev: Severity, t: Tally, msg: String) -> Diagnostic {
+            let mut diag = Diagnostic::new(rule, sev, msg).with_pairs(t.sample);
+            diag.affected_pairs = t.total;
+            diag
+        }
+        let emit = |out: &mut Vec<Diagnostic>, rule, sev, t: Tally, what: &str| {
+            if t.total > 0 {
+                let msg = format!("{} pair(s) {what} (e.g. {:?})", t.total, t.sample[0]);
+                out.push(finding(rule, sev, t, msg));
+            }
+        };
+        let (l1, l2) = (RuleId::L1Coverage, RuleId::L2WellFormed);
+        if self.loops.total > 0 {
+            let msg = format!(
+                "{} pair(s) forward in a loop (e.g. {:?} via {})",
+                self.loops.total,
+                self.loops.sample[0],
+                self.loop_detail.as_deref().unwrap_or("?"),
+            );
+            out.push(finding(l2, Severity::Error, self.loops, msg));
+        }
+        emit(
+            out,
+            l1,
+            Severity::Error,
+            self.holes,
+            "have no route despite src and dst being connected in the surviving network \
+             (coverage hole)",
+        );
+        emit(
+            out,
+            l1,
+            Severity::Info,
+            self.severed,
+            "are severed by faults (no surviving physical path); graceful degradation",
+        );
+        emit(
+            out,
+            l1,
+            Severity::Error,
+            self.wrong_source,
+            "have a route that does not start at the source end node",
+        );
+        emit(
+            out,
+            l1,
+            Severity::Error,
+            self.misdelivered,
+            "have a route that does not end at the destination end node",
+        );
+        emit(
+            out,
+            l2,
+            Severity::Error,
+            self.discontinuous,
+            "have a discontinuous path (consecutive channels do not share a router)",
+        );
+        if self.dead.total > 0 {
+            let msg = format!(
+                "{} pair(s) routed over dead channels (e.g. {:?} via {:?})",
+                self.dead.total, self.dead.sample[0], self.dead_channels[0]
+            );
+            out.push(
+                finding(l2, Severity::Error, self.dead, msg).with_channels(self.dead_channels),
+            );
+        }
+        emit(
+            out,
+            l2,
+            Severity::Error,
+            self.repeated,
+            "repeat a channel within one path (wormhole self-block)",
+        );
+        emit(
+            out,
+            l2,
+            Severity::Error,
+            self.through_end,
+            "route through an end node as if it were a router",
+        );
+        if let (Some(d), Some((bad, first_err))) = (discipline, self.discipline) {
+            let msg = format!(
+                "{} pair(s) violate the {} discipline; first: pair {:?}, {first_err}",
+                bad.total,
+                d.name(),
+                bad.sample[0]
+            );
+            out.push(finding(RuleId::L4Discipline, Severity::Error, bad, msg));
         }
     }
 }

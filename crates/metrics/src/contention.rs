@@ -7,7 +7,15 @@
 //! and the paper's scenarios — "simultaneous transfers from A1-F6,
 //! A2-E6, A3-D6, A4-C6, and A5-B6" — are exactly matchings). The
 //! metric is the maximum over channels, usually quoted as `k:1`.
+//!
+//! Every channel's matching is solved over *twin groups*: destinations
+//! reached from identical source sets merge into one group, and the
+//! matching becomes `min(|S|, |D|)` for a single group or a small max
+//! flow otherwise (DESIGN.md §13). Destination tables yield the groups
+//! straight from their routing forests, so no pair is ever traced;
+//! dense route sets group each channel's collected pairs.
 
+use crate::groups::{dense_flows, flows_matching, Groups};
 use fractanet_graph::matching::Bipartite;
 use fractanet_graph::{ChannelId, LinkClass, Network};
 use fractanet_route::{Paths, RouteSet};
@@ -61,30 +69,39 @@ pub fn max_link_contention(net: &Network, routes: &RouteSet) -> ContentionReport
     max_link_contention_paths(net, Paths::dense(routes))
 }
 
-/// [`max_link_contention`] over any per-pair path view (dense routes
-/// or destination tables walked in place). Pairs whose table trace
-/// fails contribute no flows.
+/// [`max_link_contention`] over either routing representation. Table
+/// views are read per routing forest in O(nodes · N) plus one small
+/// solve per channel; pairs whose table trace fails contribute no
+/// flows.
 pub fn max_link_contention_paths(net: &Network, paths: Paths<'_>) -> ContentionReport {
-    let flows = collect_flows(net, paths);
-    let n = paths.len();
-    let mut per_channel = vec![0usize; net.channel_count()];
-    let mut worst = 0usize;
-    let mut worst_channel = ChannelId(0);
-    for (idx, fl) in flows.iter().enumerate() {
-        if fl.is_empty() {
-            continue;
+    let per_channel = match paths {
+        Paths::Dense(rs) => dense_flows(net, rs)
+            .iter_mut()
+            .map(|fl| flows_matching(fl))
+            .collect(),
+        Paths::Tables { net, ends, routes } => Groups::from_tables(net, ends, routes).matchings(),
+    };
+    ContentionReport::from_per_channel(per_channel)
+}
+
+impl ContentionReport {
+    /// The report of per-channel matchings: the worst is the first
+    /// channel, in index order, reaching the maximum (channel 0 when
+    /// every channel is idle).
+    fn from_per_channel(per_channel: Vec<usize>) -> Self {
+        let mut worst = 0usize;
+        let mut worst_channel = ChannelId(0);
+        for (idx, &m) in per_channel.iter().enumerate() {
+            if m > worst {
+                worst = m;
+                worst_channel = ChannelId(idx as u32);
+            }
         }
-        let m = matching_size(n, fl);
-        per_channel[idx] = m;
-        if m > worst {
-            worst = m;
-            worst_channel = ChannelId(idx as u32);
+        ContentionReport {
+            worst,
+            worst_channel,
+            per_channel,
         }
-    }
-    ContentionReport {
-        worst,
-        worst_channel,
-        per_channel,
     }
 }
 
@@ -132,13 +149,12 @@ pub fn pattern_contention(
             flows[ch.index()].push((s as u32, d as u32));
         }
     }
-    let n = routes.len();
     let mut worst = (0usize, ChannelId(0));
-    for (idx, fl) in flows.iter().enumerate() {
+    for (idx, fl) in flows.iter_mut().enumerate() {
         if fl.len() <= worst.0 {
             continue; // matching can't beat the flow count
         }
-        let m = matching_size(n, fl);
+        let m = flows_matching(fl);
         if m > worst.0 {
             worst = (m, ChannelId(idx as u32));
         }
@@ -152,8 +168,10 @@ pub fn pattern_contention(
 /// On a fault-free run over the same routes the empirical figure is a
 /// matching of a *subset* of the pairs the analytical metric matched,
 /// so every channel must satisfy `empirical ≤ analytical` — both sides
-/// are computed by the same Hopcroft–Karp code. A violation means the
-/// simulator routed a worm somewhere the tables say it cannot go.
+/// are exact maximum matchings (the per-cycle telemetry side by
+/// Hopcroft–Karp, the analytical side over twin groups). A violation
+/// means the simulator routed a worm somewhere the tables say it
+/// cannot go.
 #[derive(Clone, Debug)]
 pub struct ContentionComparison {
     /// The analytical worst case (the `k` of `k:1`).
@@ -197,25 +215,6 @@ pub fn compare_contention(
         worst_empirical,
         violations,
     }
-}
-
-fn collect_flows(net: &Network, paths: Paths<'_>) -> Vec<Vec<(u32, u32)>> {
-    let mut flows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); net.channel_count()];
-    paths.for_each_pair(|s, d, res| {
-        let Ok(path) = res else { return };
-        for &ch in path {
-            flows[ch.index()].push((s as u32, d as u32));
-        }
-    });
-    flows
-}
-
-fn matching_size(n: usize, flows: &[(u32, u32)]) -> usize {
-    let mut b = Bipartite::new(n, n);
-    for &(s, d) in flows {
-        b.add_edge(s, d);
-    }
-    b.max_matching()
 }
 
 #[cfg(test)]
@@ -306,6 +305,28 @@ mod tests {
             f.net().link(rep.worst_channel.link()).class,
             LinkClass::Level(1)
         );
+    }
+
+    #[test]
+    fn table_view_equals_the_dense_matching() {
+        // The forest sweep over the paper's routings, channel for
+        // channel, against the dense pair-collecting path.
+        let f = Fractahedron::paper_fat_64();
+        let ft = FatTree::paper_4_2_64();
+        let m = Mesh2D::new(6, 6, 2, 6).unwrap();
+        let cases: [(&dyn Topology, fractanet_route::Routes); 3] = [
+            (&f, fractal_routes(&f)),
+            (&ft, fattree_routes(&ft, UpPolicy::ByNodeModulo)),
+            (&m, mesh_xy_routes(&m)),
+        ];
+        for (topo, routes) in cases {
+            let (net, ends) = (topo.net(), topo.end_nodes());
+            let rs = RouteSet::from_table(net, ends, &routes).unwrap();
+            let dense = max_link_contention(net, &rs);
+            let tables = max_link_contention_paths(net, Paths::tables(net, ends, &routes));
+            assert_eq!(tables.per_channel, dense.per_channel, "{}", topo.name());
+            assert_eq!(tables.worst_channel, dense.worst_channel);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   imbalance"): the largest set of simultaneous transfers, with
 //!   pairwise-distinct sources and destinations, that a fixed routing
 //!   forces through one link. Computed exactly, per channel, as a
-//!   maximum bipartite matching.
+//!   maximum bipartite matching over groups of twin destinations.
 //! * **Bisection bandwidth** ([`bisection`]) — §2's "total traffic
 //!   that can flow between halves of the system when cut at its
 //!   weakest point", computed as a min-cut (max-flow) over candidate
@@ -27,6 +27,7 @@
 pub mod bisection;
 pub mod contention;
 pub mod cost;
+mod groups;
 pub mod hops;
 pub mod utilization;
 

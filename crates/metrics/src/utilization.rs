@@ -6,6 +6,7 @@
 //! heavily used". We quantify that by counting routes per channel and
 //! summarizing the spread.
 
+use crate::groups::Groups;
 use fractanet_graph::{ChannelId, LinkClass, Network};
 use fractanet_route::{Paths, RouteSet};
 
@@ -44,21 +45,30 @@ pub fn utilization(
     utilization_paths(net, Paths::dense(routes), class)
 }
 
-/// [`utilization`] over any per-pair path view (dense routes or
-/// destination tables walked in place). Pairs whose table trace fails
+/// [`utilization`] over either routing representation. Table views
+/// read each channel's route count off the per-forest subtree sizes
+/// ([`max_link_contention_paths`](crate::max_link_contention_paths)'s
+/// sweep), never tracing a pair; pairs whose table trace fails
 /// contribute no load.
 pub fn utilization_paths(
     net: &Network,
     paths: Paths<'_>,
     class: Option<LinkClass>,
 ) -> UtilizationReport {
-    let mut per_channel = vec![0usize; net.channel_count()];
-    paths.for_each_pair(|_, _, res| {
-        let Ok(path) = res else { return };
-        for &ch in path {
-            per_channel[ch.index()] += 1;
+    let per_channel = match paths {
+        Paths::Dense(rs) => {
+            let mut per_channel = vec![0usize; net.channel_count()];
+            for (_, _, path) in rs.pairs() {
+                for &ch in path {
+                    per_channel[ch.index()] += 1;
+                }
+            }
+            per_channel
         }
-    });
+        Paths::Tables { net, ends, routes } => {
+            Groups::from_tables(net, ends, routes).route_counts()
+        }
+    };
     let considered: Vec<ChannelId> = net
         .channels()
         .filter(|&ch| class.is_none_or(|c| net.link(ch.link()).class == c))
@@ -126,6 +136,22 @@ mod tests {
         let rep = utilization(h.net(), &rs, Some(LinkClass::Attach));
         assert_eq!(rep.min, 3);
         assert_eq!(rep.max, 3);
+    }
+
+    #[test]
+    fn table_view_counts_equal_the_dense_walk() {
+        let h = Hypercube::new(3, 2, 6).unwrap();
+        let routes = ecube_routes(&h);
+        let rs = RouteSet::from_table(h.net(), h.end_nodes(), &routes).unwrap();
+        let tables = utilization_paths(
+            h.net(),
+            Paths::tables(h.net(), h.end_nodes(), &routes),
+            None,
+        );
+        assert_eq!(
+            tables.per_channel,
+            utilization(h.net(), &rs, None).per_channel
+        );
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //!
 //! The resolution agrees with [`Routes::trace_into`] pair for pair: a
 //! pair's route succeeds exactly when its source's first-hop node
-//! resolves, and its channels are the injection channel followed by
-//! the forest hops from there to the target.
+//! resolves, its channels are the injection channel followed by the
+//! forest hops from there to the target, and a failing route fails
+//! for the reason ([`Failure`]) recorded on that node.
+//!
+//! [`DestForest::routed`] lists the routed nodes, each after its next
+//! hop, so one pass in that order carries a verdict from the target
+//! out to every node (a path property, such as "crosses a dead
+//! channel"), and one pass in reverse sums over subtrees (the sources
+//! behind a channel).
 
 use crate::table::Routes;
 use fractanet_graph::{ChannelId, Network, NodeId};
@@ -22,9 +29,24 @@ use fractanet_graph::{ChannelId, Network, NodeId};
 const UNSEEN: u32 = u32::MAX;
 /// On the walk currently being resolved (meeting it again is a loop).
 const ON_STACK: u32 = u32::MAX - 1;
-/// The walk from here fails: missing entry, vacant port, misdelivery
-/// or forwarding loop.
-const FAILED: u32 = u32::MAX - 2;
+/// The walk from here enters a forwarding loop.
+const LOOPS: u32 = u32::MAX - 2;
+/// The walk from here delivers into the wrong end node.
+const MISDELIVERS: u32 = u32::MAX - 3;
+/// The walk from here meets a missing entry or a vacant port.
+const UNROUTED: u32 = u32::MAX - 4;
+
+/// Why a node's walk toward the destination fails — the
+/// [`RouteError`](crate::RouteError) a pair trace from there reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// A missing table entry or an entry naming a vacant port.
+    Unrouted,
+    /// Delivery into an end node other than the destination.
+    Misdelivered,
+    /// The walk revisits a router.
+    Loop,
+}
 
 /// One destination's routes as an in-forest over the network's nodes,
 /// re-resolved in place by [`DestForest::resolve`] so scratch storage
@@ -39,6 +61,9 @@ pub struct DestForest<'a> {
     /// Each resolved non-target node's outgoing channel.
     out: Vec<ChannelId>,
     stack: Vec<NodeId>,
+    /// Every node whose walk reaches the target, each after its next
+    /// hop.
+    order: Vec<NodeId>,
 }
 
 impl<'a> DestForest<'a> {
@@ -54,6 +79,7 @@ impl<'a> DestForest<'a> {
             depth: vec![UNSEEN; n],
             out: vec![ChannelId(0); n],
             stack: Vec::new(),
+            order: Vec::with_capacity(n),
         }
     }
 
@@ -63,6 +89,8 @@ impl<'a> DestForest<'a> {
         self.dst = dst;
         self.depth.fill(UNSEEN);
         self.depth[self.ends[dst].index()] = 0;
+        self.order.clear();
+        self.order.push(self.ends[dst]);
         for v in 0..self.depth.len() {
             if self.depth[v] == UNSEEN {
                 self.resolve_from(NodeId(v as u32));
@@ -71,18 +99,22 @@ impl<'a> DestForest<'a> {
     }
 
     /// Walks forward from `start` until a resolved node, the target or
-    /// a failure, then assigns depths back along the walk.
+    /// a failure, then assigns depths back along the walk — so each
+    /// routed node joins `order` right after its next hop resolved.
     fn resolve_from(&mut self, start: NodeId) {
         let mut v = start;
         let mut depth = loop {
             match self.depth[v.index()] {
                 UNSEEN => {}
-                ON_STACK => break FAILED,
+                ON_STACK => break LOOPS,
                 d => break d,
             }
-            let Some(ch) = self.forward(v) else {
-                self.depth[v.index()] = FAILED;
-                break FAILED;
+            let ch = match self.forward(v) {
+                Ok(ch) => ch,
+                Err(failed) => {
+                    self.depth[v.index()] = failed;
+                    break failed;
+                }
             };
             self.depth[v.index()] = ON_STACK;
             self.out[v.index()] = ch;
@@ -90,29 +122,43 @@ impl<'a> DestForest<'a> {
             v = self.net.channel_dst(ch);
         };
         while let Some(u) = self.stack.pop() {
-            if depth != FAILED {
+            if depth < UNROUTED {
                 depth += 1;
+                self.order.push(u);
             }
             self.depth[u.index()] = depth;
         }
     }
 
     /// The channel a packet for the current destination leaves `v` by,
-    /// or `None` when the walk fails right here: no entry (end nodes
-    /// have none), a vacant port, or delivery into the wrong end node.
-    fn forward(&self, v: NodeId) -> Option<ChannelId> {
-        let port = self.routes.get(v, self.dst)?;
-        let ch = self.net.channel_out(v, port)?;
+    /// or why the walk fails right here: no entry (end nodes have
+    /// none), a vacant port, or delivery into the wrong end node.
+    fn forward(&self, v: NodeId) -> Result<ChannelId, u32> {
+        let port = self.routes.get(v, self.dst).ok_or(UNROUTED)?;
+        let ch = self.net.channel_out(v, port).ok_or(UNROUTED)?;
         let next = self.net.channel_dst(ch);
-        (self.net.is_router(next) || next == self.ends[self.dst]).then_some(ch)
+        if self.net.is_router(next) || next == self.ends[self.dst] {
+            Ok(ch)
+        } else {
+            Err(MISDELIVERS)
+        }
     }
 
     /// Hops from `v` to the destination end node (0 at the target), or
     /// `None` when the walk from `v` fails.
     pub fn depth(&self, v: NodeId) -> Option<usize> {
+        let d = self.depth[v.index()];
+        (d < UNROUTED).then_some(d as usize)
+    }
+
+    /// Why the walk from `v` fails, or `None` when it reaches the
+    /// target.
+    pub fn failure(&self, v: NodeId) -> Option<Failure> {
         match self.depth[v.index()] {
-            FAILED => None,
-            d => Some(d as usize),
+            UNROUTED => Some(Failure::Unrouted),
+            MISDELIVERS => Some(Failure::Misdelivered),
+            LOOPS => Some(Failure::Loop),
+            _ => None,
         }
     }
 
@@ -120,9 +166,17 @@ impl<'a> DestForest<'a> {
     /// and `v` is not the target itself.
     pub fn hop(&self, v: NodeId) -> Option<ChannelId> {
         match self.depth[v.index()] {
-            0 | FAILED => None,
-            _ => Some(self.out[v.index()]),
+            0 => None,
+            d if d < UNROUTED => Some(self.out[v.index()]),
+            _ => None,
         }
+    }
+
+    /// Every node whose walk reaches the target, the target first and
+    /// each node after the node it forwards to. Reversed, it visits
+    /// every subtree before its root.
+    pub fn routed(&self) -> &[NodeId] {
+        &self.order
     }
 
     /// The injection channel of source address `src` and the node it
@@ -146,6 +200,7 @@ impl<'a> DestForest<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouteError;
     use fractanet_graph::{LinkClass, PortId};
 
     /// n0 - r0 - r1 - n1, plus n2 on r1.
@@ -177,6 +232,15 @@ mod tests {
                     traced.as_ref().ok().map(|p| p.len() - 1),
                     "{s}->{d}: {traced:?}"
                 );
+                let failure = match &traced {
+                    Ok(_) => None,
+                    Err(RouteError::MissingEntry { .. } | RouteError::DeadPort { .. }) => {
+                        Some(Failure::Unrouted)
+                    }
+                    Err(RouteError::Misdelivered { .. }) => Some(Failure::Misdelivered),
+                    Err(RouteError::ForwardingLoop { .. }) => Some(Failure::Loop),
+                };
+                assert_eq!(forest.failure(forest.inject(s).1), failure, "{s}->{d}");
                 if let Ok(p) = traced {
                     let (inject, mut v) = forest.inject(s);
                     let mut walked = vec![inject];
@@ -185,6 +249,16 @@ mod tests {
                         v = net.channel_dst(ch);
                     }
                     assert_eq!(walked, p, "{s}->{d}");
+                }
+            }
+            let order = forest.routed();
+            let routed = net.nodes().filter(|&v| forest.depth(v).is_some()).count();
+            assert_eq!(order.len(), routed);
+            assert_eq!(order.first(), Some(&ends[d]));
+            for (i, &v) in order.iter().enumerate() {
+                if let Some(ch) = forest.hop(v) {
+                    let next = net.channel_dst(ch);
+                    assert!(order[..i].contains(&next), "{v:?} precedes {next:?}");
                 }
             }
         }
@@ -227,12 +301,19 @@ mod tests {
         forest.resolve(0);
         assert_eq!(forest.depth(r0), Some(1));
         assert_eq!(forest.depth(r1), None);
+        assert_eq!(forest.failure(r1), Some(Failure::Unrouted));
         for d in 1..3 {
             forest.resolve(d);
             assert_eq!(forest.depth(r0), None, "dst {d}");
             assert_eq!(forest.depth(r1), None, "dst {d}");
             assert_eq!(forest.hop(r0), None, "dst {d}");
         }
+        forest.resolve(1);
+        assert_eq!(forest.failure(r0), Some(Failure::Loop));
+        forest.resolve(2);
+        assert_eq!(forest.failure(r1), Some(Failure::Misdelivered));
+        assert_eq!(forest.failure(r0), Some(Failure::Unrouted));
+        assert_eq!(forest.routed(), &[ends[2]]);
         assert_agrees_with_trace(&net, &ends, &routes);
     }
 }

@@ -1,19 +1,17 @@
-//! A unified per-pair path view over either routing representation.
+//! A routing view over either representation.
 //!
-//! The pair-level analyses (lint L1/L2/L4, contention / utilization
-//! metrics) all want the same thing: every ordered source→destination
-//! path, once. [`Paths`] hands them that without dictating a
-//! representation — a dense [`RouteSet`] is walked in place, while
-//! canonical [`Routes`] tables are traced pair by pair into one reused
-//! scratch buffer, so no O(N² · path length) matrix is ever
-//! materialized for analysis.
+//! Analyses (lint, contention, utilization, hop statistics, the channel
+//! dependency graph) take a [`Paths`] and branch on it: a dense
+//! [`RouteSet`] is walked pair by pair in place, while canonical
+//! [`Routes`] tables are read per destination through
+//! [`DestForest`](crate::DestForest), in O(nodes · N) rather than
+//! O(N² · path length). Dense views keep the pair walk because
+//! per-pair routes need not agree on a next hop per destination.
 //!
-//! Analyses that only need what routes share — the channel dependency
-//! graph and hop statistics — read table views per destination through
-//! [`DestForest`](crate::DestForest) instead, in O(nodes · N) rather
-//! than O(N² · path length); dense views keep the pair walk there,
-//! because per-pair routes need not agree on a next hop per
-//! destination.
+//! [`Paths::for_each_pair`] still traces a table view pair by pair
+//! into one reused scratch buffer. No analysis calls it on tables any
+//! more; it remains as the reference the forest readers are tested
+//! against.
 
 use crate::table::{RouteError, RouteSet, Routes};
 use fractanet_graph::{ChannelId, Network, NodeId};
@@ -62,7 +60,9 @@ impl<'a> Paths<'a> {
     /// pair's path, or the tracing failure for table views whose route
     /// cannot be walked (dense views never fail). The path slice is
     /// only valid for the duration of the call — table views reuse one
-    /// scratch buffer across pairs.
+    /// scratch buffer across pairs. On table views this is the
+    /// O(N² · path length) reference that the forest readers are
+    /// tested against.
     pub fn for_each_pair(&self, mut f: impl FnMut(usize, usize, Result<&[ChannelId], RouteError>)) {
         match self {
             Paths::Dense(rs) => {

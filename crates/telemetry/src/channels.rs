@@ -40,10 +40,10 @@ pub struct ChannelSummary {
 
 /// Maximum bipartite matching over a (small) list of `(src, dst)`
 /// transfer pairs: the largest subset with pairwise-distinct sources
-/// and pairwise-distinct destinations. Delegates to the same
-/// Hopcroft–Karp implementation the analytical contention metric uses,
-/// so the empirical and analytical figures are counted by identical
-/// code. Contender lists are bounded by router in-degree (≤ ports +
+/// and pairwise-distinct destinations, by Hopcroft–Karp. The
+/// analytical contention metric computes the same maximum matching
+/// over every routed pair, so the empirical figure can never exceed
+/// it. Contender lists are bounded by router in-degree (≤ ports +
 /// injection), so this is effectively constant-time per cycle.
 pub fn matching_bound(pairs: &[(u32, u32)]) -> usize {
     let mut srcs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
