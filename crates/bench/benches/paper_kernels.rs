@@ -15,8 +15,7 @@ use fractanet::System;
 /// Fig 1: simulate the four-packet loop to deadlock detection.
 fn bench_fig1(c: &mut Criterion) {
     let ring = Ring::new(4, 1, 6).unwrap();
-    let rs =
-        RouteSet::from_table(ring.net(), ring.end_nodes(), &ring_clockwise_routes(&ring)).unwrap();
+    let cw = std::sync::Arc::new(ring_clockwise_routes(&ring));
     let cfg = SimConfig {
         packet_flits: 32,
         buffer_depth: 2,
@@ -26,7 +25,8 @@ fn bench_fig1(c: &mut Criterion) {
     };
     c.bench_function("fig1_ring_deadlock_sim", |b| {
         b.iter(|| {
-            let res = Engine::new(ring.net(), &rs, cfg.clone()).run(Workload::fig1_ring(4));
+            let res = Engine::new(ring.net(), ring.end_nodes(), cw.clone(), cfg.clone())
+                .run(Workload::fig1_ring(4));
             assert!(res.deadlock.is_some());
         })
     });
@@ -199,7 +199,8 @@ fn bench_extensions(c: &mut Criterion) {
     };
     c.bench_function("ext_vc_ring_fig1_completes", |b| {
         b.iter(|| {
-            let res = VcEngine::new(ring.net(), &routes, cfg.clone()).run(Workload::fig1_ring(4));
+            let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg.clone())
+                .run(Workload::fig1_ring(4));
             assert!(res.deadlock.is_none());
         })
     });

@@ -146,7 +146,7 @@ fn run_one(name: &str, sys: &System, count: usize) -> Row {
     };
     let x = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_x,
         heal: true,
@@ -155,7 +155,7 @@ fn run_one(name: &str, sys: &System, count: usize) -> Row {
     // The Y fabric is an identical, healthy twin of X.
     let y = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_y,
         heal: false,
@@ -240,7 +240,7 @@ fn run_gray_case(sys: &System, seed: u64) -> FailoverOutcome {
     };
     let x = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_x,
         heal: true,
@@ -248,7 +248,7 @@ fn run_gray_case(sys: &System, seed: u64) -> FailoverOutcome {
     };
     let y = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_y,
         heal: false,

@@ -7,6 +7,7 @@ use fractanet::route::dor::mesh_xy_routes;
 use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet_bench::{emit_json, header};
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -19,8 +20,7 @@ struct Row {
 fn main() {
     header("E1 / Fig 1", "wormhole deadlock in a four-router loop");
     let ring = Ring::new(4, 1, 6).unwrap();
-    let cw =
-        RouteSet::from_table(ring.net(), ring.end_nodes(), &ring_clockwise_routes(&ring)).unwrap();
+    let cw = Arc::new(ring_clockwise_routes(&ring));
 
     let cfg = SimConfig {
         packet_flits: 32,
@@ -29,7 +29,8 @@ fn main() {
         stall_threshold: 200,
         ..SimConfig::default()
     };
-    let res = Engine::new(ring.net(), &cw, cfg.clone()).run(Workload::fig1_ring(4));
+    let res = Engine::new(ring.net(), ring.end_nodes(), cw.clone(), cfg.clone())
+        .run(Workload::fig1_ring(4));
     match &res.deadlock {
         Some(dl) => {
             println!(
@@ -49,9 +50,9 @@ fn main() {
     }
 
     let mesh = Mesh2D::new(2, 2, 1, 6).unwrap();
-    let xy = RouteSet::from_table(mesh.net(), mesh.end_nodes(), &mesh_xy_routes(&mesh)).unwrap();
+    let xy = Arc::new(mesh_xy_routes(&mesh));
     let wl = Workload::Scripted(vec![(0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0)]);
-    let res2 = Engine::new(mesh.net(), &xy, cfg).run(wl);
+    let res2 = Engine::new(mesh.net(), mesh.end_nodes(), xy, cfg).run(wl);
     println!(
         "\n  same four routers as a 2x2 mesh under dimension-order routing:\n  {} — {} packets delivered in {} cycles (routes B and D rerouted)",
         if res2.deadlock.is_none() { "NO deadlock" } else { "deadlock?!" },
@@ -76,7 +77,8 @@ fn main() {
                 stall_threshold: 300,
                 ..SimConfig::default()
             };
-            let res = Engine::new(ring.net(), &cw, cfg).run(Workload::fig1_ring(4));
+            let res = Engine::new(ring.net(), ring.end_nodes(), cw.clone(), cfg)
+                .run(Workload::fig1_ring(4));
             let outcome = match &res.deadlock {
                 Some(dl) => format!("deadlock @ cycle {}", dl.cycle),
                 None => format!("completed in {} cycles", res.cycles),

@@ -127,7 +127,7 @@ fn main() {
     );
     for vcs in [1u8, 2] {
         let routes = dateline_ring_routes(&ring, vcs);
-        let engine = VcEngine::new(ring.net(), &routes, cfg.clone());
+        let engine = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg.clone());
         let slots = engine.total_buffer_slots();
         let free = routes.is_deadlock_free(ring.net());
         let res = engine.run(Workload::fig1_ring(4));

@@ -52,7 +52,8 @@ fn curve(
     let t0 = Instant::now();
     let pts = sweep_loads(
         sys.net(),
-        sys.route_set(),
+        sys.end_nodes(),
+        &sys.shared_routes(),
         &cfg,
         &DstPattern::Uniform,
         rates,
@@ -196,7 +197,8 @@ fn main() {
         for rate in [0.2, 0.5, 0.8] {
             let pts = sweep_loads(
                 sys.net(),
-                sys.route_set(),
+                sys.end_nodes(),
+                &sys.shared_routes(),
                 &cfg,
                 &DstPattern::Permutation(perm.clone()),
                 &[rate],

@@ -32,6 +32,7 @@ use fractanet_sim::{SimResult, VcMap};
 use fractanet_topo::mesh::{PORT_EAST, PORT_NODE0, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use fractanet_topo::Torus2D;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Clone, Serialize)]
 struct Row {
@@ -133,7 +134,7 @@ fn run_turn_arm(label: &str, sys: &System) -> Row {
     let net = sys.net();
     let slots = net.channel_count() * DEPTH as usize;
     if verify_deadlock_free(net, sys.route_set()).is_ok() {
-        let res = Engine::new(net, sys.route_set(), sim_cfg()).run(workload());
+        let res = Engine::new(net, sys.end_nodes(), sys.shared_routes(), sim_cfg()).run(workload());
         let hops = sys.route_set().avg_router_hops();
         return finish(label, "turn-disable (table)", 1, 0, hops, slots, res);
     }
@@ -141,7 +142,9 @@ fn run_turn_arm(label: &str, sys: &System) -> Row {
         synthesize_disables(net, sys.end_nodes(), 512).expect("turn synthesis converges");
     let report = verify_deadlock_free(net, &routes);
     assert!(report.is_ok(), "synthesized routes must certify");
-    let res = Engine::new(net, &routes, sim_cfg()).run(workload());
+    let tables = Routes::from_pair_paths(net, sys.end_nodes(), &routes)
+        .expect("synthesized routes project onto tables");
+    let res = Engine::new(net, sys.end_nodes(), Arc::new(tables), sim_cfg()).run(workload());
     let hops = routes.avg_router_hops();
     finish(
         label,
@@ -186,7 +189,7 @@ fn run_vc_classes_arm(label: &str, sys: &System) -> Row {
     let net = sys.net();
     let map = VcMap::classes(VCS, vec![0; net.channel_count()]);
     let slots = net.channel_count() * VCS as usize * DEPTH as usize;
-    let res = Engine::new(net, sys.route_set(), sim_cfg())
+    let res = Engine::new(net, sys.end_nodes(), sys.shared_routes(), sim_cfg())
         .with_vc_map(map)
         .run(workload());
     let hops = sys.route_set().avg_router_hops();
@@ -233,7 +236,7 @@ fn run_torus_no_wrap_arm(label: &str, cols: usize, rows: usize) -> Row {
         })
         .count();
     let slots = net.channel_count() * DEPTH as usize;
-    let res = Engine::new(net, &routes, sim_cfg()).run(workload());
+    let res = Engine::new(net, t.end_nodes(), Arc::new(tables), sim_cfg()).run(workload());
     let hops = routes.avg_router_hops();
     finish(
         label,

@@ -218,7 +218,7 @@ fn run_case(
     };
     let x = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_x,
         heal: true,
@@ -226,7 +226,7 @@ fn run_case(
     };
     let y = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_y,
         heal: false,

@@ -72,8 +72,8 @@ pub mod prelude {
     pub use fractanet_metrics::{bisection_estimate, max_link_contention, HopStats};
     pub use fractanet_route::{Paths, RouteSet, Routes};
     pub use fractanet_servernet::{
-        heal, healing_repairer, run_with_failover, table_healing_repairer, FabricSim,
-        FailoverOutcome, FaultSet, HealReport,
+        heal, run_with_failover, table_healing_repairer, FabricSim, FailoverOutcome, FaultSet,
+        HealReport,
     };
     pub use fractanet_sim::{
         parse_trace, write_trace, DstPattern, Engine, FaultEvent, FaultKind, MetricsConfig,

@@ -479,7 +479,7 @@ impl System {
     /// hop-by-hop from the shared tables; no per-packet path is
     /// snapshotted.
     pub fn simulate(&self, workload: Workload, cfg: SimConfig) -> SimResult {
-        let mut eng = Engine::with_tables(self.net(), self.end_nodes(), self.shared_routes(), cfg);
+        let mut eng = Engine::new(self.net(), self.end_nodes(), self.shared_routes(), cfg);
         if let Some(v) = &self.vc {
             eng = eng.with_vc_map(v.map.clone());
         }
@@ -492,14 +492,14 @@ impl System {
     /// deadlock-free (Dally & Seitz), and installed mid-run as a new
     /// routing epoch.
     pub fn simulate_healing(&self, workload: Workload, cfg: SimConfig) -> SimResult {
-        let mut eng = Engine::with_tables(self.net(), self.end_nodes(), self.shared_routes(), cfg)
+        let mut eng = Engine::new(self.net(), self.end_nodes(), self.shared_routes(), cfg)
             .with_table_repairer(fractanet_servernet::table_healing_repairer(
                 self.net(),
                 self.end_nodes(),
             ))
             // The heal path promises certified tables, so debug builds
             // re-lint every install.
-            .with_lint_on_install(self.end_nodes());
+            .with_lint_on_install();
         if let Some(v) = &self.vc {
             eng = eng.with_vc_map(v.map.clone());
         }

@@ -145,15 +145,17 @@ impl Routes {
         routes
     }
 
-    /// Projects a per-pair route set onto destination-indexed tables.
+    /// Projects a per-pair route set onto destination-indexed tables,
+    /// or `None` when tables cannot express it.
     ///
-    /// Tables are incoming-channel-agnostic: every route toward `dst`
-    /// crossing router `r` must leave by the same port. Arbitrary
-    /// per-pair paths (e.g. from turn-disable synthesis) need not be
-    /// coherent in that sense, so this returns `None` on the first
-    /// conflicting entry — the caller keeps the route set as a dense
-    /// scheme instead. Empty paths (severed pairs) contribute no
-    /// entries.
+    /// The projection is faithful: [`Routes::trace_into`] — the walk
+    /// every table consumer, the engine included, performs — must
+    /// reproduce each pair's path exactly, and every empty path
+    /// (severed pair) must stay untraceable. That rejects route sets
+    /// where two routes toward `dst` leave one router by different
+    /// ports (tables are incoming-channel-agnostic), paths that inject
+    /// on any attachment but the source's first, and severed pairs
+    /// that other sources' entries would route anyway.
     pub fn from_pair_paths(net: &Network, ends: &[NodeId], routes: &RouteSet) -> Option<Self> {
         let mut tables = Self::new(net, ends.len());
         for (_, d, path) in routes.pairs() {
@@ -165,6 +167,17 @@ impl Routes {
                     Some(_) => {}
                     None => tables.set(router, d, port),
                 }
+            }
+        }
+        let mut walk = Vec::new();
+        for (s, d, path) in routes.pairs() {
+            let traced = tables.trace_into(net, ends, s, d, &mut walk);
+            let faithful = match traced {
+                Ok(()) => walk == path,
+                Err(_) => path.is_empty(),
+            };
+            if !faithful {
+                return None;
             }
         }
         Some(tables)
@@ -638,13 +651,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_pair_paths_rejects_incoherent_routes() {
-        // n0 - r0 - r1 - n1 with a second r0-r1 cable: send pair 0->1
-        // over one cable and... a conflicting delivery is impossible on
-        // this tiny net from 2 ends, so use a 3-end star instead: two
-        // sources reach the same destination through the same router by
-        // different ports.
+    /// A router triangle r0, r1, r2 with end node `ni` on `ri`; n0 is
+    /// dual-ported, its second port cabled to r1.
+    fn triangle() -> (Network, Vec<NodeId>, [NodeId; 3]) {
         let mut net = Network::new();
         let r0 = net.add_router("r0", 6);
         let r1 = net.add_router("r1", 6);
@@ -655,32 +664,45 @@ mod tests {
             .unwrap();
         net.connect(r0, PortId(2), r1, PortId(2), LinkClass::Local)
             .unwrap();
-        let n0 = net.add_end_node("n0");
+        let n0 = net.add_end_node_with_ports("n0", 2);
         let n1 = net.add_end_node("n1");
         let n2 = net.add_end_node("n2");
         net.connect(r0, PortId(1), n0, PortId(0), LinkClass::Attach)
+            .unwrap();
+        net.connect(r1, PortId(3), n0, PortId(1), LinkClass::Attach)
             .unwrap();
         net.connect(r1, PortId(1), n1, PortId(0), LinkClass::Attach)
             .unwrap();
         net.connect(r2, PortId(2), n2, PortId(0), LinkClass::Attach)
             .unwrap();
-        let ends = vec![n0, n1, n2];
-        // Pair 0->2 goes n0,r0,r2,n2; pair 1->2 goes n1,r1,r0,r2? No —
-        // make 1->2 route n1,r1,r0,r1,... keep it simple: route 1->2 as
-        // n1 -> r1 -> r0 -> r2 -> n2, so r0 forwards dst 2 via its r2
-        // port, consistent; then make 0->2 instead detour n0 -> r0 ->
-        // r1 -> r2 -> n2: now r0 forwards dst 2 via its r1 port for
-        // pair 0 but via its r2 port for pair 1 — incoherent.
-        let path_0_2 = |net: &Network| -> Vec<ChannelId> { pick_path(net, &[n0, r0, r1, r2, n2]) };
-        let path_1_2 = |net: &Network| -> Vec<ChannelId> { pick_path(net, &[n1, r1, r0, r2, n2]) };
-        let p02 = path_0_2(&net);
-        let p12 = path_1_2(&net);
-        let rs = RouteSet::from_pairs(3, |s, d| match (s, d) {
-            (0, 2) => p02.clone(),
-            (1, 2) => p12.clone(),
-            _ => Vec::new(),
-        });
-        assert!(Routes::from_pair_paths(&net, &ends, &rs).is_none());
+        (net, vec![n0, n1, n2], [r0, r1, r2])
+    }
+
+    #[test]
+    fn from_pair_paths_rejects_incoherent_routes() {
+        let (net, ends, [r0, r1, r2]) = triangle();
+        let [n0, n1, n2] = [ends[0], ends[1], ends[2]];
+        // Only pairs toward n2 are routed; every other pair is severed.
+        let project = |p02: &[NodeId], p12: &[NodeId]| {
+            let (p02, p12) = (pick_path(&net, p02), pick_path(&net, p12));
+            let rs = RouteSet::from_pairs(3, |s, d| match (s, d) {
+                (0, 2) => p02.clone(),
+                (1, 2) => p12.clone(),
+                _ => Vec::new(),
+            });
+            Routes::from_pair_paths(&net, &ends, &rs)
+        };
+        // Control: both routes cross r0 and leave it toward r2.
+        assert!(project(&[n0, r0, r2, n2], &[n1, r1, r0, r2, n2]).is_some());
+        // r0 forwards destination 2 toward r1 for pair 0 but toward r2
+        // for pair 1: no single table entry serves both.
+        assert!(project(&[n0, r0, r1, r2, n2], &[n1, r1, r0, r2, n2]).is_none());
+        // Pair 0 is severed, yet pair 1's route writes r0's entry for
+        // destination 2, which routes pair 0 after all.
+        assert!(project(&[], &[n1, r1, r0, r2, n2]).is_none());
+        // Pair 0 injects on n0's second port (into r1); tables inject
+        // on the first attachment, into r0.
+        assert!(project(&[n0, r1, r2, n2], &[n1, r1, r2, n2]).is_none());
     }
 
     /// Builds the channel sequence visiting the given nodes in order.

@@ -10,14 +10,15 @@
 //! module makes that failure mode explicit and testable.
 
 use crate::faults::FaultSet;
-use crate::healing::healing_repairer;
+use crate::healing::table_healing_repairer;
 use crate::link::LinkSpec;
 use crate::packet::{segment_transfer, Packet, TransactionKind, MAX_PAYLOAD};
 use fractanet_graph::{ChannelId, Network, NodeId};
-use fractanet_route::RouteSet;
+use fractanet_route::{RouteSet, Routes};
 use fractanet_sim::{Engine, SimConfig, SimResult, VcMap, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A requested transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,16 +196,16 @@ impl DedupFilter {
 }
 
 /// One fabric's inputs to the failover driver: a network, its fixed
-/// per-pair tables, the shared end-node population, and a simulation
+/// destination tables, the shared end-node population, and a simulation
 /// configuration whose [`fractanet_sim::RetryPolicy`] supplies the
 /// acknowledgment timeout, the retry bound `K` (`max_retries`), and
 /// the exponential-backoff/jitter parameters.
 pub struct FabricSim<'a> {
     /// The fabric's network.
     pub net: &'a Network,
-    /// Fixed routing tables — one path per ordered pair, the paper's
-    /// §3.3 in-order requirement.
-    pub routes: &'a RouteSet,
+    /// Fixed destination-indexed routing tables — one path per
+    /// ordered pair, the paper's §3.3 in-order requirement.
+    pub routes: Arc<Routes>,
     /// End nodes, in the address order shared by both fabrics.
     pub ends: &'a [NodeId],
     /// Simulation config, including this fabric's fault schedule and
@@ -263,13 +264,13 @@ impl FailoverOutcome {
 }
 
 fn run_fabric(f: &FabricSim<'_>, workload: Workload) -> SimResult {
-    let mut engine = Engine::new(f.net, f.routes, f.cfg.clone());
+    let mut engine = Engine::new(f.net, f.ends, Arc::clone(&f.routes), f.cfg.clone());
     if let Some(map) = &f.vc {
         engine = engine.with_vc_map(map.clone());
     }
     if f.heal {
         engine
-            .with_repairer(healing_repairer(f.net, f.ends))
+            .with_table_repairer(table_healing_repairer(f.net, f.ends))
             .run(workload)
     } else {
         engine.run(workload)
@@ -438,12 +439,11 @@ mod tests {
         assert!(first_fault(f.net(), &faults, &fwd).is_none());
     }
 
-    fn fabric_pair() -> (Fractahedron, RouteSet, Fractahedron, RouteSet) {
+    fn fabric_pair() -> (Fractahedron, Arc<Routes>, Fractahedron, Arc<Routes>) {
         let build = || {
             let f = Fractahedron::new(1, Variant::Fat, false).unwrap();
-            let routes = fractal_routes(&f);
-            let rs = RouteSet::from_table(f.net(), f.end_nodes(), &routes).unwrap();
-            (f, rs)
+            let routes = Arc::new(fractal_routes(&f));
+            (f, routes)
         };
         let (fx, rx) = build();
         let (fy, ry) = build();
@@ -455,7 +455,7 @@ mod tests {
         let (fx, rx, fy, ry) = fabric_pair();
         let x = FabricSim {
             net: fx.net(),
-            routes: &rx,
+            routes: rx.clone(),
             ends: fx.end_nodes(),
             cfg: SimConfig::default(),
             heal: false,
@@ -463,7 +463,7 @@ mod tests {
         };
         let y = FabricSim {
             net: fy.net(),
-            routes: &ry,
+            routes: ry.clone(),
             ends: fy.end_nodes(),
             cfg: SimConfig::default(),
             heal: false,
@@ -497,7 +497,7 @@ mod tests {
         .with_fault(FaultEvent::kill_link(attach, 0));
         let x = FabricSim {
             net: fx.net(),
-            routes: &rx,
+            routes: rx.clone(),
             ends: fx.end_nodes(),
             cfg: cfg_x,
             heal: false,
@@ -505,7 +505,7 @@ mod tests {
         };
         let y = FabricSim {
             net: fy.net(),
-            routes: &ry,
+            routes: ry.clone(),
             ends: fy.end_nodes(),
             cfg: SimConfig::default(),
             heal: false,
@@ -554,7 +554,7 @@ mod tests {
         .with_fault(FaultEvent::kill_link(victim, 20));
         let x = FabricSim {
             net: fx.net(),
-            routes: &rx,
+            routes: rx.clone(),
             ends: fx.end_nodes(),
             cfg: cfg_x,
             heal: true,
@@ -562,7 +562,7 @@ mod tests {
         };
         let y = FabricSim {
             net: fy.net(),
-            routes: &ry,
+            routes: ry.clone(),
             ends: fy.end_nodes(),
             cfg: SimConfig::default(),
             heal: false,
@@ -624,7 +624,7 @@ mod tests {
         .with_telemetry(Telemetry::recording().with_event_capacity(1 << 16));
         let x = FabricSim {
             net: fx.net(),
-            routes: &rx,
+            routes: rx.clone(),
             ends: fx.end_nodes(),
             cfg: cfg_x,
             heal: false,
@@ -632,7 +632,7 @@ mod tests {
         };
         let y = FabricSim {
             net: fy.net(),
-            routes: &ry,
+            routes: ry.clone(),
             ends: fy.end_nodes(),
             cfg: SimConfig::default(),
             heal: false,

@@ -30,11 +30,13 @@
 //! 3. the order-sensitive telemetry ring sees the deferred `blocked`
 //!    records in scan order before any injection-phase event.
 
-use super::{ChanState, Engine, Packet, RouteSource, EJECT, NO_PKT};
+use super::{ChanState, Engine, Packet, EJECT, NO_PKT};
 use crate::vc::VcMap;
 use fractanet_graph::{ChannelId, Network, NodeId};
+use fractanet_route::Routes;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Live items (VCs plus queued sources) a cycle needs before it
 /// forks: below the floor the fork/join and the cross-core commit cost
@@ -51,10 +53,10 @@ pub(crate) const FORK_MIN_WORK: usize = if cfg!(debug_assertions) { 1 } else { 2
 /// the scan-relevant config bits. Also the single home of hop
 /// resolution, shared by the scan, the commit's next-hop cache and
 /// the debug audit.
-pub(super) struct ScanView<'e, 'a> {
+pub(super) struct ScanView<'e> {
     pub(super) net: &'e Network,
-    pub(super) epochs: &'e [RouteSource<'a>],
-    pub(super) ends: Option<&'e [NodeId]>,
+    pub(super) epochs: &'e [Arc<Routes>],
+    pub(super) ends: &'e [NodeId],
     pub(super) chans: &'e [ChanState],
     pub(super) packets: &'e [Packet],
     pub(super) queues: &'e [VecDeque<u32>],
@@ -67,47 +69,29 @@ pub(super) struct ScanView<'e, 'a> {
     pub(super) tel_on: bool,
 }
 
-impl ScanView<'_, '_> {
-    /// End nodes in address order (table epochs only).
-    fn addr_ends(&self) -> &[NodeId] {
-        self.ends
-            .expect("table epochs carry end nodes by construction")
-    }
-
-    /// The packet's first channel: the path head for dense epochs, the
-    /// source end's attach channel for table epochs. Only called after
+impl ScanView<'_> {
+    /// The packet's first channel: the source end's first attach
+    /// channel. Only called after
     /// [`route_dead_or_missing`](ScanView::route_dead_or_missing) has
     /// cleared the route.
     #[inline]
     pub(super) fn first_hop(&self, p: &Packet) -> ChannelId {
-        match self.epochs[p.epoch as usize].dense() {
-            Some(rs) => rs.path(p.src as usize, p.dst as usize)[0],
-            None => {
-                self.net
-                    .channels_from(self.addr_ends()[p.src as usize])
-                    .first()
-                    .expect("routable packet's source has an attach channel")
-                    .0
-            }
-        }
+        self.net
+            .channels_from(self.ends[p.src as usize])
+            .first()
+            .expect("routable packet's source has an attach channel")
+            .0
     }
 
-    /// Resolves the next hop for a worm head occupying `ch` at route
-    /// position `pos`, or `None` when the head ejects — a dense epoch
-    /// indexes its frozen path, a table epoch reads the downstream
-    /// router's destination entry.
-    fn next_hop(&self, p: &Packet, ch: ChannelId, pos: u32) -> Option<ChannelId> {
-        let epoch = &self.epochs[p.epoch as usize];
-        if let Some(rs) = epoch.dense() {
-            let path = rs.path(p.src as usize, p.dst as usize);
-            return path.get(pos as usize + 1).copied();
-        }
+    /// Resolves the next hop for a worm head occupying `ch`, or `None`
+    /// when the head ejects: the downstream router's destination
+    /// entry in the packet's epoch.
+    fn next_hop(&self, p: &Packet, ch: ChannelId) -> Option<ChannelId> {
         let v = self.net.channel_dst(ch);
-        if v == self.addr_ends()[p.dst as usize] {
+        if v == self.ends[p.dst as usize] {
             return None;
         }
-        let port = epoch
-            .tables()
+        let port = self.epochs[p.epoch as usize]
             .get(v, p.dst as usize)
             .expect("in-flight worm's router has a table entry");
         let next = self
@@ -120,7 +104,7 @@ impl ScanView<'_, '_> {
     /// The value of [`ChanState::next`] for `p`'s head entering `vid`
     /// at route position `pos`: the downstream vid, or [`EJECT`].
     pub(super) fn resolve_next(&self, p: &Packet, vid: u32, pos: u32) -> u32 {
-        match self.next_hop(p, ChannelId(vid / self.vcs), pos) {
+        match self.next_hop(p, ChannelId(vid / self.vcs)) {
             None => EJECT,
             Some(next) => self.vid_of(p, pos + 1, vid, next),
         }
@@ -165,20 +149,15 @@ impl ScanView<'_, '_> {
     /// (severed pair, missing table entry, forwarding loop) or crossing
     /// a currently-dead channel. Checked before injection.
     pub(super) fn route_dead_or_missing(&self, p: &Packet) -> bool {
-        let epoch = &self.epochs[p.epoch as usize];
-        if let Some(rs) = epoch.dense() {
-            let path = rs.path(p.src as usize, p.dst as usize);
-            return path.is_empty() || path.iter().any(|c| self.chan_dead[c.index()]);
-        }
-        let ends = self.addr_ends();
-        let dst_end = ends[p.dst as usize];
-        let Some(&(inject, mut v)) = self.net.channels_from(ends[p.src as usize]).first() else {
+        let dst_end = self.ends[p.dst as usize];
+        let Some(&(inject, mut v)) = self.net.channels_from(self.ends[p.src as usize]).first()
+        else {
             return true;
         };
         if self.chan_dead[inject.index()] {
             return true;
         }
-        let tables = epoch.tables();
+        let tables = &self.epochs[p.epoch as usize];
         let mut hops = 0usize;
         while v != dst_end {
             let Some(port) = tables.get(v, p.dst as usize) else {
@@ -200,17 +179,10 @@ impl ScanView<'_, '_> {
     }
 
     /// Whether any channel the worm has yet to traverse — beyond its
-    /// head on `ch` at route position `pos` — is currently dead.
-    pub(super) fn remainder_dead(&self, p: &Packet, ch: ChannelId, pos: u32) -> bool {
-        let epoch = &self.epochs[p.epoch as usize];
-        if let Some(rs) = epoch.dense() {
-            let path = rs.path(p.src as usize, p.dst as usize);
-            return path[pos as usize + 1..]
-                .iter()
-                .any(|c| self.chan_dead[c.index()]);
-        }
-        let dst_end = self.addr_ends()[p.dst as usize];
-        let tables = epoch.tables();
+    /// head on `ch` — is currently dead.
+    pub(super) fn remainder_dead(&self, p: &Packet, ch: ChannelId) -> bool {
+        let dst_end = self.ends[p.dst as usize];
+        let tables = &self.epochs[p.epoch as usize];
         let mut v = self.net.channel_dst(ch);
         while v != dst_end {
             let port = tables
@@ -334,7 +306,7 @@ pub(crate) fn effective_shards(threads: usize, work: usize) -> usize {
 /// holding flits moves its buffer head toward the downstream VC
 /// resolved when the worm's head entered, so the packet is read only
 /// for telemetry.
-fn scan_channels(view: &ScanView<'_, '_>, vids: impl Iterator<Item = u32>, out: &mut ShardOut) {
+fn scan_channels(view: &ScanView<'_>, vids: impl Iterator<Item = u32>, out: &mut ShardOut) {
     for vid in vids {
         let st = &view.chans[vid as usize];
         if st.occ == 0 {
@@ -385,7 +357,7 @@ fn scan_channels(view: &ScanView<'_, '_>, vids: impl Iterator<Item = u32>, out: 
 /// depends on another source's pops or retry bookings — retries
 /// mutate only attempt counters and future-cycle heaps — so the plans
 /// replay serially with identical verdicts.
-fn scan_sources(view: &ScanView<'_, '_>, srcs: impl Iterator<Item = u32>, out: &mut ShardOut) {
+fn scan_sources(view: &ScanView<'_>, srcs: impl Iterator<Item = u32>, out: &mut ShardOut) {
     for src in srcs {
         // Walk the queue from the front; replayed pops consume exactly
         // the prefix this scan skipped.
@@ -433,13 +405,13 @@ fn scan_sources(view: &ScanView<'_, '_>, srcs: impl Iterator<Item = u32>, out: &
     }
 }
 
-impl<'a> Engine<'a> {
+impl Engine<'_> {
     /// The immutable scan view over current engine state.
-    pub(super) fn scan_view(&self) -> ScanView<'_, 'a> {
+    pub(super) fn scan_view(&self) -> ScanView<'_> {
         ScanView {
             net: self.net,
             epochs: &self.epochs,
-            ends: self.ends.as_deref(),
+            ends: &self.ends,
             chans: &self.chans,
             packets: &self.packets,
             queues: &self.queues,
@@ -583,7 +555,6 @@ mod tests {
     use crate::stats::SimResult;
     use crate::traffic::{DstPattern, Workload};
     use fractanet_route::dor::mesh_xy_routes;
-    use fractanet_route::RouteSet;
     use fractanet_telemetry::Telemetry;
     use fractanet_topo::{Mesh2D, Topology};
     use std::sync::Arc;
@@ -626,9 +597,9 @@ mod tests {
     fn mesh_run(threads: usize) -> SimResult {
         let m = Mesh2D::new(8, 8, 1, 6).unwrap();
         let routes = Arc::new(mesh_xy_routes(&m));
-        let dense = RouteSet::from_table(m.net(), m.end_nodes(), &routes).expect("XY routes trace");
-        let transient = dense.path(0, 9)[1].link();
-        let permanent = dense.path(63, 54)[1].link();
+        let (ends, net) = (m.end_nodes(), m.net());
+        let transient = routes.trace(net, ends, 0, 9).expect("XY routes trace")[1].link();
+        let permanent = routes.trace(net, ends, 63, 54).expect("XY routes trace")[1].link();
         let cfg = SimConfig::default()
             .with_packet_flits(8)
             .with_max_cycles(3_000)
@@ -638,7 +609,7 @@ mod tests {
             .with_fault(FaultEvent::kill_link(permanent, 150))
             .with_threads(threads);
         let repair = routes.clone();
-        Engine::with_tables(m.net(), m.end_nodes(), routes, cfg)
+        Engine::new(net, ends, routes, cfg)
             .with_table_repairer(move |_, _| Some(repair.clone()))
             .run(Workload::Bernoulli {
                 injection_rate: 0.3,

@@ -1,7 +1,7 @@
 //! Parallel offered-load sweeps for load–latency curves.
 //!
 //! Each load point is an independent simulation over the same network
-//! and route set, so points run on the shared worker pool
+//! and shared tables, so points run on the shared worker pool
 //! ([`crate::pool::parallel_map`]). Determinism is preserved: every
 //! point gets a seed derived from the base seed and its index, and
 //! results are returned in rate order.
@@ -11,8 +11,9 @@ use crate::engine::Engine;
 use crate::pool::parallel_map;
 use crate::stats::SimResult;
 use crate::traffic::{DstPattern, Workload};
-use fractanet_graph::Network;
-use fractanet_route::RouteSet;
+use fractanet_graph::{Network, NodeId};
+use fractanet_route::Routes;
+use std::sync::Arc;
 
 /// One point of a load–latency curve.
 #[derive(Clone, Debug)]
@@ -28,7 +29,8 @@ pub struct LoadPoint {
 /// simulator then drains in-flight traffic up to `cfg.max_cycles`).
 pub fn sweep_loads(
     net: &Network,
-    routes: &RouteSet,
+    ends: &[NodeId],
+    routes: &Arc<Routes>,
     cfg: &SimConfig,
     pattern: &DstPattern,
     rates: &[f64],
@@ -49,7 +51,7 @@ pub fn sweep_loads(
         };
         LoadPoint {
             injection_rate: rate,
-            result: Engine::new(net, routes, point_cfg).run(wl),
+            result: Engine::new(net, ends, Arc::clone(routes), point_cfg).run(wl),
         }
     })
 }
@@ -73,7 +75,7 @@ mod tests {
     #[test]
     fn sweep_returns_points_in_order() {
         let f = Fractahedron::new(1, Variant::Fat, false).unwrap();
-        let rs = RouteSet::from_table(f.net(), f.end_nodes(), &fractal_routes(&f)).unwrap();
+        let rt = Arc::new(fractal_routes(&f));
         let cfg = SimConfig {
             packet_flits: 4,
             max_cycles: 3_000,
@@ -82,7 +84,15 @@ mod tests {
             ..SimConfig::default()
         };
         let rates = [0.05, 0.2, 0.4];
-        let pts = sweep_loads(f.net(), &rs, &cfg, &DstPattern::Uniform, &rates, 2_000);
+        let pts = sweep_loads(
+            f.net(),
+            f.end_nodes(),
+            &rt,
+            &cfg,
+            &DstPattern::Uniform,
+            &rates,
+            2_000,
+        );
         assert_eq!(pts.len(), 3);
         for (p, r) in pts.iter().zip(rates) {
             assert_eq!(p.injection_rate, r);
@@ -97,14 +107,24 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         let f = Fractahedron::new(1, Variant::Fat, false).unwrap();
-        let rs = RouteSet::from_table(f.net(), f.end_nodes(), &fractal_routes(&f)).unwrap();
+        let rt = Arc::new(fractal_routes(&f));
         let cfg = SimConfig {
             packet_flits: 4,
             max_cycles: 2_000,
             stall_threshold: 1_000,
             ..SimConfig::default()
         };
-        let run = || sweep_loads(f.net(), &rs, &cfg, &DstPattern::Uniform, &[0.1, 0.3], 1_000);
+        let run = || {
+            sweep_loads(
+                f.net(),
+                f.end_nodes(),
+                &rt,
+                &cfg,
+                &DstPattern::Uniform,
+                &[0.1, 0.3],
+                1_000,
+            )
+        };
         let (a, b) = (run(), run());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.result.delivered, y.result.delivered);

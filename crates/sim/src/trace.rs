@@ -312,13 +312,14 @@ mod tests {
     use crate::traffic::DstPattern;
     use fractanet_graph::LinkId;
     use fractanet_route::ringroute::ring_clockwise_routes;
-    use fractanet_route::RouteSet;
+    use fractanet_route::Routes;
     use fractanet_topo::{Ring, Topology};
+    use std::sync::Arc;
 
-    fn ring4() -> (Ring, RouteSet) {
+    fn ring4() -> (Ring, Arc<Routes>) {
         let r = Ring::new(4, 1, 6).unwrap();
-        let rs = RouteSet::from_table(r.net(), r.end_nodes(), &ring_clockwise_routes(&r)).unwrap();
-        (r, rs)
+        let rt = Arc::new(ring_clockwise_routes(&r));
+        (r, rt)
     }
 
     fn record_cfg() -> SimConfig {
@@ -344,9 +345,10 @@ mod tests {
 
     #[test]
     fn trace_round_trips_and_replays_exactly() {
-        let (r, rs) = ring4();
+        let (r, rt) = ring4();
         let cfg = record_cfg();
-        let recorded = Engine::new(r.net(), &rs, cfg.clone()).run(bernoulli());
+        let recorded =
+            Engine::new(r.net(), r.end_nodes(), rt.clone(), cfg.clone()).run(bernoulli());
         let report = recorded.metrics.as_ref().expect("metrics on");
         assert!(report.totals.generated > 0);
 
@@ -361,7 +363,8 @@ mod tests {
 
         // Replay through a fresh engine: scripted injections, echoed
         // config — the recorded outcome must reproduce exactly.
-        let replayed = Engine::new(r.net(), &rs, trace.cfg.clone()).run(trace.workload());
+        let replayed = Engine::new(r.net(), r.end_nodes(), rt.clone(), trace.cfg.clone())
+            .run(trace.workload());
         let bad = trace.check(&replayed);
         assert!(bad.is_empty(), "replay mismatches: {bad:?}");
 
@@ -372,14 +375,16 @@ mod tests {
 
     #[test]
     fn replay_is_threads_invariant() {
-        let (r, rs) = ring4();
+        let (r, rt) = ring4();
         let cfg = record_cfg();
-        let recorded = Engine::new(r.net(), &rs, cfg.clone()).run(bernoulli());
+        let recorded =
+            Engine::new(r.net(), r.end_nodes(), rt.clone(), cfg.clone()).run(bernoulli());
         let text = write_trace("ring:4", false, &cfg, recorded.metrics.as_ref().unwrap());
         let trace = parse_trace(&text).unwrap();
         for threads in [1, 2, 4] {
             let cfg = trace.cfg.clone().with_threads(threads);
-            let replayed = Engine::new(r.net(), &rs, cfg).run(trace.workload());
+            let replayed =
+                Engine::new(r.net(), r.end_nodes(), rt.clone(), cfg).run(trace.workload());
             let bad = trace.check(&replayed);
             assert!(bad.is_empty(), "threads={threads}: {bad:?}");
         }
@@ -387,14 +392,16 @@ mod tests {
 
     #[test]
     fn check_reports_mismatches() {
-        let (r, rs) = ring4();
+        let (r, rt) = ring4();
         let cfg = record_cfg();
-        let recorded = Engine::new(r.net(), &rs, cfg.clone()).run(bernoulli());
+        let recorded =
+            Engine::new(r.net(), r.end_nodes(), rt.clone(), cfg.clone()).run(bernoulli());
         let text = write_trace("ring:4", true, &cfg, recorded.metrics.as_ref().unwrap());
         let mut trace = parse_trace(&text).unwrap();
         assert!(trace.heal);
         trace.expected.delivered += 1;
-        let replayed = Engine::new(r.net(), &rs, trace.cfg.clone()).run(trace.workload());
+        let replayed = Engine::new(r.net(), r.end_nodes(), rt.clone(), trace.cfg.clone())
+            .run(trace.workload());
         assert!(!trace.check(&replayed).is_empty());
     }
 

@@ -3,17 +3,17 @@
 
 use fractanet_graph::LinkId;
 use fractanet_route::fractal::fractal_routes;
-use fractanet_route::RouteSet;
+use fractanet_route::{RouteSet, Routes};
 use fractanet_sim::vc::{dateline_ring_routes, VcEngine};
 use fractanet_sim::{Engine, FaultEvent, RetryPolicy, SimConfig, Workload};
 use fractanet_topo::{Fractahedron, Ring, Topology, Variant};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn tetra() -> (Fractahedron, RouteSet) {
+fn tetra() -> (Fractahedron, Arc<Routes>) {
     let f = Fractahedron::new(1, Variant::Fat, false).unwrap();
-    let routes = fractal_routes(&f);
-    let rs = RouteSet::from_table(f.net(), f.end_nodes(), &routes).unwrap();
-    (f, rs)
+    let rt = Arc::new(fractal_routes(&f));
+    (f, rt)
 }
 
 proptest! {
@@ -27,7 +27,8 @@ proptest! {
         pkts in prop::collection::vec((0u64..50, 0usize..8, 0usize..8), 1..25),
         flits in 2u32..12,
     ) {
-        let (f, rs) = tetra();
+        let (f, rt) = tetra();
+        let rs = RouteSet::from_table(f.net(), f.end_nodes(), &rt).unwrap();
         let script: Vec<(u64, usize, usize)> =
             pkts.into_iter().filter(|&(_, s, d)| s != d).collect();
         let n_pkts = script.len();
@@ -46,7 +47,7 @@ proptest! {
             stall_threshold: 5_000,
             ..SimConfig::default()
         };
-        let res = Engine::new(f.net(), &rs, cfg).run(Workload::Scripted(script));
+        let res = Engine::new(f.net(), f.end_nodes(), rt.clone(), cfg).run(Workload::Scripted(script));
         prop_assert!(res.is_clean(), "{:?}", res.deadlock);
         prop_assert_eq!(res.delivered, n_pkts);
         prop_assert_eq!(res.channel_busy.iter().sum::<u64>(), expected_flits);
@@ -60,7 +61,7 @@ proptest! {
     /// seed, same everything.
     #[test]
     fn engine_is_deterministic(seed in 0u64..10_000, rate in 0.05f64..0.5) {
-        let (f, rs) = tetra();
+        let (f, rt) = tetra();
         let mk = || {
             let cfg = SimConfig {
                 packet_flits: 6,
@@ -69,7 +70,7 @@ proptest! {
                 seed,
                 ..SimConfig::default()
             };
-            Engine::new(f.net(), &rs, cfg).run(Workload::Bernoulli {
+            Engine::new(f.net(), f.end_nodes(), rt.clone(), cfg).run(Workload::Bernoulli {
                 injection_rate: rate,
                 pattern: fractanet_sim::DstPattern::Uniform,
                 until_cycle: 1_500,
@@ -100,7 +101,7 @@ proptest! {
             stall_threshold: 5_000,
             ..SimConfig::default()
         };
-        let res = VcEngine::new(ring.net(), &routes, cfg).run(Workload::Scripted(script));
+        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg).run(Workload::Scripted(script));
         prop_assert!(res.deadlock.is_none(), "{:?}", res.deadlock);
         prop_assert_eq!(res.delivered, n);
     }
@@ -109,7 +110,7 @@ proptest! {
     /// and the simulator never invents packets.
     #[test]
     fn no_packet_creation_from_nothing(rate in 0.05f64..0.9, seed in 0u64..100) {
-        let (f, rs) = tetra();
+        let (f, rt) = tetra();
         let cfg = SimConfig {
             packet_flits: 8,
             max_cycles: 4_000,
@@ -117,7 +118,7 @@ proptest! {
             seed,
             ..SimConfig::default()
         };
-        let res = Engine::new(f.net(), &rs, cfg).run(Workload::Bernoulli {
+        let res = Engine::new(f.net(), f.end_nodes(), rt.clone(), cfg).run(Workload::Bernoulli {
             injection_rate: rate,
             pattern: fractanet_sim::DstPattern::Uniform,
             until_cycle: 2_000,
@@ -140,7 +141,7 @@ proptest! {
         depth in 1u32..5,
         delay in 0u64..4,
     ) {
-        let (f, rs) = tetra();
+        let (f, rt) = tetra();
         let script: Vec<(u64, usize, usize)> =
             pkts.into_iter().filter(|&(_, s, d)| s != d).collect();
         if script.is_empty() { return Ok(()); }
@@ -163,7 +164,7 @@ proptest! {
             .with_buffer_depth(depth)
             .with_credit_delay(delay)
             .with_fault(FaultEvent::kill_link(victim, 100).transient(700));
-            Engine::new(f.net(), &rs, cfg).run(Workload::Scripted(script.clone()))
+            Engine::new(f.net(), f.end_nodes(), rt.clone(), cfg).run(Workload::Scripted(script.clone()))
         };
         let inf = run(SimConfig::INFINITE_DEPTH, 0);
         let fin = run(depth, delay);
@@ -207,7 +208,7 @@ proptest! {
             }
             .with_buffer_depth(depth)
             .with_credit_delay(delay);
-            VcEngine::new(ring.net(), &routes, cfg).run(Workload::Scripted(script.clone()))
+            VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg).run(Workload::Scripted(script.clone()))
         };
         let inf = run(SimConfig::INFINITE_DEPTH, 0);
         let fin = run(depth, delay);

@@ -15,6 +15,7 @@ use fractanet::prelude::*;
 use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet::route::treeroute::updown_routeset;
 use fractanet::System;
+use std::sync::Arc;
 
 fn main() {
     println!("static channel-dependency audit (Dally & Seitz)\n");
@@ -84,7 +85,9 @@ fn main() {
         stall_threshold: 200,
         ..SimConfig::default()
     };
-    let res = Engine::new(ring.net(), &cw, cfg.clone()).run(Workload::fig1_ring(4));
+    let cw_tables = Arc::new(ring_clockwise_routes(&ring));
+    let res = Engine::new(ring.net(), ring.end_nodes(), cw_tables, cfg.clone())
+        .run(Workload::fig1_ring(4));
     match &res.deadlock {
         Some(dl) => {
             println!(
@@ -104,14 +107,9 @@ fn main() {
     }
 
     let mesh = Mesh2D::new(2, 2, 1, 6).unwrap();
-    let xy = RouteSet::from_table(
-        mesh.net(),
-        mesh.end_nodes(),
-        &fractanet::route::dor::mesh_xy_routes(&mesh),
-    )
-    .unwrap();
+    let xy = Arc::new(fractanet::route::dor::mesh_xy_routes(&mesh));
     let wl = Workload::Scripted(vec![(0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0)]);
-    let res = Engine::new(mesh.net(), &xy, cfg).run(wl);
+    let res = Engine::new(mesh.net(), mesh.end_nodes(), xy, cfg).run(wl);
     println!(
         "\n  same shape as a 2x2 mesh under XY routing: {} ({} packets delivered in {} cycles)",
         if res.deadlock.is_none() {

@@ -79,7 +79,7 @@ fn main() {
     .with_fault(FaultEvent::kill_link(victim, 3_000));
     let x = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: cfg_x,
         heal: true, // regenerate + certify tables around the dead cable
@@ -87,7 +87,7 @@ fn main() {
     };
     let y = FabricSim {
         net: sys.net(),
-        routes: sys.route_set(),
+        routes: sys.shared_routes(),
         ends: sys.end_nodes(),
         cfg: SimConfig {
             packet_flits: 16,

@@ -170,12 +170,12 @@ fn fabric_failover_end_to_end() {
     use fractanet::topo::Fractahedron;
     let pair = DualFabric::new(|| Fractahedron::new(1, Variant::Fat, false).unwrap());
     // Y is an independent, identical network: route and simulate on it.
-    let routes = fractanet::route::fractal::fractal_routes(&pair.y);
-    let rs = RouteSet::from_table(pair.y.net(), pair.y.end_nodes(), &routes).unwrap();
+    let routes = std::sync::Arc::new(fractanet::route::fractal::fractal_routes(&pair.y));
     let cfg = SimConfig::default()
         .with_packet_flits(8)
         .with_max_cycles(20_000);
-    let res = Engine::new(pair.y.net(), &rs, cfg).run(Workload::all_to_all_burst(8));
+    let res = Engine::new(pair.y.net(), pair.y.end_nodes(), routes, cfg)
+        .run(Workload::all_to_all_burst(8));
     assert!(res.is_clean());
 }
 

@@ -52,7 +52,8 @@ fn alternative_shapes_keep_the_invariants() {
         },
     ] {
         let g = GenFractahedron::new(shape, 2, true).unwrap();
-        let rs = RouteSet::from_table(g.net(), g.end_nodes(), &genfracta_routes(&g)).unwrap();
+        let routes = std::sync::Arc::new(genfracta_routes(&g));
+        let rs = RouteSet::from_table(g.net(), g.end_nodes(), &routes).unwrap();
         assert_eq!(bfs::max_router_hops(g.net()), Some(5), "{shape:?}");
         assert!(verify_deadlock_free(g.net(), &rs).is_ok(), "{shape:?}");
         let cfg = SimConfig {
@@ -61,7 +62,7 @@ fn alternative_shapes_keep_the_invariants() {
             stall_threshold: 2_500,
             ..SimConfig::default()
         };
-        let res = Engine::new(g.net(), &rs, cfg).run(Workload::Bernoulli {
+        let res = Engine::new(g.net(), g.end_nodes(), routes, cfg).run(Workload::Bernoulli {
             injection_rate: 0.15,
             pattern: DstPattern::Uniform,
             until_cycle: 2_500,
@@ -86,19 +87,20 @@ fn virtual_channels_versus_topology_change() {
     // 1 VC: deadlock (static and dynamic agree).
     let one = dateline_ring_routes(&ring, 1);
     assert!(!one.is_deadlock_free(ring.net()));
-    let r1 = VcEngine::new(ring.net(), &one, cfg.clone()).run(Workload::fig1_ring(4));
+    let r1 =
+        VcEngine::new(ring.net(), ring.end_nodes(), &one, cfg.clone()).run(Workload::fig1_ring(4));
     assert!(r1.deadlock.is_some());
     // 2 VCs: clean, at 2x buffer cost.
     let two = dateline_ring_routes(&ring, 2);
     assert!(two.is_deadlock_free(ring.net()));
-    let e2 = VcEngine::new(ring.net(), &two, cfg.clone());
+    let e2 = VcEngine::new(ring.net(), ring.end_nodes(), &two, cfg.clone());
     let slots2 = e2.total_buffer_slots();
     let r2 = e2.run(Workload::fig1_ring(4));
     assert!(r2.deadlock.is_none());
     assert_eq!(r2.delivered, 4);
     assert_eq!(
         slots2,
-        2 * VcEngine::new(ring.net(), &one, cfg).total_buffer_slots()
+        2 * VcEngine::new(ring.net(), ring.end_nodes(), &one, cfg).total_buffer_slots()
     );
 }
 
@@ -156,7 +158,9 @@ fn background_topologies_route_updown() {
             stall_threshold: 2_000,
             ..SimConfig::default()
         };
-        let res = Engine::new(net, &rs, cfg).run(Workload::all_to_all_burst(ends.len()));
+        let tables = Routes::from_pair_paths(net, ends, &rs).expect("up*/down* routes are tables");
+        let res = Engine::new(net, ends, std::sync::Arc::new(tables), cfg)
+            .run(Workload::all_to_all_burst(ends.len()));
         assert!(res.is_clean(), "{name}: {:?}", res.deadlock);
     }
 }

@@ -243,11 +243,16 @@ proptest! {
         prop_assert!(mismatches.is_empty(), "{:?}: {:?}", cfg, mismatches);
     }
 
-    /// The table-walking engine is bit-identical to the legacy
-    /// path-snapshot engine on any seeded run.
+    /// Per-pair routes reach the engine only through their table
+    /// projection, so that projection must be faithful: every
+    /// system's traced route set projects, and simulating the
+    /// projection equals simulating the canonical tables field for
+    /// field.
     #[test]
-    fn dense_and_table_engines_agree(cfg in configs(), seed in 0u64..1000) {
+    fn pair_routes_project_onto_equivalent_tables(cfg in configs(), seed in 0u64..1000) {
         let sys = cfg.build();
+        let projected = Routes::from_pair_paths(sys.net(), sys.end_nodes(), sys.route_set());
+        prop_assert!(projected.is_some(), "{:?}: route set does not project", cfg);
         let sim_cfg = SimConfig {
             packet_flits: 6,
             buffer_depth: 2,
@@ -261,16 +266,18 @@ proptest! {
             pattern: DstPattern::Uniform,
             until_cycle: 1_000,
         };
-        let dense = Engine::new(sys.net(), sys.route_set(), sim_cfg.clone()).run(wl.clone());
-        let tabled = Engine::with_tables(sys.net(), sys.end_nodes(), sys.shared_routes(), sim_cfg)
-            .run(wl);
-        prop_assert_eq!(dense.generated, tabled.generated, "{:?} seed {}", cfg, seed);
-        prop_assert_eq!(dense.delivered, tabled.delivered, "{:?} seed {}", cfg, seed);
-        prop_assert_eq!(dense.cycles, tabled.cycles);
-        prop_assert_eq!(dense.avg_latency, tabled.avg_latency);
-        prop_assert_eq!(dense.max_latency, tabled.max_latency);
-        prop_assert_eq!(dense.channel_busy, tabled.channel_busy);
-        prop_assert_eq!(dense.deadlock.is_some(), tabled.deadlock.is_some());
+        let run = |routes| {
+            Engine::new(sys.net(), sys.end_nodes(), routes, sim_cfg.clone()).run(wl.clone())
+        };
+        let from_pairs = run(std::sync::Arc::new(projected.unwrap()));
+        let canonical = run(sys.shared_routes());
+        prop_assert_eq!(
+            format!("{from_pairs:?}"),
+            format!("{canonical:?}"),
+            "{:?} seed {}",
+            cfg,
+            seed
+        );
     }
 
     /// The engine at widths 2, 4 and 8 is bit-identical to width 1 —
