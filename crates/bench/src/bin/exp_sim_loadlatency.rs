@@ -9,7 +9,7 @@ use fractanet::prelude::*;
 use fractanet::sim::sweep::{saturation_rate, sweep_loads};
 use fractanet::System;
 use fractanet_bench::{emit_json, header, host_cpus, system, write_bench_records, BenchRecord};
-use fractanet_telemetry::QuantileSketch;
+use fractanet_telemetry::LatencyHistogram;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -45,9 +45,9 @@ fn curve(
         telemetry: Telemetry::recording().with_event_capacity(256),
         ..SimConfig::default()
     }
-    // Streaming quantile sketches ride along (inert; see
-    // tests/properties.rs) so the per-curve trajectory row carries
-    // whole-sweep latency percentiles via sketch merge.
+    // Live metrics ride along (inert; see tests/properties.rs) so the
+    // per-curve trajectory row carries whole-sweep latency percentiles
+    // by merging each point's histogram.
     .with_metrics(MetricsConfig::sampling(1_000).with_topology(spec));
     let t0 = Instant::now();
     let pts = sweep_loads(
@@ -59,9 +59,9 @@ fn curve(
         rates,
         10_000,
     );
-    let mut curve_sketch = QuantileSketch::new();
+    let mut curve_hist = LatencyHistogram::new();
     for p in &pts {
-        curve_sketch.merge(&p.result.metrics.as_ref().expect("metrics were on").latency);
+        curve_hist.merge(&p.result.metrics.as_ref().expect("metrics were on").latency);
     }
     // One trajectory point per sweep: total simulated cycles across
     // the whole curve against its wall time, on the shared pool width.
@@ -74,7 +74,7 @@ fn curve(
             t0.elapsed(),
             sys.routes().resident_bytes(),
         )
-        .with_latency(curve_sketch.p50(), curve_sketch.p95(), curve_sketch.p99()),
+        .with_latency(curve_hist.p50(), curve_hist.p95(), curve_hist.p99()),
     );
     print!("  {name:<22}");
     let mut lat = Vec::new();

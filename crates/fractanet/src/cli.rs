@@ -297,6 +297,25 @@ fn incident_path(trace_path: &str) -> String {
     }
 }
 
+/// Writes the flight recorder's incident bundle next to the trace at
+/// `trace_path` when the run saw anomalies, noting it in `out`.
+fn write_incident_bundle(
+    m: &MetricsReport,
+    trace_path: &str,
+    out: &mut String,
+) -> Result<(), CliError> {
+    if let Some(bundle) = incident_chrome_trace(m, &[]) {
+        let ip = incident_path(trace_path);
+        std::fs::write(&ip, bundle.as_bytes())
+            .map_err(|e| CliError(format!("cannot write {ip}: {e}")))?;
+        out.push_str(&format!(
+            "flight recorder: {} anomaly(ies) — wrote incident bundle to {ip}\n",
+            m.anomalies.len()
+        ));
+    }
+    Ok(())
+}
+
 /// Renders the live-metrics block `simulate` appends: whole-run
 /// quantiles, SLO accounting, the worst group pair, and anomalies.
 fn metrics_block(m: &MetricsReport) -> String {
@@ -1471,15 +1490,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         m.injections.len(),
                         m.samples.len()
                     ));
-                    if let Some(bundle) = incident_chrome_trace(m, &[]) {
-                        let ip = incident_path(path);
-                        std::fs::write(&ip, bundle.as_bytes())
-                            .map_err(|e| CliError(format!("cannot write {ip}: {e}")))?;
-                        out.push_str(&format!(
-                            "flight recorder: {} anomaly(ies) — wrote incident bundle to {ip}\n",
-                            m.anomalies.len()
-                        ));
-                    }
+                    write_incident_bundle(m, path, &mut out)?;
                 }
             }
             if let Some(tel) = &res.telemetry {
@@ -1533,15 +1544,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     std::fs::write(path, rendered.as_bytes())
                         .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
                     out.push_str(&format!("wrote {} bytes to {path}\n", rendered.len()));
-                    if let Some(bundle) = incident_chrome_trace(m, &[]) {
-                        let ip = incident_path(path);
-                        std::fs::write(&ip, bundle.as_bytes())
-                            .map_err(|e| CliError(format!("cannot write {ip}: {e}")))?;
-                        out.push_str(&format!(
-                            "flight recorder: {} anomaly(ies) — wrote incident bundle to {ip}\n",
-                            m.anomalies.len()
-                        ));
-                    }
+                    write_incident_bundle(m, path, &mut out)?;
                 }
                 None => out.push_str(&rendered),
             }

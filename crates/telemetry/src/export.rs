@@ -1,15 +1,21 @@
 //! Trace exporters: JSONL for scripting, Chrome `trace_event` JSON for
 //! `chrome://tracing` / Perfetto, and a plain-text summary for humans.
 //!
-//! All three render from a finished [`TelemetryReport`] and share the
-//! workspace JSON writer (`fractanet_graph::json`) with the linter's
-//! `--json` output. Cycle stamps are exported as-is: in the Chrome
-//! view one microsecond of trace time equals one simulated cycle.
+//! The event-ring exporters render from a finished [`TelemetryReport`];
+//! the flight recorder's incident bundle renders from a
+//! [`MetricsReport`]. Both Chrome renderings go through one private
+//! writer, the only code that knows the `trace_event` envelope and
+//! record shapes. Everything shares the workspace JSON writer
+//! (`fractanet_graph::json`) with the linter's `--json` output. Cycle
+//! stamps are exported as-is: in the Chrome view one microsecond of
+//! trace time equals one simulated cycle.
 
 use fractanet_graph::json::{JsonArray, JsonObject};
 
 use crate::event::{Span, TraceEvent};
+use crate::metrics::{Anomaly, MetricsReport};
 use crate::recorder::TelemetryReport;
+use crate::sketch::LatencyHistogram;
 
 fn event_obj(ev: &TraceEvent) -> JsonObject {
     let o = JsonObject::new()
@@ -78,38 +84,81 @@ pub fn to_jsonl(report: &TelemetryReport) -> String {
     out
 }
 
-/// Chrome `trace_event` JSON (the `{"traceEvents":[…]}` object form).
+/// How one Chrome `trace_event` record is drawn.
+enum Phase {
+    /// A complete event (`"ph":"X"`) on thread 0 lasting `dur` cycles.
+    Complete { dur: u64 },
+    /// An instant (`"ph":"i"`) on thread `tid`, scoped to the thread
+    /// (`"t"`), the process (`"p"`) or the whole trace (`"g"`).
+    Instant { tid: u64, scope: &'static str },
+    /// A counter sample (`"ph":"C"`); counters carry no thread.
+    Counter,
+}
+
+/// The one Chrome `trace_event` writer: every record sits in process
+/// 0, and [`ChromeTrace::finish`] wraps them in the
+/// `{"traceEvents":[…]}` object form.
+struct ChromeTrace {
+    events: JsonArray,
+}
+
+impl ChromeTrace {
+    fn new() -> Self {
+        ChromeTrace {
+            events: JsonArray::new(),
+        }
+    }
+
+    fn record(&mut self, name: &str, ts: u64, phase: Phase, args: Option<JsonObject>) {
+        let o = JsonObject::new().field_str("name", name);
+        let mut o = match phase {
+            Phase::Complete { dur } => o
+                .field_str("ph", "X")
+                .field_num("ts", ts)
+                .field_num("dur", dur)
+                .field_num("pid", 0)
+                .field_num("tid", 0),
+            Phase::Instant { tid, scope } => o
+                .field_str("ph", "i")
+                .field_num("ts", ts)
+                .field_num("pid", 0)
+                .field_num("tid", tid)
+                .field_str("s", scope),
+            Phase::Counter => o
+                .field_str("ph", "C")
+                .field_num("ts", ts)
+                .field_num("pid", 0),
+        };
+        if let Some(args) = args {
+            o = o.field_raw("args", &args.build());
+        }
+        self.events.push_raw(&o.build());
+    }
+
+    fn finish(self) -> String {
+        JsonObject::new()
+            .field_raw("traceEvents", &self.events.build())
+            .field_str("displayTimeUnit", "ms")
+            .build()
+    }
+}
+
+/// Chrome `trace_event` JSON of the event ring.
 ///
 /// Spans with nonzero duration become complete events (`"ph":"X"`) —
 /// every trace contains at least the whole-run `simulation` span —
 /// zero-length spans and trace events become instants (`"ph":"i"`).
-/// One trace microsecond equals one simulated cycle.
+/// Each worm gets its own thread track. One trace microsecond equals
+/// one simulated cycle.
 pub fn to_chrome_trace(report: &TelemetryReport) -> String {
-    let mut events = JsonArray::new();
+    let mut trace = ChromeTrace::new();
     for s in &report.spans {
-        if s.duration() > 0 {
-            events.push_raw(
-                &JsonObject::new()
-                    .field_str("name", s.kind.tag())
-                    .field_str("ph", "X")
-                    .field_num("ts", s.begin)
-                    .field_num("dur", s.duration())
-                    .field_num("pid", 0)
-                    .field_num("tid", 0)
-                    .build(),
-            );
+        let phase = if s.duration() > 0 {
+            Phase::Complete { dur: s.duration() }
         } else {
-            events.push_raw(
-                &JsonObject::new()
-                    .field_str("name", s.kind.tag())
-                    .field_str("ph", "i")
-                    .field_num("ts", s.begin)
-                    .field_num("pid", 0)
-                    .field_num("tid", 0)
-                    .field_str("s", "p")
-                    .build(),
-            );
-        }
+            Phase::Instant { tid: 0, scope: "p" }
+        };
+        trace.record(s.kind.tag(), s.begin, phase, None);
     }
     for ev in &report.events {
         let mut args = JsonObject::new().field_num("worm", ev.worm());
@@ -119,25 +168,74 @@ pub fn to_chrome_trace(report: &TelemetryReport) -> String {
         if let TraceEvent::Delivered { latency, .. } = ev {
             args = args.field_num("latency", *latency);
         }
-        events.push_raw(
-            &JsonObject::new()
-                .field_str("name", ev.kind())
-                .field_str("ph", "i")
-                .field_num("ts", ev.cycle())
-                .field_num("pid", 0)
-                .field_num("tid", ev.worm() as u64 + 1)
-                .field_str("s", "t")
-                .field_raw("args", &args.build())
-                .build(),
+        let tid = ev.worm() as u64 + 1;
+        trace.record(
+            ev.kind(),
+            ev.cycle(),
+            Phase::Instant { tid, scope: "t" },
+            Some(args),
         );
     }
-    JsonObject::new()
-        .field_raw("traceEvents", &events.build())
-        .field_str("displayTimeUnit", "ms")
-        .build()
+    trace.finish()
 }
 
-fn hist_line(label: &str, h: &crate::hist::LatencyHistogram) -> String {
+/// The flight recorder's incident bundle for `report`, with `extra`
+/// anomalies appended (the chaos harness passes its invariant
+/// violations here; pass `&[]` otherwise). Returns `None` when there
+/// is nothing anomalous to dump.
+///
+/// The bundle holds one complete span covering the flight window, a
+/// counter track per live gauge and windowed quantile, and a global
+/// instant per anomaly.
+pub fn incident_chrome_trace(report: &MetricsReport, extra: &[Anomaly]) -> Option<String> {
+    if report.anomalies.is_empty() && extra.is_empty() {
+        return None;
+    }
+    let window = report.flight_window();
+    let begin = window.first().map(|s| s.cycle).unwrap_or(0);
+    let end = window
+        .last()
+        .map(|s| s.cycle)
+        .unwrap_or(report.cycles)
+        .max(begin + 1);
+
+    let mut trace = ChromeTrace::new();
+    let meta = JsonObject::new()
+        .field_str("topology", &report.topology)
+        .field_num("sample_every", report.sample_every)
+        .field_num("samples", window.len() as u64);
+    trace.record(
+        "flight_window",
+        begin,
+        Phase::Complete { dur: end - begin },
+        Some(meta),
+    );
+    for s in window {
+        for (name, value) in [
+            ("in_flight", s.in_flight),
+            ("delivered_total", s.delivered),
+            ("retries_total", s.retries),
+            ("window_p50", s.window_p50),
+            ("window_p99", s.window_p99),
+            ("routing_epoch", s.routing_epoch),
+        ] {
+            let args = JsonObject::new().field_num("value", value);
+            trace.record(name, s.cycle, Phase::Counter, Some(args));
+        }
+    }
+    for a in report.anomalies.iter().chain(extra) {
+        let args = JsonObject::new().field_str("detail", &a.detail);
+        trace.record(
+            a.kind.tag(),
+            a.cycle,
+            Phase::Instant { tid: 0, scope: "g" },
+            Some(args),
+        );
+    }
+    Some(trace.finish())
+}
+
+fn hist_line(label: &str, h: &LatencyHistogram) -> String {
     if h.count() == 0 {
         format!("  {label}: (no samples)\n")
     } else {
@@ -223,7 +321,9 @@ pub fn to_text_summary(report: &TelemetryReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{AnomalyKind, MetricsConfig};
     use crate::recorder::Recorder;
+    use fractanet_graph::{LinkClass, Network};
 
     fn faulted_report() -> TelemetryReport {
         let mut r = Recorder::new(128, 4);
@@ -313,5 +413,57 @@ mod tests {
         assert!(out.contains("post-fault"));
         assert!(out.contains("utilization histogram"));
         assert!(out.contains("c0"));
+    }
+
+    fn metrics_report(with_anomaly: bool) -> MetricsReport {
+        let mut net = Network::new();
+        let r0 = net.add_router("r0", 6);
+        let n0 = net.add_end_node("n0");
+        let n1 = net.add_end_node("n1");
+        net.connect_any(n0, r0, LinkClass::Attach).unwrap();
+        net.connect_any(n1, r0, LinkClass::Attach).unwrap();
+        let mut rec = MetricsConfig::sampling(10)
+            .with_window(2)
+            .recorder(&net, 2, 6)
+            .unwrap();
+        rec.generated(1, 0, 1);
+        rec.delivered(8, 0, 1, 7);
+        rec.sample(10, 3, 0, &[0; 4]);
+        rec.sample(20, 1, 0, &[0; 4]);
+        rec.sample(30, 0, 1, &[0; 4]);
+        if with_anomaly {
+            rec.deadlock(25, "stuck".into());
+        }
+        rec.finish(30, &[0; 4])
+    }
+
+    #[test]
+    fn quiet_runs_dump_nothing() {
+        assert!(incident_chrome_trace(&metrics_report(false), &[]).is_none());
+    }
+
+    #[test]
+    fn anomalies_produce_a_valid_bundle() {
+        let out = incident_chrome_trace(&metrics_report(true), &[]).expect("bundle");
+        balanced(&out);
+        assert!(out.starts_with("{\"traceEvents\":["));
+        assert!(out.contains("\"name\":\"flight_window\""));
+        assert!(out.contains("\"ph\":\"X\""));
+        assert!(out.contains("\"ph\":\"C\""));
+        assert!(out.contains("\"name\":\"deadlock\""));
+        // The window keeps only the last two samples.
+        assert!(!out.contains("\"ts\":10,\"pid\":0,\"args\""));
+    }
+
+    #[test]
+    fn extra_anomalies_force_a_dump() {
+        let extra = vec![Anomaly {
+            cycle: 5,
+            kind: AnomalyKind::InvariantViolation,
+            detail: "exactly_once: lost 1".into(),
+        }];
+        let out = incident_chrome_trace(&metrics_report(false), &extra).expect("bundle");
+        assert!(out.contains("\"name\":\"invariant_violation\""));
+        assert!(out.contains("exactly_once: lost 1"));
     }
 }

@@ -17,8 +17,8 @@
 //!   worst-link-contention figure computed with the same bipartite
 //!   matching the analytical L5 bound uses, so simulation can be
 //!   checked against the paper's Table 2 numbers;
-//! * log-bucketed latency histograms ([`LatencyHistogram`]) split
-//!   pre-/post-fault;
+//! * one latency type for every figure, the mergeable log₂-bucketed
+//!   [`LatencyHistogram`], here split pre-/post-fault;
 //! * recovery spans ([`Span`]) that decompose
 //!   `RecoveryStats::time_to_recover` into table-repair and
 //!   redelivery phases;
@@ -26,11 +26,12 @@
 //!   JSON ([`export::to_chrome_trace`]) and a plain-text summary
 //!   ([`export::to_text_summary`]);
 //! * a *live* metrics layer ([`metrics`]): counters, gauges,
-//!   mergeable sliding-window quantile sketches ([`QuantileSketch`]),
+//!   whole-run, per-class and sliding-window latency histograms,
 //!   per-traffic-class SLO accounting, a Prometheus text exporter
-//!   ([`prom::to_prometheus`]) and a flight recorder that renders
-//!   Chrome-trace incident bundles on anomaly
-//!   ([`flight::incident_chrome_trace`]).
+//!   ([`prom::to_prometheus`]) and a flight recorder whose anomalies
+//!   render as Chrome-trace incident bundles
+//!   ([`export::incident_chrome_trace`]). Both Chrome renderings go
+//!   through one private `trace_event` writer in [`export`].
 //!
 //! ## Zero cost when off
 //!
@@ -48,8 +49,6 @@
 pub mod channels;
 pub mod event;
 pub mod export;
-pub mod flight;
-pub mod hist;
 pub mod metrics;
 pub mod prom;
 pub mod recorder;
@@ -58,16 +57,14 @@ pub mod sketch;
 
 pub use channels::{matching_bound, ChannelSummary};
 pub use event::{Span, SpanKind, TraceEvent};
-pub use export::{to_chrome_trace, to_jsonl, to_text_summary};
-pub use flight::incident_chrome_trace;
-pub use hist::LatencyHistogram;
+pub use export::{incident_chrome_trace, to_chrome_trace, to_jsonl, to_text_summary};
 pub use metrics::{
     Anomaly, AnomalyKind, ClassStats, MetricsConfig, MetricsRecorder, MetricsReport, MetricsSample,
     MetricsTotals,
 };
 pub use prom::to_prometheus;
 pub use recorder::{Recorder, TelemetryReport};
-pub use sketch::QuantileSketch;
+pub use sketch::LatencyHistogram;
 
 /// Default event-ring capacity when recording is enabled.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;

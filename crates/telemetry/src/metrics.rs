@@ -1,5 +1,5 @@
-//! Live streaming metrics: counters, gauges, sliding-window quantile
-//! sketches, and per-traffic-class SLO accounting.
+//! Live streaming metrics: counters, gauges, sliding-window latency
+//! histograms, and per-traffic-class SLO accounting.
 //!
 //! The design mirrors the event-ring telemetry split: [`MetricsConfig`]
 //! is pure *configuration* carried on `SimConfig` (cheap to clone, safe
@@ -20,7 +20,7 @@
 //! within the SLO deadline, abandons, and retry-budget burn — the
 //! serving-fabric SLO surface ROADMAP item 1 asks for.
 
-use crate::sketch::QuantileSketch;
+use crate::sketch::LatencyHistogram;
 use fractanet_graph::{LinkClass, Network};
 use std::collections::VecDeque;
 
@@ -32,9 +32,9 @@ pub const DEFAULT_WINDOW: usize = 8;
 pub const DEFAULT_GROUPS: usize = 4;
 /// Default SLO delivery deadline, in cycles.
 pub const DEFAULT_DEADLINE: u64 = 1_000;
-/// Default delivered-within-deadline ratio below which a traffic
-/// class is flagged as breaching its SLO.
-pub const DEFAULT_SLO_TARGET: f64 = 0.99;
+/// Delivered-within-deadline ratio below which a traffic class is
+/// flagged as breaching its SLO.
+pub const SLO_TARGET: f64 = 0.99;
 
 /// Metrics configuration carried on `SimConfig`. A value, not a
 /// handle: engines construct their own private [`MetricsRecorder`]
@@ -46,7 +46,6 @@ pub struct MetricsConfig {
     window: usize,
     groups: usize,
     deadline: u64,
-    slo_target: f64,
     topology: String,
 }
 
@@ -59,13 +58,12 @@ impl MetricsConfig {
             window: 0,
             groups: 0,
             deadline: 0,
-            slo_target: 0.0,
             topology: String::new(),
         }
     }
 
     /// Metrics enabled, sampling every `every` cycles (clamped to at
-    /// least 1) with default window, grouping, and SLO settings.
+    /// least 1) with default window, grouping, and SLO deadline.
     pub fn sampling(every: u64) -> Self {
         MetricsConfig {
             enabled: true,
@@ -73,7 +71,6 @@ impl MetricsConfig {
             window: DEFAULT_WINDOW,
             groups: DEFAULT_GROUPS,
             deadline: DEFAULT_DEADLINE,
-            slo_target: DEFAULT_SLO_TARGET,
             topology: String::new(),
         }
     }
@@ -93,13 +90,6 @@ impl MetricsConfig {
     /// Sets the SLO delivery deadline in cycles.
     pub fn with_deadline(mut self, deadline: u64) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the delivered-within-deadline ratio that counts as meeting
-    /// the SLO.
-    pub fn with_slo_target(mut self, target: f64) -> Self {
-        self.slo_target = target;
         self
     }
 
@@ -235,8 +225,8 @@ pub struct ClassStats {
     pub abandoned: u64,
     /// Retries scheduled.
     pub retries: u64,
-    /// End-to-end latency sketch for the class.
-    pub latency: QuantileSketch,
+    /// End-to-end latency histogram for the class.
+    pub latency: LatencyHistogram,
 }
 
 impl ClassStats {
@@ -249,30 +239,38 @@ impl ClassStats {
             within_deadline: 0,
             abandoned: 0,
             retries: 0,
-            latency: QuantileSketch::new(),
+            latency: LatencyHistogram::new(),
         }
     }
 
     /// Delivered-within-deadline ratio (1.0 when nothing delivered
     /// yet — no delivery has missed its deadline).
     pub fn slo_ratio(&self) -> f64 {
-        if self.delivered == 0 {
-            1.0
-        } else {
-            self.within_deadline as f64 / self.delivered as f64
-        }
+        slo_ratio(self.within_deadline, self.delivered)
     }
 
     /// Fraction of the class's total retry budget burned:
     /// `retries / (generated × max_retries)` (0 when nothing
     /// generated or retries are disabled).
     pub fn retry_budget_burn(&self, max_retries: u32) -> f64 {
-        let budget = self.generated.saturating_mul(max_retries as u64);
-        if budget == 0 {
-            0.0
-        } else {
-            self.retries as f64 / budget as f64
-        }
+        retry_budget_burn(self.retries, self.generated, max_retries)
+    }
+}
+
+fn slo_ratio(within_deadline: u64, delivered: u64) -> f64 {
+    if delivered == 0 {
+        1.0
+    } else {
+        within_deadline as f64 / delivered as f64
+    }
+}
+
+fn retry_budget_burn(retries: u64, generated: u64, max_retries: u32) -> f64 {
+    let budget = generated.saturating_mul(max_retries as u64);
+    if budget == 0 {
+        0.0
+    } else {
+        retries as f64 / budget as f64
     }
 }
 
@@ -365,9 +363,9 @@ pub struct MetricsRecorder {
     max_retries: u32,
     totals: MetricsTotals,
     classes: Vec<ClassStats>,
-    latency: QuantileSketch,
-    interval: QuantileSketch,
-    window: VecDeque<QuantileSketch>,
+    latency: LatencyHistogram,
+    interval: LatencyHistogram,
+    window: VecDeque<LatencyHistogram>,
     samples: Vec<MetricsSample>,
     anomalies: Vec<Anomaly>,
     injections: Vec<(u64, u32, u32)>,
@@ -392,8 +390,8 @@ impl MetricsRecorder {
             max_retries,
             totals: MetricsTotals::default(),
             classes,
-            latency: QuantileSketch::new(),
-            interval: QuantileSketch::new(),
+            latency: LatencyHistogram::new(),
+            interval: LatencyHistogram::new(),
             window: VecDeque::new(),
             samples: Vec::new(),
             anomalies: Vec::new(),
@@ -492,13 +490,22 @@ impl MetricsRecorder {
         });
     }
 
+    /// Sums per-channel busy counts into per-channel-class totals.
+    fn busy_by_class(&self, busy: &[u64]) -> Vec<u64> {
+        let mut by_class = vec![0u64; self.class_labels.len()];
+        for (i, &b) in busy.iter().enumerate() {
+            by_class[self.chan_class[i] as usize] += b;
+        }
+        by_class
+    }
+
     /// Whether `cycle` is a sampling boundary.
     pub fn due(&self, cycle: u64) -> bool {
         cycle > 0 && cycle.is_multiple_of(self.cfg.sample_every)
     }
 
     /// Takes one sample at the end of `cycle`: rolls the interval
-    /// sketch into the sliding window, reads the window quantiles,
+    /// histogram into the sliding window, reads the window quantiles,
     /// snapshots every counter and gauge, and checks each traffic
     /// class against the SLO target (first breach per class is
     /// recorded as an anomaly).
@@ -507,14 +514,11 @@ impl MetricsRecorder {
             self.window.pop_front();
         }
         self.window.push_back(std::mem::take(&mut self.interval));
-        let mut merged = QuantileSketch::new();
+        let mut merged = LatencyHistogram::new();
         for s in &self.window {
             merged.merge(s);
         }
-        let mut busy_by_class = vec![0u64; self.class_labels.len()];
-        for (i, &b) in busy.iter().enumerate() {
-            busy_by_class[self.chan_class[i] as usize] += b;
-        }
+        let busy_by_class = self.busy_by_class(busy);
         self.samples.push(MetricsSample {
             cycle,
             generated: self.totals.generated,
@@ -533,7 +537,7 @@ impl MetricsRecorder {
             busy_by_class,
         });
         for (i, c) in self.classes.iter().enumerate() {
-            if c.delivered > 0 && c.slo_ratio() < self.cfg.slo_target && !self.breached[i] {
+            if c.delivered > 0 && c.slo_ratio() < SLO_TARGET && !self.breached[i] {
                 self.breached[i] = true;
                 self.anomalies.push(Anomaly {
                     cycle,
@@ -549,7 +553,7 @@ impl MetricsRecorder {
                         c.delivered,
                         self.cfg.deadline,
                         c.slo_ratio(),
-                        self.cfg.slo_target
+                        SLO_TARGET
                     ),
                 });
             }
@@ -566,10 +570,7 @@ impl MetricsRecorder {
             let epoch = self.samples.last().map(|s| s.routing_epoch).unwrap_or(0);
             self.sample(cycles, 0, epoch, busy);
         }
-        let mut busy_by_class = vec![0u64; self.class_labels.len()];
-        for (i, &b) in busy.iter().enumerate() {
-            busy_by_class[self.chan_class[i] as usize] += b;
-        }
+        let busy_by_class = self.busy_by_class(busy);
         let classes = self
             .classes
             .into_iter()
@@ -621,8 +622,8 @@ pub struct MetricsReport {
     pub class_labels: Vec<String>,
     /// Final cumulative busy cycles per channel class.
     pub busy_by_class: Vec<u64>,
-    /// Whole-run latency sketch.
-    pub latency: QuantileSketch,
+    /// Whole-run latency histogram.
+    pub latency: LatencyHistogram,
     /// The exported time series, one sample per boundary (plus a
     /// final sample at run end).
     pub samples: Vec<MetricsSample>,
@@ -636,24 +637,12 @@ pub struct MetricsReport {
 impl MetricsReport {
     /// Overall delivered-within-deadline ratio.
     pub fn slo_ratio(&self) -> f64 {
-        if self.totals.delivered == 0 {
-            1.0
-        } else {
-            self.totals.within_deadline as f64 / self.totals.delivered as f64
-        }
+        slo_ratio(self.totals.within_deadline, self.totals.delivered)
     }
 
     /// Overall retry-budget burn.
     pub fn retry_budget_burn(&self) -> f64 {
-        let budget = self
-            .totals
-            .generated
-            .saturating_mul(self.max_retries as u64);
-        if budget == 0 {
-            0.0
-        } else {
-            self.totals.retries as f64 / budget as f64
-        }
+        retry_budget_burn(self.totals.retries, self.totals.generated, self.max_retries)
     }
 
     /// Whether the flight recorder saw anything worth dumping.

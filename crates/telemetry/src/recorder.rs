@@ -13,8 +13,8 @@ use fractanet_graph::ChannelId;
 
 use crate::channels::{matching_bound, ChannelCounters, ChannelSummary};
 use crate::event::{Span, SpanKind, TraceEvent};
-use crate::hist::LatencyHistogram;
 use crate::ring::EventRing;
+use crate::sketch::LatencyHistogram;
 
 /// Live telemetry state for one engine run.
 #[derive(Clone, Debug)]

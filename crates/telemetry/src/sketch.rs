@@ -1,28 +1,34 @@
-//! Mergeable log₂-bucketed quantile sketches.
+//! Mergeable log₂-bucketed latency histograms.
 //!
-//! A [`QuantileSketch`] is the streaming sibling of
-//! [`LatencyHistogram`](crate::hist::LatencyHistogram): the same
-//! power-of-two bucketing (bucket `i` holds values in `[2^(i-1), 2^i)`,
-//! bucket 0 holds zero), the same rank-based quantile read-out, plus a
-//! lossless [`merge`](QuantileSketch::merge). Merging is element-wise
-//! bucket addition — associative and commutative by construction — so
-//! per-shard or per-interval sketches combine into exactly the sketch
-//! a single observer would have built, and sliding-window quantiles
-//! fall out of merging the live interval ring. The only field that is
-//! not a sum is `max`, which merges by maximum and stays exact.
+//! A [`LatencyHistogram`] puts each sample in a power-of-two bucket
+//! (bucket `i` holds values in `[2^(i-1), 2^i)`, bucket 0 holds zero),
+//! so recording is O(1), the footprint is 65 counters regardless of run
+//! length, and quantiles are exact to within a factor of two — plenty
+//! to tell a healthy p99 from a pileup. The true maximum is tracked
+//! exactly.
+//!
+//! The one type serves every latency figure in the crate: the event
+//! ring's pre-/post-fault split, the metrics layer's whole-run and
+//! per-class histograms, and its sliding window. Merging is
+//! element-wise bucket addition — associative and commutative by
+//! construction — so per-shard or per-interval histograms combine into
+//! exactly the histogram a single observer would have built, and
+//! sliding-window quantiles fall out of merging the live interval
+//! ring. The only field that is not a sum is `max`, which merges by
+//! maximum and stays exact.
 
-/// Fixed-footprint mergeable quantile sketch over `u64` samples.
+/// Fixed-footprint mergeable histogram of `u64` samples (cycle counts).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QuantileSketch {
+pub struct LatencyHistogram {
     buckets: [u64; 65],
     count: u64,
     sum: u64,
     max: u64,
 }
 
-impl Default for QuantileSketch {
+impl Default for LatencyHistogram {
     fn default() -> Self {
-        QuantileSketch {
+        LatencyHistogram {
             buckets: [0; 65],
             count: 0,
             sum: 0,
@@ -31,15 +37,21 @@ impl Default for QuantileSketch {
     }
 }
 
-/// The shared log₂ bucket index: identical to the histogram's, so a
-/// sketch and a [`LatencyHistogram`](crate::hist::LatencyHistogram)
-/// fed the same samples report the same bucket quantiles.
 fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
-impl QuantileSketch {
-    /// An empty sketch.
+/// The largest value bucket `i` holds.
+fn upper_bound(i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        (1u64 << i) - 1
+    }
+}
+
+impl LatencyHistogram {
+    /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
@@ -53,9 +65,9 @@ impl QuantileSketch {
     }
 
     /// Folds `other` into `self`. Lossless: the result is exactly the
-    /// sketch of the concatenated sample streams, so the operation is
-    /// associative and commutative (the merge proptests pin this).
-    pub fn merge(&mut self, other: &QuantileSketch) {
+    /// histogram of the concatenated sample streams, so the operation
+    /// is associative and commutative (the merge proptests pin this).
+    pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
@@ -65,15 +77,15 @@ impl QuantileSketch {
     }
 
     /// Returns the merge of `self` and `other` without mutating either.
-    pub fn merged(&self, other: &QuantileSketch) -> QuantileSketch {
+    pub fn merged(&self, other: &LatencyHistogram) -> LatencyHistogram {
         let mut out = self.clone();
         out.merge(other);
         out
     }
 
-    /// Empties the sketch in place (for interval-ring reuse).
+    /// Empties the histogram in place.
     pub fn reset(&mut self) {
-        *self = QuantileSketch::default();
+        *self = LatencyHistogram::default();
     }
 
     /// Samples recorded.
@@ -106,9 +118,9 @@ impl QuantileSketch {
     }
 
     /// The quantile `q` in `[0, 1]`, reported as the upper bound of
-    /// the bucket containing it, capped at the exact maximum — the
-    /// same read-out rule as the whole-run histogram, so the two agree
-    /// bucket-for-bucket on identical streams. Returns 0 when empty.
+    /// the bucket containing it, capped at the exact maximum (so
+    /// `quantile(0.5)` is within 2× of the true median). Returns 0
+    /// when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -118,8 +130,7 @@ impl QuantileSketch {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let ub = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                return ub.min(self.max);
+                return upper_bound(i).min(self.max);
             }
         }
         self.max
@@ -146,7 +157,7 @@ impl QuantileSketch {
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { (1u64 << i) - 1 }, c))
+            .map(|(i, &c)| (upper_bound(i), c))
             .collect()
     }
 }
@@ -154,34 +165,54 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LatencyHistogram;
 
     #[test]
-    fn sketch_matches_histogram_on_identical_streams() {
-        let mut s = QuantileSketch::new();
+    fn buckets_are_log2() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!(bucket_of(2), 2);
+        assert_eq!(bucket_of(3), 2);
+        assert_eq!(bucket_of(4), 3);
+        assert_eq!(bucket_of(u64::MAX), 64);
+    }
+
+    #[test]
+    fn quantiles_bound_truth_within_2x() {
         let mut h = LatencyHistogram::new();
-        for v in [0u64, 1, 2, 3, 7, 8, 100, 1023, 1024, 65_536] {
-            s.record(v);
+        for v in 1..=1000u64 {
             h.record(v);
         }
-        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(s.quantile(q), h.quantile(q), "q={q}");
-        }
-        assert_eq!(s.max(), h.max());
-        assert_eq!(s.count(), h.count());
-        assert_eq!(s.rows(), h.rows());
+        assert_eq!(h.count(), 1000);
+        assert_eq!(h.max(), 1000);
+        assert!((h.mean() - 500.5).abs() < 1e-9);
+        // True p50 = 500; bucket answer in [500, 1000).
+        let p50 = h.p50();
+        assert!((500..1000).contains(&p50), "{p50}");
+        // p99 = 990; bucket answer in [990, 1980) but capped at max.
+        let p99 = h.p99();
+        assert!((990..=1000).contains(&p99), "{p99}");
+        assert_eq!(h.quantile(1.0), 1000);
+    }
+
+    #[test]
+    fn rows_report_populated_buckets() {
+        let mut h = LatencyHistogram::new();
+        h.record(0);
+        h.record(5);
+        h.record(6);
+        assert_eq!(h.rows(), vec![(0, 1), (7, 2)]);
     }
 
     #[test]
     fn merge_equals_single_stream() {
         let samples: Vec<u64> = (0..500).map(|i| (i * i) % 7919).collect();
-        let mut whole = QuantileSketch::new();
+        let mut whole = LatencyHistogram::new();
         for &v in &samples {
             whole.record(v);
         }
         let (left, right) = samples.split_at(137);
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
+        let mut a = LatencyHistogram::new();
+        let mut b = LatencyHistogram::new();
         for &v in left {
             a.record(v);
         }
@@ -194,23 +225,24 @@ mod tests {
 
     #[test]
     fn empty_sketch_reads_zero() {
-        let s = QuantileSketch::new();
-        assert!(s.is_empty());
-        assert_eq!(s.p50(), 0);
-        assert_eq!(s.p99(), 0);
-        assert_eq!(s.max(), 0);
-        assert_eq!(s.mean(), 0.0);
-        // Merging an empty sketch is the identity.
-        let mut t = QuantileSketch::new();
+        let h = LatencyHistogram::new();
+        assert!(h.is_empty());
+        assert_eq!(h.p50(), 0);
+        assert_eq!(h.p99(), 0);
+        assert_eq!(h.max(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert!(h.rows().is_empty());
+        // Merging an empty histogram is the identity.
+        let mut t = LatencyHistogram::new();
         t.record(42);
-        assert_eq!(t.merged(&s), t);
+        assert_eq!(t.merged(&h), t);
     }
 
     #[test]
     fn reset_restores_the_identity() {
-        let mut s = QuantileSketch::new();
-        s.record(9);
-        s.reset();
-        assert_eq!(s, QuantileSketch::new());
+        let mut h = LatencyHistogram::new();
+        h.record(9);
+        h.reset();
+        assert_eq!(h, LatencyHistogram::new());
     }
 }
