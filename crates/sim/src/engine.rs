@@ -1484,7 +1484,11 @@ impl<'a> Engine<'a> {
     ) -> SimResult {
         let n = self.ends.len().max(1);
         let telemetry = self.tel.take().map(|r| r.finish(cycles, &self.busy));
-        let metrics = self.met.take().map(|m| m.finish(cycles, &self.busy));
+        let epoch = (self.epochs.len() - 1) as u64;
+        let metrics = self
+            .met
+            .take()
+            .map(|m| m.finish(cycles, self.in_flight as u64, epoch, &self.busy));
         let mut lats = self.latencies.clone();
         lats.sort_unstable();
         let avg = |v: &[u64]| {
@@ -2025,6 +2029,46 @@ mod tests {
         // The 0 → 1 route is three hops; once the pipeline fills, all
         // three channels run within two flits of fully busy.
         assert_eq!(tel.utilization_histogram()[9], 3);
+    }
+
+    #[test]
+    fn final_metrics_sample_reports_live_in_flight() {
+        use fractanet_telemetry::MetricsConfig;
+        let (r, rs) = ring4();
+        let last_in_flight = |cfg: SimConfig, wl: Workload| {
+            let res = engine(&r, &rs, cfg.with_metrics(MetricsConfig::sampling(100))).run(wl);
+            let m = res.metrics.as_ref().expect("metrics were sampling");
+            let last = m.samples.last().expect("a final sample");
+            assert_eq!(last.cycle, res.cycles);
+            (res.deadlock.clone(), last.in_flight)
+        };
+
+        // Cut off at max_cycles with the long worm still in the fabric.
+        let cut = SimConfig::default()
+            .with_packet_flits(1_000)
+            .with_max_cycles(500);
+        let (_, n) = last_in_flight(cut, Workload::Scripted(vec![(0, 0, 1)]));
+        assert_eq!(n, 1);
+
+        // Deadlocked: the stuck worms are still in flight.
+        let fig1 = SimConfig {
+            packet_flits: 32,
+            buffer_depth: 2,
+            max_cycles: 10_000,
+            stall_threshold: 200,
+            ..SimConfig::default()
+        };
+        let (dl, n) = last_in_flight(fig1, Workload::fig1_ring(4));
+        let dl = dl.expect("Fig 1 must deadlock");
+        assert_eq!(n, dl.stuck_packets as u64);
+
+        // Drained: nothing is left.
+        let drained = SimConfig::default()
+            .with_packet_flits(8)
+            .with_max_cycles(500);
+        let (dl, n) = last_in_flight(drained, Workload::Scripted(vec![(0, 0, 1)]));
+        assert!(dl.is_none());
+        assert_eq!(n, 0);
     }
 
     #[test]

@@ -434,7 +434,7 @@ mod tests {
         if with_anomaly {
             rec.deadlock(25, "stuck".into());
         }
-        rec.finish(30, &[0; 4])
+        rec.finish(30, 0, 1, &[0; 4])
     }
 
     #[test]

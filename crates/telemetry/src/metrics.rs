@@ -561,14 +561,20 @@ impl MetricsRecorder {
     }
 
     /// Consumes the recorder into a report. `cycles` is the number of
-    /// cycles simulated and `busy` the engine's authoritative final
-    /// per-channel busy counts.
-    pub fn finish(mut self, cycles: u64, busy: &[u64]) -> MetricsReport {
+    /// cycles simulated; `in_flight`, `routing_epoch` and `busy` are
+    /// the engine's live gauges and authoritative per-channel busy
+    /// counts at the end of the run.
+    pub fn finish(
+        mut self,
+        cycles: u64,
+        in_flight: u64,
+        routing_epoch: u64,
+        busy: &[u64],
+    ) -> MetricsReport {
         // A final implicit sample so short runs and trailing partial
         // intervals are never lost from the time series.
         if self.samples.last().map(|s| s.cycle) != Some(cycles) {
-            let epoch = self.samples.last().map(|s| s.routing_epoch).unwrap_or(0);
-            self.sample(cycles, 0, epoch, busy);
+            self.sample(cycles, in_flight, routing_epoch, busy);
         }
         let busy_by_class = self.busy_by_class(busy);
         let classes = self
@@ -704,7 +710,7 @@ mod tests {
         r.delivered(50, 0, 7, 50);
         r.delivered(200, 1, 7, 200);
         r.retried(5, 0, 7);
-        let rep = r.finish(200, &[3, 4, 5, 6]);
+        let rep = r.finish(200, 1, 2, &[3, 4, 5, 6]);
         assert_eq!(rep.totals.delivered, 2);
         assert_eq!(rep.totals.within_deadline, 1);
         assert_eq!(rep.slo_ratio(), 0.5);
@@ -714,8 +720,13 @@ mod tests {
         assert_eq!(c.within_deadline, 1);
         assert!((c.retry_budget_burn(6) - 1.0 / 12.0).abs() < 1e-12);
         assert_eq!(rep.busy_by_class, vec![7, 11]);
-        // The final implicit sample closes the series.
-        assert_eq!(rep.samples.last().unwrap().cycle, 200);
+        // The final implicit sample closes the series with the live
+        // gauges the engine passed in.
+        let last = rep.samples.last().unwrap();
+        assert_eq!(
+            (last.cycle, last.in_flight, last.routing_epoch),
+            (200, 1, 2)
+        );
         assert_eq!(rep.injections.len(), 2);
     }
 
@@ -744,7 +755,7 @@ mod tests {
         }
         r.sample(10, 0, 0, &[0; 4]);
         r.sample(20, 0, 0, &[0; 4]);
-        let rep = r.finish(20, &[0; 4]);
+        let rep = r.finish(20, 0, 0, &[0; 4]);
         let breaches: Vec<_> = rep
             .anomalies
             .iter()
@@ -760,7 +771,7 @@ mod tests {
         let mut r = recorder(2, 8);
         r.heal_installed(40, 1);
         r.deadlock(77, "4 channels stuck".into());
-        let rep = r.finish(80, &[0; 4]);
+        let rep = r.finish(80, 4, 1, &[0; 4]);
         assert_eq!(rep.totals.heal_installs, 1);
         assert_eq!(rep.totals.deadlock_cycle, Some(77));
         assert_eq!(rep.anomalies.len(), 2);

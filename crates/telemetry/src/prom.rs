@@ -324,7 +324,7 @@ mod tests {
         rec.delivered(90, 1, 0, 89);
         rec.retried(5, 1, 0);
         rec.sample(10, 1, 0, &[2; 6]);
-        rec.finish(30, &[4; 6])
+        rec.finish(30, 0, 0, &[4; 6])
     }
 
     #[test]
