@@ -42,7 +42,7 @@ fn timed_run(sys: &System, t: &Target, threads: usize) -> (SimResult, BenchRecor
     .with_threads(threads)
     // The live-metrics pipeline rides along on every measured run: it
     // is provably inert (see tests/properties.rs), so the bit-identity
-    // baseline asserts below still hold, and its streaming sketch
+    // baseline asserts below still hold, and its latency histogram
     // stamps real latency percentiles onto each trajectory row.
     .with_metrics(MetricsConfig::sampling(500).with_topology(t.spec));
     let wl = Workload::Bernoulli {

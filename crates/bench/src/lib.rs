@@ -92,8 +92,8 @@ impl BenchRecord {
         }
     }
 
-    /// Stamps simulated-latency percentiles (from the run's streaming
-    /// quantile sketch) onto the record.
+    /// Stamps simulated-latency percentiles (from the run's live-metrics
+    /// latency histogram) onto the record.
     pub fn with_latency(mut self, p50: u64, p95: u64, p99: u64) -> Self {
         self.latency_p50 = p50;
         self.latency_p95 = p95;

@@ -42,7 +42,7 @@ pub struct SimConfig {
     /// off the engine creates no recorder and pays one predictable
     /// branch per instrumentation site).
     pub telemetry: Telemetry,
-    /// Live metrics: counters, sliding-window quantile sketches and
+    /// Live metrics: counters, sliding-window latency histograms and
     /// per-traffic-class SLO accounting, sampled every N cycles at the
     /// serial commit point (off by default; provably inert — results
     /// are bit-identical with metrics on or off at every thread
