@@ -195,6 +195,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_histogram_is_all_zero() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.p50(), 0);
+        assert_eq!(h.p99(), 0);
+        assert_eq!(h.max(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert!(h.rows().is_empty());
+    }
+
+    #[test]
     fn rows_report_populated_buckets() {
         let mut h = LatencyHistogram::new();
         h.record(0);
@@ -231,7 +241,6 @@ mod tests {
         assert_eq!(h.p99(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.rows().is_empty());
         // Merging an empty histogram is the identity.
         let mut t = LatencyHistogram::new();
         t.record(42);
