@@ -82,8 +82,13 @@ fn bench_table2(c: &mut Criterion) {
     c.bench_function("table2_contention_fractahedron_64", |b| {
         b.iter(|| max_link_contention(ff.net(), ff.route_set()).worst)
     });
+    // A fresh system per call: `analyze` caches its certificate.
     c.bench_function("table2_full_analyze_fractahedron", |b| {
-        b.iter(|| ff.analyze().routers)
+        b.iter_batched(
+            || System::fat_fractahedron(2),
+            |sys| sys.analyze().routers,
+            BatchSize::LargeInput,
+        )
     });
     c.bench_function("table2_cdg_build_fractahedron", |b| {
         b.iter(|| ChannelDependencyGraph::from_routes(ff.net(), ff.route_set()).dependency_count())
@@ -117,19 +122,29 @@ fn bench_certify(c: &mut Criterion) {
                 .len()
         })
     });
+    // A fresh system per call: `lint_exact` caches its certificate.
     c.bench_function("lint_exact_mesh_10x10", |b| {
-        b.iter(|| assert!(m.lint_exact().is_clean()))
+        b.iter_batched(
+            || "mesh:10x10".parse::<TopoSpec>().unwrap().build(),
+            |m| assert!(m.lint_exact().is_clean()),
+            BatchSize::LargeInput,
+        )
     });
 }
 
 /// Table-view certification on fat-fractahedron:3 (512 end nodes),
 /// read from one routing forest per destination: the default lint
-/// (L1–L5 with the depth-first discipline, contention included) and
-/// the contention report alone.
+/// (L1–L5 with the depth-first discipline, contention included), the
+/// contention report alone, and the one sweep a `System` certificate
+/// runs — dependency graph, hop statistics, contention and L1/L2/L4 fed
+/// by each forest in turn. Plus the CDG alone on mesh:24x24 (1152 end
+/// nodes).
 fn bench_forest_certify(c: &mut Criterion) {
+    use fractanet::deadlock::CdgSweep;
     use fractanet::lint::Discipline;
-    use fractanet::metrics::max_link_contention_paths;
+    use fractanet::metrics::{max_link_contention_paths, ContentionSweep, HopSweep};
     use fractanet::route::fractal::fractal_routes;
+    use fractanet::route::DestForest;
     let f = Fractahedron::new(3, Variant::Fat, false).unwrap();
     let routes = fractal_routes(&f);
     let (net, ends) = (f.net(), f.end_nodes());
@@ -143,6 +158,35 @@ fn bench_forest_certify(c: &mut Criterion) {
     });
     c.bench_function("contention_tables_fat_fractahedron_3", |b| {
         b.iter(|| max_link_contention_paths(net, Paths::tables(net, ends, &routes)).worst)
+    });
+    c.bench_function("forest_sweep_fat_fractahedron_3", |b| {
+        b.iter(|| {
+            let linter = Linter::new(net, ends).with_discipline(Discipline::fractahedral(&f));
+            let mut cdg = CdgSweep::new(net);
+            let mut hops = HopSweep::new(ends.len());
+            let mut contention = ContentionSweep::new(net, ends.len());
+            let mut pairs = linter.pair_sweep(&routes);
+            DestForest::sweep(
+                net,
+                ends,
+                &routes,
+                &mut [&mut cdg, &mut hops, &mut contention, &mut pairs],
+            );
+            (
+                cdg.finish().dependency_count(),
+                hops.finish().expect("all routed").max,
+                contention.finish().worst,
+                pairs.finish(),
+            )
+        })
+    });
+    let mesh = Mesh2D::new(24, 24, 2, 6).unwrap();
+    let mesh_routes = fractanet::route::dor::mesh_xy_routes(&mesh);
+    c.bench_function("cdg_from_tables_mesh_24x24", |b| {
+        b.iter(|| {
+            ChannelDependencyGraph::from_tables(mesh.net(), mesh.end_nodes(), &mesh_routes)
+                .dependency_count()
+        })
     });
 }
 

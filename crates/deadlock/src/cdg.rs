@@ -9,7 +9,7 @@
 //! dependency, made static.
 
 use fractanet_graph::{AdjList, ChannelId, Network, NodeId, PortId};
-use fractanet_route::{DestForest, Paths, RouteSet, Routes};
+use fractanet_route::{DestForest, ForestConsumer, RouteSet, Routes};
 
 /// Where a dependency first occurs in the s-major pair walk:
 /// `(source, destination, window position along the path)`.
@@ -27,33 +27,12 @@ pub struct ChannelDependencyGraph {
 
 impl ChannelDependencyGraph {
     /// Builds the CDG from every path of `routes`. Duplicate
-    /// dependencies (contributed by many pairs) are collapsed.
-    pub fn from_routes(net: &Network, routes: &RouteSet) -> Self {
-        Self::from_paths(net, Paths::dense(routes))
-    }
-
-    /// Builds the CDG from destination tables, one routing forest per
-    /// destination — no pair is traced and no dense path matrix is
-    /// materialized. Pairs whose trace fails (holes, loops) contribute
-    /// no dependencies; the linter reports those separately.
-    pub fn from_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
-        Self::from_paths(net, Paths::tables(net, ends, routes))
-    }
-
-    /// Builds the CDG from any per-pair path view. Duplicate
     /// dependencies (contributed by many pairs) are collapsed; edges
     /// are inserted in the order of their first occurrence walking the
-    /// pairs source-major, whichever view they come from.
-    pub fn from_paths(net: &Network, paths: Paths<'_>) -> Self {
-        match paths {
-            Paths::Dense(rs) => Self::from_pair_walk(net, rs),
-            Paths::Tables { net, ends, routes } => Self::from_forests(net, ends, routes),
-        }
-    }
-
-    /// Per-pair routes need not agree on a next hop per destination,
-    /// so a dense view is walked pair by pair: O(N² · path length).
-    fn from_pair_walk(net: &Network, routes: &RouteSet) -> Self {
+    /// pairs source-major. Per-pair routes need not agree on a next hop
+    /// per destination, so they are walked pair by pair:
+    /// O(N² · path length).
+    pub fn from_routes(net: &Network, routes: &RouteSet) -> Self {
         let mut graph = AdjList::new(net.channel_count());
         let mut seen = std::collections::HashSet::new();
         let mut witnesses = Vec::new();
@@ -69,61 +48,16 @@ impl ChannelDependencyGraph {
         Self::indexed(graph, witnesses)
     }
 
-    /// Reads the dependencies off one routing forest per destination:
-    /// O(nodes · N). The result is identical to the pair walk over the
-    /// same tables — same edges in the same order, same witnesses —
-    /// because each dependency is keyed by its first occurrence in
-    /// s-major pair order and edges are inserted sorted by that key.
-    fn from_forests(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
-        // A dependency a → b turns at the router a enters, so b is
-        // named by its output port there: one slot per (channel, port).
-        let ports = net
-            .nodes()
-            .map(|v| net.kind(v).ports() as usize)
-            .max()
-            .unwrap_or(0);
-        let never = (u32::MAX, u32::MAX, u32::MAX);
-        let mut first: Vec<Occurrence> = vec![never; net.channel_count() * ports];
-        // `claimed[v] == d`: some source already walked on from `v`
-        // toward `d`, offering every later window at a smaller key.
-        let mut claimed = vec![usize::MAX; net.node_count()];
-        let mut forest = DestForest::new(net, ends, routes);
-        for d in 0..ends.len() {
-            forest.resolve(d);
-            for s in (0..ends.len()).filter(|&s| s != d) {
-                // A failed route has no hop out of its first node and
-                // so adds nothing, exactly as a failed trace.
-                let (mut a, mut v) = forest.inject(s);
-                let mut pos = 0u32;
-                while let Some(b) = forest.hop(v) {
-                    let slot = &mut first[a.index() * ports + net.channel_src_port(b).index()];
-                    *slot = (*slot).min((s as u32, d as u32, pos));
-                    if claimed[v.index()] == d {
-                        break;
-                    }
-                    claimed[v.index()] = d;
-                    (a, v, pos) = (b, net.channel_dst(b), pos + 1);
-                }
-            }
-        }
-        let mut deps: Vec<(Occurrence, usize)> = first
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, k)| k != never)
-            .map(|(i, k)| (k, i))
-            .collect();
-        deps.sort_unstable();
-        let mut graph = AdjList::new(net.channel_count());
-        let mut witnesses = Vec::with_capacity(deps.len());
-        for ((s, d, _), i) in deps {
-            let a = ChannelId((i / ports) as u32);
-            let b = net
-                .channel_out(net.channel_dst(a), PortId((i % ports) as u8))
-                .expect("a dependency slot names a cabled port");
-            graph.add_edge(a.0, b.0);
-            witnesses.push((a.0, b.0, s as usize, d as usize));
-        }
-        Self::indexed(graph, witnesses)
+    /// Builds the CDG from destination tables, one routing forest per
+    /// destination (a one-consumer [`CdgSweep`]) — no pair is traced
+    /// and no dense path matrix is materialized. The result equals
+    /// [`ChannelDependencyGraph::from_routes`] over the traced pairs.
+    /// Pairs whose trace fails (holes, loops) contribute no
+    /// dependencies; the linter reports those separately.
+    pub fn from_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
+        let mut sweep = CdgSweep::new(net);
+        DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
+        sweep.finish()
     }
 
     fn indexed(graph: AdjList, mut witnesses: Vec<(u32, u32, usize, usize)>) -> Self {
@@ -147,6 +81,11 @@ impl ChannelDependencyGraph {
     /// Number of distinct dependencies.
     pub fn dependency_count(&self) -> usize {
         self.graph.edge_count()
+    }
+
+    /// Every distinct dependency `(a, b)`, sorted.
+    pub fn dependencies(&self) -> Vec<(u32, u32)> {
+        self.witnesses.iter().map(|&(a, b, _, _)| (a, b)).collect()
     }
 
     /// The underlying directed graph (vertices are
@@ -188,6 +127,88 @@ impl ChannelDependencyGraph {
             ));
         }
         Some(out)
+    }
+}
+
+/// The forest-side CDG build: each [`DestForest`] it absorbs adds
+/// that destination's dependencies, O(nodes · N) over all of them. The
+/// result is identical to the pair walk over the same tables — same
+/// edges in the same order, same witnesses — because each dependency
+/// is keyed by its first occurrence in s-major pair order and edges
+/// are inserted sorted by that key. Pairs whose route fails add
+/// nothing, exactly as a failed trace.
+pub struct CdgSweep<'a> {
+    net: &'a Network,
+    /// Dependency slots per channel: a dependency a → b turns at the
+    /// router a enters, so b is named by its output port there.
+    ports: usize,
+    /// The smallest occurrence of each `(channel, port)` slot.
+    first: Vec<Occurrence>,
+    /// `claimed[v] == d`: some source already walked on from `v`
+    /// toward `d`, offering every later window at a smaller key.
+    claimed: Vec<usize>,
+}
+
+/// An empty dependency slot.
+const NEVER: Occurrence = (u32::MAX, u32::MAX, u32::MAX);
+
+impl<'a> CdgSweep<'a> {
+    /// An empty build over `net`'s channels.
+    pub fn new(net: &'a Network) -> Self {
+        let ports = net
+            .nodes()
+            .map(|v| net.kind(v).ports() as usize)
+            .max()
+            .unwrap_or(0);
+        CdgSweep {
+            net,
+            ports,
+            first: vec![NEVER; net.channel_count() * ports],
+            claimed: vec![usize::MAX; net.node_count()],
+        }
+    }
+
+    /// The dependency graph of every destination absorbed so far.
+    pub fn finish(self) -> ChannelDependencyGraph {
+        let (net, ports) = (self.net, self.ports);
+        let mut deps: Vec<(Occurrence, usize)> = self
+            .first
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, k)| k != NEVER)
+            .map(|(i, k)| (k, i))
+            .collect();
+        deps.sort_unstable();
+        let mut graph = AdjList::new(net.channel_count());
+        let mut witnesses = Vec::with_capacity(deps.len());
+        for ((s, d, _), i) in deps {
+            let a = ChannelId((i / ports) as u32);
+            let b = net
+                .channel_out(net.channel_dst(a), PortId((i % ports) as u8))
+                .expect("a dependency slot names a cabled port");
+            graph.add_edge(a.0, b.0);
+            witnesses.push((a.0, b.0, s as usize, d as usize));
+        }
+        ChannelDependencyGraph::indexed(graph, witnesses)
+    }
+}
+
+impl ForestConsumer for CdgSweep<'_> {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        let d = forest.dst();
+        for s in (0..forest.addresses()).filter(|&s| s != d) {
+            let (mut a, mut v) = forest.inject(s);
+            let mut pos = 0u32;
+            while let Some(b) = forest.hop(v) {
+                let slot = &mut self.first[a.index() * self.ports + forest.channel_src_port(b)];
+                *slot = (*slot).min((s as u32, d as u32, pos));
+                if self.claimed[v.index()] == d {
+                    break;
+                }
+                self.claimed[v.index()] = d;
+                (a, v, pos) = (b, forest.channel_dst(b), pos + 1);
+            }
+        }
     }
 }
 

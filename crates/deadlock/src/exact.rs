@@ -199,6 +199,11 @@ pub struct ExactSynthesis {
     pub bb_nodes: usize,
     /// Synthesis rounds used.
     pub rounds: usize,
+    /// The channel dependencies `(a, b)` of the unrestricted routing —
+    /// every required pair on its shortest path with no turn disabled,
+    /// as the first round routes them — sorted. Empty when
+    /// [`decide`] fell back to its up*/down* backstop.
+    pub unrestricted_dependencies: Vec<(u32, u32)>,
 }
 
 impl ExactSynthesis {
@@ -393,6 +398,16 @@ pub fn synthesize_disables_exact(
         cs != DEAD && cs == cd
     };
     let mut router = RowRouter::new(net, ends, mask);
+    // Each round's routes are those of the candidate check that
+    // admitted `chosen`; only the empty start is routed up front, and
+    // its dependencies are the unrestricted routing's.
+    let mut chosen = DisableSet::new();
+    let (mut routes, mut covered) = router
+        .route_pairs(&chosen, &required)
+        .map_err(|(src, dst)| SynthesisError::Unroutable { src, dst })?;
+    let first_cdg = ChannelDependencyGraph::from_routes(net, &routes);
+    let unrestricted = first_cdg.dependencies();
+    let mut first_cdg = Some(first_cdg);
 
     let finalize = |disables: DisableSet,
                     routes: RouteSet,
@@ -424,23 +439,20 @@ pub fn synthesize_disables_exact(
             truncated,
             bb_nodes,
             rounds,
+            unrestricted_dependencies: unrestricted.clone(),
         })
     };
 
     let mut pool: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut chosen = DisableSet::new();
     let mut truncated = false;
     let mut lower_bound = 0usize;
     let mut bb_nodes = 0usize;
     let mut proven = true;
-    // Each round's routes are those of the candidate check that
-    // admitted `chosen`; only the empty start is routed up front.
-    let (mut routes, mut covered) = router
-        .route_pairs(&chosen, &required)
-        .map_err(|(src, dst)| SynthesisError::Unroutable { src, dst })?;
 
     for round in 0..cfg.max_rounds {
-        let cdg = ChannelDependencyGraph::from_routes(net, &routes);
+        let cdg = first_cdg
+            .take()
+            .unwrap_or_else(|| ChannelDependencyGraph::from_routes(net, &routes));
         if cdg.find_cycle().is_none() {
             // Greedy baseline for the gap report; when zero disables
             // sufficed the baseline is trivially zero too.
@@ -589,6 +601,7 @@ pub fn decide(
                 truncated: false,
                 bb_nodes: 0,
                 rounds: 0,
+                unrestricted_dependencies: Vec::new(),
             }))
         }
     }

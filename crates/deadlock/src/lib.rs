@@ -22,7 +22,7 @@ pub mod exact;
 pub mod verify;
 pub mod waitgraph;
 
-pub use cdg::ChannelDependencyGraph;
+pub use cdg::{CdgSweep, ChannelDependencyGraph};
 pub use disables::{route_from_masked, synthesize_disables, DisableSet, SynthesisError};
 pub use exact::{
     deadlock_free_routing_exists, decide, min_cycle_disables, synthesize_disables_exact,

@@ -2,17 +2,17 @@
 //! object, so downstream users can reproduce a Table 2 row in five
 //! lines.
 
-use fractanet_deadlock::verify_deadlock_free_tables;
+use fractanet_deadlock::{CdgSweep, ChannelDependencyGraph};
 use fractanet_graph::{LinkClass, Network, NodeId};
-use fractanet_lint::{Discipline, LintReport, Linter};
+use fractanet_lint::{Discipline, LintReport, Linter, PairVerdicts, Precomputed};
 use fractanet_metrics::{
-    bisection_estimate, max_link_contention_paths, ContentionReport, CostSummary, HopStats,
+    bisection_estimate, ContentionReport, ContentionSweep, CostSummary, HopStats, HopSweep,
 };
 use fractanet_route::fattree::{fattree_routes, UpPolicy};
 use fractanet_route::fractal::fractal_routes;
 use fractanet_route::ringroute::ring_shortest_routes;
 use fractanet_route::treeroute::bintree_routes;
-use fractanet_route::{direct, dor, Paths, RouteSet, Routes};
+use fractanet_route::{direct, dor, DestForest, RouteSet, Routes};
 use fractanet_sim::{
     dateline_ring_map, dateline_torus_map, ecube_hypercube_map, ecube_mesh_map, Engine, SimConfig,
     SimResult, VcMap, Workload,
@@ -92,6 +92,21 @@ struct VcState {
     map: VcMap,
 }
 
+/// What the canonical tables certify, resolved from one routing forest
+/// per destination the first time [`System::lint`],
+/// [`System::lint_exact`] or [`System::analyze`] needs any of it.
+struct Certificate {
+    /// The Dally–Seitz graph rules L3 and L6 and `analyze` judge.
+    cdg: ChannelDependencyGraph,
+    /// Routed hop statistics (`None` if some pair is unrouted).
+    hops: Option<HopStats>,
+    contention: ContentionReport,
+    /// Lint rules L1, L2 and L4 under the system's discipline.
+    pairs: PairVerdicts,
+    /// The extended `(channel, vc)` graph's verdict, with VCs.
+    vc_deadlock_free: Option<bool>,
+}
+
 /// Everything the paper's comparison tables need, for one system.
 #[derive(Clone, Debug)]
 pub struct AnalysisReport {
@@ -152,9 +167,9 @@ pub struct System {
     /// Dense per-pair view, traced lazily the first time a caller
     /// actually asks for frozen paths.
     routeset: OnceLock<RouteSet>,
-    /// Worst-case link contention of the canonical tables, computed the
-    /// first time `lint`, `lint_exact` or `analyze` needs it.
-    contention: OnceLock<ContentionReport>,
+    /// The canonical tables' certificate, shared by `lint`,
+    /// `lint_exact` and `analyze`.
+    certificate: OnceLock<Certificate>,
     /// Virtual-channel discipline, when enabled via
     /// [`System::with_vcs`].
     vc: Option<VcState>,
@@ -167,7 +182,7 @@ impl System {
             built,
             routes,
             routeset: OnceLock::new(),
-            contention: OnceLock::new(),
+            certificate: OnceLock::new(),
             vc: None,
         }
     }
@@ -234,6 +249,8 @@ impl System {
             ),
         };
         self.vc = Some(VcState { vcs, scheme, map });
+        // A certificate taken before carries no VC verdict.
+        self.certificate = OnceLock::new();
         self
     }
 
@@ -253,13 +270,10 @@ impl System {
     /// The Dally–Seitz verdict on the *extended* `(channel, vc)`
     /// dependency graph, for systems with virtual channels enabled:
     /// the physical-channel graph may be cyclic (that is the point)
-    /// while the extended graph is not. `None` without VCs.
+    /// while the extended graph is not. `None` without VCs. Checked
+    /// once, as part of the system's cached certificate.
     pub fn vc_deadlock_free(&self) -> Option<bool> {
-        self.vc.as_ref().map(|v| {
-            v.map
-                .annotate(self.route_set())
-                .is_deadlock_free(self.net())
-        })
+        self.certificate().vc_deadlock_free
     }
 
     /// `(down, up)` fat tree over `nodes` end nodes with the Fig 6
@@ -324,14 +338,35 @@ impl System {
         })
     }
 
-    /// Worst-case link contention of the canonical tables, read off one
-    /// routing forest per destination (`O(nodes × N)`) on first use and
-    /// shared by [`System::analyze`], [`System::lint`] and
-    /// [`System::lint_exact`].
-    fn contention(&self) -> &ContentionReport {
-        self.contention.get_or_init(|| {
+    /// The canonical tables' certificate: one [`DestForest::sweep`]
+    /// feeds the dependency graph, hop statistics, contention and lint
+    /// rules L1/L2/L4 (`O(nodes × N)` in all), and the VC verdict is
+    /// checked once; cached for every later `lint`, `lint_exact` and
+    /// `analyze`.
+    fn certificate(&self) -> &Certificate {
+        self.certificate.get_or_init(|| {
             let (net, ends) = (self.net(), self.end_nodes());
-            max_link_contention_paths(net, Paths::tables(net, ends, &self.routes))
+            let linter = self.linter();
+            let mut cdg = CdgSweep::new(net);
+            let mut hops = HopSweep::new(ends.len());
+            let mut contention = ContentionSweep::new(net, ends.len());
+            let mut pairs = linter.pair_sweep(&self.routes);
+            DestForest::sweep(
+                net,
+                ends,
+                &self.routes,
+                &mut [&mut cdg, &mut hops, &mut contention, &mut pairs],
+            );
+            Certificate {
+                cdg: cdg.finish(),
+                hops: hops.finish(),
+                contention: contention.finish(),
+                pairs: pairs.finish(),
+                vc_deadlock_free: self
+                    .vc
+                    .as_ref()
+                    .map(|v| v.map.annotate(self.route_set()).is_deadlock_free(net)),
+            }
         })
     }
 
@@ -356,14 +391,15 @@ impl System {
 
     /// Runs the full analytical battery (hops, contention, bisection,
     /// deadlock freedom). Hops, link contention and the channel
-    /// dependency graph are all read off one routing forest per
-    /// destination, `O(nodes × N)`, with contention cached on the
-    /// system; bisection adds a handful of max-flows.
+    /// dependency graph come from the system's cached certificate, read
+    /// off one routing forest per destination, `O(nodes × N)`;
+    /// bisection adds a handful of max-flows.
     pub fn analyze(&self) -> AnalysisReport {
         let net = self.net();
         let ends = self.end_nodes();
-        let hops = HopStats::routed_tables(net, ends, &self.routes).expect("≥ 2 nodes");
-        let cont = self.contention();
+        let cert = self.certificate();
+        let hops = cert.hops.as_ref().expect("≥ 2 nodes, all routed");
+        let cont = &cert.contention;
         let local = cont
             .worst_in_class(net, LinkClass::Local)
             .map(|(k, _)| k)
@@ -371,9 +407,9 @@ impl System {
         let bis = bisection_estimate(net, ends, 4);
         // With VCs installed the physical-channel graph may be cyclic
         // by design; the verdict that matters is the extended one.
-        let deadlock_free = self
-            .vc_deadlock_free()
-            .unwrap_or_else(|| verify_deadlock_free_tables(net, ends, &self.routes).is_ok());
+        let deadlock_free = cert
+            .vc_deadlock_free
+            .unwrap_or_else(|| cert.cdg.is_deadlock_free());
         AnalysisReport {
             name: self.name(),
             nodes: self.end_nodes().len(),
@@ -419,46 +455,50 @@ impl System {
         }
     }
 
-    /// Statically verifies this system's canonical routing tables:
-    /// coverage, path well-formedness, dependency-cycle enumeration,
-    /// discipline conformance, and the paper's contention bound where
-    /// published. See `fractanet-lint` for the rule catalogue.
-    pub fn lint(&self) -> LintReport {
-        let mut linter = Linter::new(self.net(), self.end_nodes())
-            .with_subject(self.name())
-            .with_contention(self.contention());
+    /// The linter configured for this system — subject, discipline
+    /// and the paper's contention bound — before any certificate or VC
+    /// verdict is attached.
+    fn linter(&self) -> Linter<'_> {
+        let mut linter = Linter::new(self.net(), self.end_nodes()).with_subject(self.name());
         if let Some(d) = self.discipline() {
             linter = linter.with_discipline(d);
         }
         if let Some(k) = self.paper_contention_bound() {
             linter = linter.with_contention_bound(k);
         }
-        if let Some(v) = &self.vc {
-            let acyclic = self.vc_deadlock_free().expect("vc installed");
+        linter
+    }
+
+    /// [`Self::linter`] reading the cached certificate, with the VC
+    /// ordering's verdict when VCs are installed.
+    fn certified_linter(&self) -> Linter<'_> {
+        let cert = self.certificate();
+        let mut linter = self.linter().with_certificate(Precomputed {
+            cdg: Some(&cert.cdg),
+            contention: Some(&cert.contention),
+            pairs: Some(&cert.pairs),
+        });
+        if let (Some(v), Some(acyclic)) = (&self.vc, cert.vc_deadlock_free) {
             linter = linter.with_vc_ordering(v.vcs, v.scheme.to_string(), acyclic);
         }
-        linter.check_tables(&self.routes)
+        linter
+    }
+
+    /// Statically verifies this system's canonical routing tables:
+    /// coverage, path well-formedness, dependency-cycle enumeration,
+    /// discipline conformance, and the paper's contention bound where
+    /// published. See `fractanet-lint` for the rule catalogue.
+    pub fn lint(&self) -> LintReport {
+        self.certified_linter().check_tables(&self.routes)
     }
 
     /// [`Self::lint`] in exact mode: the L3 suggestion becomes the
     /// branch-and-bound minimum over the enumerated cycles and the L6
     /// minimality rule runs with a replayable certificate.
     pub fn lint_exact(&self) -> LintReport {
-        let mut linter = Linter::new(self.net(), self.end_nodes())
-            .with_subject(self.name())
-            .with_contention(self.contention())
-            .with_exact(fractanet_deadlock::ExactConfig::default());
-        if let Some(d) = self.discipline() {
-            linter = linter.with_discipline(d);
-        }
-        if let Some(k) = self.paper_contention_bound() {
-            linter = linter.with_contention_bound(k);
-        }
-        if let Some(v) = &self.vc {
-            let acyclic = self.vc_deadlock_free().expect("vc installed");
-            linter = linter.with_vc_ordering(v.vcs, v.scheme.to_string(), acyclic);
-        }
-        linter.check_tables(&self.routes)
+        self.certified_linter()
+            .with_exact(fractanet_deadlock::ExactConfig::default())
+            .check_tables(&self.routes)
     }
 
     /// Runs the certificate-producing exact route synthesizer over
@@ -671,6 +711,46 @@ mod tests {
         let report = System::ring(4).lint();
         assert!(!report.is_clean());
         assert!(report.by_rule(RuleId::L3CdgCycles).next().is_some());
+    }
+
+    /// `lint`, `lint_exact` and `analyze` read one cached certificate:
+    /// their output is byte-identical whichever of them fills it.
+    #[test]
+    fn certificate_fill_order_does_not_change_output() {
+        type Make = fn() -> System;
+        let systems: [Make; 5] = [
+            || System::fat_fractahedron(2),
+            || System::mesh(6, 6),
+            || System::ring(8),
+            || System::torus(4, 4).with_vcs(2, VcScheme::Dateline),
+            || System::fat_tree(64, 4, 2),
+        ];
+        let render = |sys: &System, which: usize| match which {
+            0 => sys.lint().to_json(),
+            1 => sys.lint_exact().to_json(),
+            _ => format!("{:?}", sys.analyze()),
+        };
+        for make in systems {
+            let reference: Vec<String> = (0..3).map(|w| render(&make(), w)).collect();
+            for order in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let sys = make();
+                for w in order {
+                    assert_eq!(
+                        render(&sys, w),
+                        reference[w],
+                        "{} order {order:?}",
+                        sys.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

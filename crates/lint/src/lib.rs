@@ -38,4 +38,4 @@ pub mod linter;
 
 pub use diag::{Diagnostic, LintReport, RuleId, Severity};
 pub use discipline::{rank_table, Discipline};
-pub use linter::Linter;
+pub use linter::{Linter, PairSweep, PairVerdicts, Precomputed};

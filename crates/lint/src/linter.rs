@@ -25,12 +25,14 @@
 use crate::diag::{Diagnostic, LintReport, RuleId, Severity};
 use crate::discipline::{Discipline, Verdict};
 use fractanet_deadlock::{
-    min_cycle_disables, route_from_masked, synthesize_disables, synthesize_disables_exact,
-    ChannelDependencyGraph, DisableSet, ExactConfig,
+    min_cycle_disables, synthesize_disables, synthesize_disables_exact, CdgSweep,
+    ChannelDependencyGraph, ExactConfig,
 };
 use fractanet_graph::{ChannelId, Network, NodeId};
-use fractanet_metrics::{max_link_contention_paths, ContentionReport};
-use fractanet_route::{DeadMask, DestForest, Failure, Paths, RouteError, RouteSet, Routes};
+use fractanet_metrics::{max_link_contention, ContentionReport, ContentionSweep};
+use fractanet_route::{
+    DeadMask, DestForest, Failure, ForestConsumer, RouteError, RouteSet, Routes,
+};
 use std::collections::VecDeque;
 
 /// How many example pairs / channels a single diagnostic carries
@@ -56,13 +58,38 @@ pub struct Linter<'a> {
     mask: Option<&'a DeadMask>,
     discipline: Option<Discipline>,
     contention_bound: Option<usize>,
-    contention: Option<&'a ContentionReport>,
+    precomputed: Precomputed<'a>,
     subject: String,
     max_cycles: usize,
     max_cycle_steps: usize,
     suggest_disables: bool,
     exact: Option<ExactConfig>,
     vc_ordering: Option<VcOrdering>,
+}
+
+/// Results the caller already holds for the routes about to be
+/// checked — from one shared [`DestForest::sweep`], or a dependency
+/// graph a gate has just verified — read by the linter instead of
+/// computed again ([`Linter::with_certificate`]). Each must come from
+/// exactly those routes, and `pairs` from a linter with the same mask
+/// and discipline; whatever is `None` is computed as usual.
+#[derive(Clone, Copy, Default)]
+pub struct Precomputed<'a> {
+    /// The channel dependency graph rules L3 and L6 judge.
+    pub cdg: Option<&'a ChannelDependencyGraph>,
+    /// Rule L5's contention report.
+    pub contention: Option<&'a ContentionReport>,
+    /// Rules L1, L2 and L4's findings.
+    pub pairs: Option<&'a PairVerdicts>,
+}
+
+/// The L1, L2 and L4 diagnostics of one set of routes and the number
+/// of live pairs they judged: what [`Linter::pair_sweep`] gathers from
+/// destination tables, kept to hand back through [`Precomputed`].
+#[derive(Clone, Debug)]
+pub struct PairVerdicts {
+    diagnostics: Vec<Diagnostic>,
+    pairs_checked: usize,
 }
 
 /// An externally verified virtual-channel ordering (the linter has no
@@ -84,7 +111,7 @@ impl<'a> Linter<'a> {
             mask: None,
             discipline: None,
             contention_bound: None,
-            contention: None,
+            precomputed: Precomputed::default(),
             subject: "network".into(),
             max_cycles: 16,
             max_cycle_steps: 100_000,
@@ -121,10 +148,11 @@ impl<'a> Linter<'a> {
         self
     }
 
-    /// Supplies rule L5's contention report, already computed for the
-    /// routes about to be checked, instead of computing it again.
-    pub fn with_contention(mut self, report: &'a ContentionReport) -> Self {
-        self.contention = Some(report);
+    /// Supplies results already computed for the routes about to be
+    /// checked (see [`Precomputed`]), so the linter does not compute
+    /// them again.
+    pub fn with_certificate(mut self, pre: Precomputed<'a>) -> Self {
+        self.precomputed = pre;
         self
     }
 
@@ -209,54 +237,126 @@ impl<'a> Linter<'a> {
 
     /// Runs every applicable rule over `routes`.
     pub fn check(&self, routes: &RouteSet) -> LintReport {
-        self.check_paths(Paths::dense(routes))
+        let pre = self.precomputed;
+        let pairs = pre.pairs.is_none().then(|| self.walk_pairs(routes));
+        let cdg = pre
+            .cdg
+            .is_none()
+            .then(|| ChannelDependencyGraph::from_routes(self.net, routes));
+        let contention = pre
+            .contention
+            .is_none()
+            .then(|| max_link_contention(self.net, routes));
+        self.report(
+            given_or(pre.pairs, &pairs),
+            given_or(pre.cdg, &cdg),
+            given_or(pre.contention, &contention),
+        )
     }
 
     /// Runs every applicable rule directly over destination tables,
     /// judging each destination's routing forest once per node — no
-    /// pair is traced and no dense path matrix is materialized.
-    /// Tracing failures surface as diagnostics: missing entries as L1
-    /// coverage findings (severed vs hole, by surviving component),
-    /// forwarding loops as L2 errors naming the visited-router
-    /// sequence. When a fault mask is set, pairs whose own attach
-    /// channels are dead lint as severed (the tables cannot represent
-    /// an end node's death; the dense view encodes it as an empty
-    /// path).
+    /// pair is traced and no dense path matrix is materialized. The
+    /// L1/L2/L4 findings, the dependency graph and the contention
+    /// report not supplied through [`Linter::with_certificate`] are
+    /// read off one shared [`DestForest::sweep`]. Tracing failures
+    /// surface as diagnostics: missing entries as L1 coverage findings
+    /// (severed vs hole, by surviving component), forwarding loops as
+    /// L2 errors naming the visited-router sequence. When a fault mask
+    /// is set, pairs whose own attach channels are dead lint as
+    /// severed (the tables cannot represent an end node's death; the
+    /// dense view encodes it as an empty path).
     pub fn check_tables(&self, routes: &Routes) -> LintReport {
-        self.check_paths(Paths::tables(self.net, self.ends, routes))
+        let (net, ends, pre) = (self.net, self.ends, self.precomputed);
+        let mut pairs = pre.pairs.is_none().then(|| self.pair_sweep(routes));
+        let mut cdg = pre.cdg.is_none().then(|| CdgSweep::new(net));
+        let mut contention = pre
+            .contention
+            .is_none()
+            .then(|| ContentionSweep::new(net, ends.len()));
+        let mut consumers: Vec<&mut dyn ForestConsumer> = Vec::new();
+        if let Some(c) = &mut pairs {
+            consumers.push(c);
+        }
+        if let Some(c) = &mut cdg {
+            consumers.push(c);
+        }
+        if let Some(c) = &mut contention {
+            consumers.push(c);
+        }
+        if !consumers.is_empty() {
+            DestForest::sweep(net, ends, routes, &mut consumers);
+        }
+        self.report(
+            given_or(pre.pairs, &pairs.map(PairSweep::finish)),
+            given_or(pre.cdg, &cdg.map(CdgSweep::finish)),
+            given_or(pre.contention, &contention.map(ContentionSweep::finish)),
+        )
     }
 
-    /// Runs every applicable rule over either routing representation.
-    pub fn check_paths(&self, paths: Paths<'_>) -> LintReport {
-        let mut diags = Vec::new();
+    /// Rules L3, L5 and L6 over the dependency graph and contention of
+    /// the routes whose L1, L2 and L4 findings are `pairs`.
+    fn report(
+        &self,
+        pairs: &PairVerdicts,
+        cdg: &ChannelDependencyGraph,
+        contention: &ContentionReport,
+    ) -> LintReport {
+        let mut diags = pairs.diagnostics.clone();
         let mut rules_run = vec![
             RuleId::L1Coverage,
             RuleId::L2WellFormed,
             RuleId::L3CdgCycles,
         ];
-        let mut findings = PairFindings::default();
-        let pairs_checked = match paths {
-            Paths::Dense(rs) => self.walk_pairs(rs, &mut findings),
-            Paths::Tables { routes, .. } => self.sweep_forests(routes, &mut findings),
-        };
-        findings.emit(self.discipline.as_ref(), &mut diags);
-        self.check_cycles(paths, &mut diags);
+        self.check_cycles(cdg, &mut diags);
         if self.discipline.is_some() {
             rules_run.push(RuleId::L4Discipline);
         }
         rules_run.push(RuleId::L5Contention);
-        self.check_contention(paths, &mut diags);
+        self.check_contention(contention, &mut diags);
         if let Some(cfg) = &self.exact {
             rules_run.push(RuleId::L6Minimality);
-            self.check_minimality(paths, cfg, &mut diags);
+            self.check_minimality(cdg, cfg, &mut diags);
         }
         diags.sort_by_key(|d| (d.rule, std::cmp::Reverse(d.severity)));
         LintReport {
             subject: self.subject.clone(),
             diagnostics: diags,
-            pairs_checked,
+            pairs_checked: pairs.pairs_checked,
             channels: self.net.channel_count(),
             rules_run,
+        }
+    }
+
+    /// Rules L1, L2 and L4 over destination tables as a
+    /// [`ForestConsumer`], for a caller that sweeps the tables' forests
+    /// once for several analyses and hands the resulting
+    /// [`PairVerdicts`] back through [`Linter::with_certificate`].
+    pub fn pair_sweep<'l>(&'l self, routes: &'l Routes) -> PairSweep<'l, 'a> {
+        let (net, ends) = (self.net, self.ends);
+        PairSweep {
+            linter: self,
+            routes,
+            comp: self.components(),
+            // The tables cannot describe an end node's death: a pair
+            // whose own attach channel died is severed, as in the
+            // dense view.
+            eject_ok: ends
+                .iter()
+                .map(|&e| {
+                    let attach = net
+                        .channels_from(e)
+                        .first()
+                        .expect("end node must be attached");
+                    self.channel_ok(attach.0.reverse())
+                })
+                .collect(),
+            dead_first_seen: vec![NEVER_SEEN; net.channel_count()],
+            dead_on_route: vec![None; net.node_count()],
+            verdict: vec![Verdict::default(); net.node_count()],
+            bad: Tally::default(),
+            checked: 0,
+            findings: PairFindings::default(),
         }
     }
 
@@ -269,8 +369,10 @@ impl<'a> Linter<'a> {
     }
 
     /// L1, L2 and L4 in a single pass over every pair of a dense route
-    /// set. Returns the number of live pairs examined.
-    fn walk_pairs(&self, rs: &RouteSet, f: &mut PairFindings) -> usize {
+    /// set.
+    fn walk_pairs(&self, rs: &RouteSet) -> PairVerdicts {
+        let mut findings = PairFindings::default();
+        let f = &mut findings;
         let comp = self.components();
         let mut bad = Tally::default();
         let mut first_err = None;
@@ -330,117 +432,12 @@ impl<'a> Linter<'a> {
             }
         }
         f.discipline = first_err.map(|e| (bad, e));
-        checked
-    }
-
-    /// L1, L2 and L4 over destination tables, one routing forest per
-    /// destination (DESIGN.md §13). Each node is judged once per
-    /// forest — its failure, the first dead channel on its route and
-    /// its discipline verdict, carried outward from the target — and
-    /// each pair then reads its verdicts off its source's first router
-    /// in O(1). Traced routes are channel-consecutive, router-interior
-    /// and simple by construction, so of L2 only loops and dead
-    /// channels can fire. Samples keep the smallest pairs, which is the
-    /// source-major order of the pair walk; the one loop route and the
-    /// one discipline violation a message spells out are traced again.
-    /// Returns the number of live pairs examined.
-    fn sweep_forests(&self, routes: &Routes, f: &mut PairFindings) -> usize {
-        let (net, ends) = (self.net, self.ends);
-        let comp = self.components();
-        let n = ends.len();
-        let mut forest = DestForest::new(net, ends, routes);
-        // The tables cannot describe an end node's death: a pair whose
-        // own attach channel died is severed, as in the dense view.
-        let eject_ok: Vec<bool> = (0..n)
-            .map(|d| self.channel_ok(forest.inject(d).0.reverse()))
-            .collect();
-        let never = (usize::MAX, usize::MAX);
-        let mut dead_first_seen = vec![never; net.channel_count()];
-        let mut dead_on_route: Vec<Option<ChannelId>> = vec![None; net.node_count()];
-        let mut verdict = vec![Verdict::default(); net.node_count()];
-        let mut bad = Tally::default();
-        let mut checked = 0usize;
-        for d in (0..n).filter(|&d| self.node_ok(ends[d])) {
-            forest.resolve(d);
-            for &v in forest.routed() {
-                let Some(ch) = forest.hop(v) else {
-                    dead_on_route[v.index()] = None;
-                    verdict[v.index()] = Verdict::default();
-                    continue;
-                };
-                let next = net.channel_dst(ch).index();
-                dead_on_route[v.index()] = if self.channel_ok(ch) {
-                    dead_on_route[next]
-                } else {
-                    Some(ch)
-                };
-                if let Some(disc) = &self.discipline {
-                    verdict[v.index()] = disc.prepend(net, ch, verdict[next]);
-                }
-            }
-            for s in (0..n).filter(|&s| s != d && self.node_ok(ends[s])) {
-                checked += 1;
-                let (ch, first) = forest.inject(s);
-                if let Some(disc) = &self.discipline {
-                    let routed = forest.depth(first).is_some();
-                    if routed && disc.prepend(net, ch, verdict[first.index()]).bad {
-                        bad.push((s, d));
-                    }
-                }
-                if !(self.channel_ok(ch) && eject_ok[d]) {
-                    f.unrouted(&comp, ends, s, d);
-                    continue;
-                }
-                match forest.failure(first) {
-                    None => {
-                        if let Some(dead) = dead_on_route[first.index()] {
-                            f.dead.push((s, d));
-                            let seen = &mut dead_first_seen[dead.index()];
-                            *seen = (*seen).min((s, d));
-                        }
-                    }
-                    Some(Failure::Unrouted) => f.unrouted(&comp, ends, s, d),
-                    Some(Failure::Misdelivered) => f.misdelivered.push((s, d)),
-                    Some(Failure::Loop) => f.loops.push((s, d)),
-                }
-            }
-        }
-        // The pair walk keeps each dead pair's first dead channel, in
-        // pair order, until it holds SAMPLE distinct ones.
-        let mut dead: Vec<(usize, usize, usize)> = dead_first_seen
-            .iter()
-            .enumerate()
-            .filter(|&(_, &seen)| seen != never)
-            .map(|(ch, &(s, d))| (s, d, ch))
-            .collect();
-        dead.sort_unstable();
-        f.dead_channels = dead
-            .iter()
-            .take(SAMPLE)
-            .map(|&(_, _, ch)| ChannelId(ch as u32))
-            .collect();
-        if let Some(&(s, d)) = f.loops.sample.first() {
-            if let Err(RouteError::ForwardingLoop { visited, .. }) = routes.trace(net, ends, s, d) {
-                let names: Vec<&str> = visited.iter().map(|&v| net.label(v)).collect();
-                f.loop_detail = Some(names.join(" -> "));
-            }
-        }
-        if let (Some(disc), Some(&(s, d))) = (&self.discipline, bad.sample.first()) {
-            let path = routes
-                .trace(net, ends, s, d)
-                .expect("a judged route traces");
-            let first_err = disc
-                .check_path(net, &path)
-                .expect_err("the forest verdict matches the pair check");
-            f.discipline = Some((bad, first_err));
-        }
-        checked
+        findings.verdicts(self.discipline.as_ref(), checked)
     }
 
     /// L3: CDG acyclicity with full (bounded) cycle enumeration and a
     /// suggested disable set.
-    fn check_cycles(&self, paths: Paths<'_>, out: &mut Vec<Diagnostic>) {
-        let cdg = ChannelDependencyGraph::from_paths(self.net, paths);
+    fn check_cycles(&self, cdg: &ChannelDependencyGraph, out: &mut Vec<Diagnostic>) {
         if cdg.is_deadlock_free() {
             return;
         }
@@ -629,7 +626,12 @@ impl<'a> Linter<'a> {
     /// forgoes against the exhibited minimum from the certificate-
     /// producing synthesizer. Informational — a positive gap means the
     /// discipline is more restrictive than necessary, not wrong.
-    fn check_minimality(&self, paths: Paths<'_>, cfg: &ExactConfig, out: &mut Vec<Diagnostic>) {
+    fn check_minimality(
+        &self,
+        installed: &ChannelDependencyGraph,
+        cfg: &ExactConfig,
+        out: &mut Vec<Diagnostic>,
+    ) {
         let synth = match synthesize_disables_exact(self.net, self.ends, self.mask, cfg) {
             Ok(s) => s,
             Err(e) => {
@@ -641,53 +643,15 @@ impl<'a> Linter<'a> {
                 return;
             }
         };
-        // Turn deviation of the installed routing: CDG edges an
-        // unrestricted shortest-path routing would take that the
-        // installed routing avoids — the price the discipline pays.
-        let installed = ChannelDependencyGraph::from_paths(self.net, paths);
-        let installed_edges: std::collections::HashSet<(u32, u32)> = (0..self.net.channel_count()
-            as u32)
-            .flat_map(|v| {
-                installed
-                    .graph()
-                    .succ(v)
-                    .iter()
-                    .map(move |&w| (v, w))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut forgone = 0usize;
-        let mut free_edges = std::collections::HashSet::new();
-        let mut add_free = |p: &[ChannelId]| {
-            for w in p.windows(2) {
-                free_edges.insert((w[0].0, w[1].0));
-            }
-        };
-        if synth.disables() == 0 {
-            // A witness without disables is that same unrestricted
-            // routing, with severed pairs (dead ends included) empty.
-            for (_, _, p) in synth.witness.routes.pairs() {
-                add_free(p);
-            }
-        } else {
-            let empty = DisableSet::new();
-            for s in 0..self.ends.len() {
-                if !self.node_ok(self.ends[s]) {
-                    continue;
-                }
-                // Dead destinations are never reached, so their
-                // entries are `None`.
-                let row = route_from_masked(self.net, self.ends, &empty, self.mask, s);
-                for p in row.iter().flatten() {
-                    add_free(p);
-                }
-            }
-        }
-        for e in &free_edges {
-            if !installed_edges.contains(e) {
-                forgone += 1;
-            }
-        }
+        // Turn deviation of the installed routing: CDG edges the
+        // unrestricted shortest-path routing (the synthesizer's first
+        // round) takes that the installed routing avoids — the price
+        // the discipline pays.
+        let forgone = synth
+            .unrestricted_dependencies
+            .iter()
+            .filter(|&&(a, b)| installed.witness(ChannelId(a), ChannelId(b)).is_none())
+            .count();
         let m = synth.disables();
         let gap = forgone.saturating_sub(m);
         let minimality = if synth.proven_minimal {
@@ -730,15 +694,7 @@ impl<'a> Linter<'a> {
 
     /// L5: worst-case per-link contention against the configured bound
     /// (informational without one).
-    fn check_contention(&self, paths: Paths<'_>, out: &mut Vec<Diagnostic>) {
-        let computed;
-        let rep = match self.contention {
-            Some(rep) => rep,
-            None => {
-                computed = max_link_contention_paths(self.net, paths);
-                &computed
-            }
-        };
+    fn check_contention(&self, rep: &ContentionReport, out: &mut Vec<Diagnostic>) {
         match self.contention_bound {
             Some(bound) if rep.worst > bound => {
                 let over: Vec<ChannelId> = rep
@@ -780,6 +736,140 @@ impl<'a> Linter<'a> {
                 .with_channels(vec![rep.worst_channel]),
             ),
         }
+    }
+}
+
+/// `given` when the caller supplied it, else what was computed in its
+/// place.
+fn given_or<'x, T>(given: Option<&'x T>, computed: &'x Option<T>) -> &'x T {
+    given
+        .or(computed.as_ref())
+        .expect("computed whenever not given")
+}
+
+/// No dead pair has crossed this channel yet.
+const NEVER_SEEN: (usize, usize) = (usize::MAX, usize::MAX);
+
+/// Rules L1, L2 and L4 over destination tables, one routing forest per
+/// destination (DESIGN.md §13), built by [`Linter::pair_sweep`]. Each
+/// node is judged once per forest — its failure, the first dead
+/// channel on its route and its discipline verdict, carried outward
+/// from the target — and each pair then reads its verdicts off its
+/// source's first router in O(1). Traced routes are
+/// channel-consecutive, router-interior and simple by construction, so
+/// of L2 only loops and dead channels can fire. Samples keep the
+/// smallest pairs, which is the source-major order of the pair walk;
+/// the one loop route and the one discipline violation a message
+/// spells out are traced again by [`PairSweep::finish`].
+pub struct PairSweep<'l, 'a> {
+    linter: &'l Linter<'a>,
+    routes: &'l Routes,
+    /// Surviving-component label per node.
+    comp: Vec<u32>,
+    /// Whether each address's attach channel into it survives.
+    eject_ok: Vec<bool>,
+    /// The smallest dead pair whose first dead channel is each channel.
+    dead_first_seen: Vec<(usize, usize)>,
+    /// The first dead channel on each node's route, per forest.
+    dead_on_route: Vec<Option<ChannelId>>,
+    /// Each node's discipline verdict, per forest.
+    verdict: Vec<Verdict>,
+    bad: Tally,
+    checked: usize,
+    findings: PairFindings,
+}
+
+impl ForestConsumer for PairSweep<'_, '_> {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        let linter = self.linter;
+        let (net, ends) = (linter.net, linter.ends);
+        let d = forest.dst();
+        if !linter.node_ok(ends[d]) {
+            return;
+        }
+        let f = &mut self.findings;
+        for &v in forest.routed() {
+            let Some(ch) = forest.hop(v) else {
+                self.dead_on_route[v.index()] = None;
+                self.verdict[v.index()] = Verdict::default();
+                continue;
+            };
+            let next = forest.channel_dst(ch).index();
+            self.dead_on_route[v.index()] = if linter.channel_ok(ch) {
+                self.dead_on_route[next]
+            } else {
+                Some(ch)
+            };
+            if let Some(disc) = &linter.discipline {
+                self.verdict[v.index()] = disc.prepend(net, ch, self.verdict[next]);
+            }
+        }
+        for s in (0..ends.len()).filter(|&s| s != d && linter.node_ok(ends[s])) {
+            self.checked += 1;
+            let (ch, first) = forest.inject(s);
+            if let Some(disc) = &linter.discipline {
+                let routed = forest.depth(first).is_some();
+                if routed && disc.prepend(net, ch, self.verdict[first.index()]).bad {
+                    self.bad.push((s, d));
+                }
+            }
+            if !(linter.channel_ok(ch) && self.eject_ok[d]) {
+                f.unrouted(&self.comp, ends, s, d);
+                continue;
+            }
+            match forest.failure(first) {
+                None => {
+                    if let Some(dead) = self.dead_on_route[first.index()] {
+                        f.dead.push((s, d));
+                        let seen = &mut self.dead_first_seen[dead.index()];
+                        *seen = (*seen).min((s, d));
+                    }
+                }
+                Some(Failure::Unrouted) => f.unrouted(&self.comp, ends, s, d),
+                Some(Failure::Misdelivered) => f.misdelivered.push((s, d)),
+                Some(Failure::Loop) => f.loops.push((s, d)),
+            }
+        }
+    }
+}
+
+impl PairSweep<'_, '_> {
+    /// The L1, L2 and L4 findings of every destination absorbed.
+    pub fn finish(self) -> PairVerdicts {
+        let (net, ends, routes) = (self.linter.net, self.linter.ends, self.routes);
+        let discipline = self.linter.discipline.as_ref();
+        let mut f = self.findings;
+        // The pair walk keeps each dead pair's first dead channel, in
+        // pair order, until it holds SAMPLE distinct ones.
+        let mut dead: Vec<(usize, usize, usize)> = self
+            .dead_first_seen
+            .iter()
+            .enumerate()
+            .filter(|&(_, &seen)| seen != NEVER_SEEN)
+            .map(|(ch, &(s, d))| (s, d, ch))
+            .collect();
+        dead.sort_unstable();
+        f.dead_channels = dead
+            .iter()
+            .take(SAMPLE)
+            .map(|&(_, _, ch)| ChannelId(ch as u32))
+            .collect();
+        if let Some(&(s, d)) = f.loops.sample.first() {
+            if let Err(RouteError::ForwardingLoop { visited, .. }) = routes.trace(net, ends, s, d) {
+                let names: Vec<&str> = visited.iter().map(|&v| net.label(v)).collect();
+                f.loop_detail = Some(names.join(" -> "));
+            }
+        }
+        if let (Some(disc), Some(&(s, d))) = (discipline, self.bad.sample.first()) {
+            let path = routes
+                .trace(net, ends, s, d)
+                .expect("a judged route traces");
+            let first_err = disc
+                .check_path(net, &path)
+                .expect_err("the forest verdict matches the pair check");
+            f.discipline = Some((self.bad, first_err));
+        }
+        f.verdicts(discipline, self.checked)
     }
 }
 
@@ -832,6 +922,16 @@ impl PairFindings {
             self.holes.push((s, d));
         } else {
             self.severed.push((s, d));
+        }
+    }
+
+    /// The L1, L2 and L4 diagnostics over `pairs_checked` live pairs.
+    fn verdicts(self, discipline: Option<&Discipline>, pairs_checked: usize) -> PairVerdicts {
+        let mut diagnostics = Vec::new();
+        self.emit(discipline, &mut diagnostics);
+        PairVerdicts {
+            diagnostics,
+            pairs_checked,
         }
     }
 

@@ -14,8 +14,7 @@
 //!   order, and the same number of checked pairs.
 
 use fractanet_graph::matching::Bipartite;
-use fractanet_graph::{bfs, LinkClass, Network, NodeId, PortId};
-use fractanet_graph::{ChannelId, LinkId};
+use fractanet_graph::{ChannelId, Network, NodeId};
 use fractanet_lint::{Diagnostic, Discipline, Linter, RuleId, Severity};
 use fractanet_metrics::contention::max_link_contention_paths;
 use fractanet_metrics::utilization::utilization_paths;
@@ -23,111 +22,10 @@ use fractanet_route::{DeadMask, Paths, RouteError, Routes};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+mod common;
+use common::{random_discipline, random_mask, random_net, random_tables};
+
 const SAMPLE: usize = 8;
-
-/// `n` routers on a spanning chain plus extra cables, with
-/// `ends_per[i] % 3` end nodes on router `i` (at least two overall).
-fn random_net(n: usize, ends_per: &[u8], extra: &[(u32, u32)]) -> (Network, Vec<NodeId>) {
-    let mut net = Network::new();
-    let routers: Vec<NodeId> = (0..n)
-        .map(|i| net.add_router(format!("r{i}"), 10))
-        .collect();
-    for w in routers.windows(2) {
-        net.connect_any(w[0], w[1], LinkClass::Local)
-            .expect("chain cable");
-    }
-    let mut ends = Vec::new();
-    for (i, &r) in routers.iter().enumerate() {
-        let k = if i < 2 {
-            1
-        } else {
-            ends_per[i % ends_per.len()] % 3
-        };
-        for j in 0..k {
-            let e = net.add_end_node(format!("n{i}.{j}"));
-            net.connect_any(e, r, LinkClass::Attach).expect("attach");
-            ends.push(e);
-        }
-    }
-    for &(a, b) in extra {
-        let _ = net.connect_any(
-            routers[a as usize % n],
-            routers[b as usize % n],
-            LinkClass::Local,
-        );
-    }
-    (net, ends)
-}
-
-/// Shortest-path tables with each entry corrupted when its byte falls
-/// below `noise`: into a hole, or a raw port that may be vacant,
-/// misdeliver into an end node, or close a forwarding loop.
-fn random_tables(net: &Network, ends: &[NodeId], entries: &[u8], noise: u8) -> Routes {
-    let n = ends.len();
-    let routers: Vec<NodeId> = net.routers().collect();
-    let mut routes = Routes::new(net, n);
-    for (d, &target) in ends.iter().enumerate() {
-        let dist = bfs::distances(net, target);
-        for (i, &r) in routers.iter().enumerate() {
-            let e = entries[(i * n + d) % entries.len()];
-            if e < noise {
-                if !e.is_multiple_of(4) {
-                    routes.set(r, d, PortId(e % 10));
-                }
-                continue;
-            }
-            let next = net
-                .channels_from(r)
-                .iter()
-                .find(|&&(_, v)| dist[v.index()] + 1 == dist[r.index()])
-                .map(|&(ch, _)| net.channel_src_port(ch));
-            if let Some(port) = next {
-                routes.set(r, d, port);
-            }
-        }
-    }
-    routes
-}
-
-/// Kills links, routers and end nodes whose byte falls below `rate`.
-fn random_mask(net: &Network, bytes: &[u8], rate: u8) -> DeadMask {
-    let mut mask = DeadMask::new(net);
-    let links: Vec<LinkId> = net.links().collect();
-    for (i, &l) in links.iter().enumerate() {
-        if bytes[i % bytes.len()] < rate {
-            mask.kill_link(l);
-        }
-    }
-    for v in net.nodes() {
-        if bytes[(v.index() * 7 + 3) % bytes.len()] < rate / 3 {
-            mask.kill_router(v);
-        }
-    }
-    mask
-}
-
-/// A rank or coordinate discipline with random router metadata;
-/// `None` entries leave routers unclassified.
-fn random_discipline(net: &Network, bytes: &[u8], kind: u8) -> Discipline {
-    let meta = |v: NodeId, k: usize| bytes[(v.index() * 3 + k) % bytes.len()];
-    match kind % 2 {
-        0 => Discipline::up_down(
-            net.nodes()
-                .map(|v| (net.is_router(v) && meta(v, 0) < 200).then(|| u32::from(meta(v, 1) % 4)))
-                .collect(),
-        ),
-        _ => Discipline::DimensionOrder {
-            name: "random dimension order",
-            coords: net
-                .nodes()
-                .map(|v| {
-                    (net.is_router(v) && meta(v, 0) < 200)
-                        .then(|| (0..3).map(|b| i64::from(meta(v, 1) >> b & 1)).collect())
-                })
-                .collect(),
-        },
-    }
-}
 
 /// Every channel's traced pairs, matched by Hopcroft–Karp, with the
 /// route count alongside.
@@ -478,7 +376,7 @@ proptest! {
         rate in 0u8..64,
         kind in 0u8..2,
     ) {
-        let (net, ends) = random_net(n, &ends_per, &extra);
+        let (net, ends) = random_net(n, &ends_per, &extra, &[]);
         let routes = random_tables(&net, &ends, &entries, noise.saturating_sub(32));
         let mask = random_mask(&net, &faults, rate.saturating_sub(16));
         let disc = random_discipline(&net, &faults, kind);
@@ -510,7 +408,7 @@ fn generator_covers_every_finding() {
         let faults: Vec<u8> = (0..32).map(|_| next() as u8).collect();
         let noise = [0, 0, 8, 24, 64][(case % 5) as usize];
         let rate = [0, 16, 48][(case % 3) as usize];
-        let (net, ends) = random_net(n, &ends_per, &extra);
+        let (net, ends) = random_net(n, &ends_per, &extra, &[]);
         let routes = random_tables(&net, &ends, &entries, noise);
         let mask = random_mask(&net, &faults, rate);
         let disc = random_discipline(&net, &faults, (case % 2) as u8);

@@ -18,7 +18,7 @@
 use crate::groups::{dense_flows, flows_matching, Groups};
 use fractanet_graph::matching::Bipartite;
 use fractanet_graph::{ChannelId, LinkClass, Network};
-use fractanet_route::{Paths, RouteSet};
+use fractanet_route::{DestForest, ForestConsumer, Paths, RouteSet};
 
 /// Worst-case contention of a routed network.
 #[derive(Clone, Debug)]
@@ -74,14 +74,44 @@ pub fn max_link_contention(net: &Network, routes: &RouteSet) -> ContentionReport
 /// solve per channel; pairs whose table trace fails contribute no
 /// flows.
 pub fn max_link_contention_paths(net: &Network, paths: Paths<'_>) -> ContentionReport {
-    let per_channel = match paths {
-        Paths::Dense(rs) => dense_flows(net, rs)
-            .iter_mut()
-            .map(|fl| flows_matching(fl))
-            .collect(),
-        Paths::Tables { net, ends, routes } => Groups::from_tables(net, ends, routes).matchings(),
-    };
-    ContentionReport::from_per_channel(per_channel)
+    match paths {
+        Paths::Dense(rs) => ContentionReport::from_per_channel(
+            dense_flows(net, rs)
+                .iter_mut()
+                .map(|fl| flows_matching(fl))
+                .collect(),
+        ),
+        Paths::Tables { net, ends, routes } => {
+            let mut sweep = ContentionSweep::new(net, ends.len());
+            DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
+            sweep.finish()
+        }
+    }
+}
+
+/// The forest-side contention build: each [`DestForest`] it absorbs
+/// adds that destination's twin groups to the channels it crosses, and
+/// [`ContentionSweep::finish`] solves every channel's matching — what
+/// [`max_link_contention_paths`] runs over a table view, as one
+/// consumer of a shared [`DestForest::sweep`].
+pub struct ContentionSweep(Groups);
+
+impl ContentionSweep {
+    /// No flows yet, over `net`'s channels and `addresses` end nodes.
+    pub fn new(net: &Network, addresses: usize) -> Self {
+        ContentionSweep(Groups::new(net, addresses))
+    }
+
+    /// The contention report of every destination absorbed so far.
+    pub fn finish(self) -> ContentionReport {
+        ContentionReport::from_per_channel(self.0.matchings())
+    }
+}
+
+impl ForestConsumer for ContentionSweep {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        self.0.absorb(forest);
+    }
 }
 
 impl ContentionReport {

@@ -18,7 +18,7 @@
 
 use fractanet_graph::flow::FlowNetwork;
 use fractanet_graph::{Network, NodeId};
-use fractanet_route::{DestForest, RouteSet, Routes};
+use fractanet_route::{DestForest, ForestConsumer, RouteSet, Routes};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -91,49 +91,28 @@ pub(crate) struct Groups {
     /// `(set id, destinations)` per channel, by `ChannelId::index()`.
     per_channel: Vec<Vec<(u32, u32)>>,
     sets: EndSets,
+    /// `subtree[v]`: id of the ends in `v`'s subtree of the forest
+    /// being absorbed, folded child by child.
+    subtree: Vec<u32>,
 }
 
 impl Groups {
+    /// No flows yet, over `net`'s channels and `addresses` end nodes.
+    pub(crate) fn new(net: &Network, addresses: usize) -> Self {
+        Groups {
+            per_channel: vec![Vec::new(); net.channel_count()],
+            sets: EndSets::new(addresses),
+            subtree: vec![EMPTY; net.node_count()],
+        }
+    }
+
     /// Sweeps one routing forest per destination: O(nodes) each, plus
     /// one hash-consing step per routed router and per routed source.
     /// Pairs whose route fails to trace contribute no flows.
     pub(crate) fn from_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
-        let n = ends.len();
-        let mut sets = EndSets::new(n);
-        let mut per_channel: Vec<Vec<(u32, u32)>> = vec![Vec::new(); net.channel_count()];
-        // `set[v]`: id of the ends in `v`'s subtree, folded child by
-        // child.
-        let mut set = vec![EMPTY; net.node_count()];
-        let mut forest = DestForest::new(net, ends, routes);
-        for d in 0..n {
-            forest.resolve(d);
-            let order = forest.routed();
-            for &v in order {
-                set[v.index()] = EMPTY;
-            }
-            // Sources hang below their first router, which their
-            // injection channel enters; a failed first router routes
-            // nothing.
-            for s in (0..n).filter(|&s| s != d) {
-                let (ch, first) = forest.inject(s);
-                if forest.depth(first).is_some() {
-                    add(&mut per_channel[ch.index()], s as u32);
-                    set[first.index()] = sets.union(set[first.index()], s as u32);
-                }
-            }
-            // Reversed, every subtree is complete before its root's set
-            // is read and folded into the next hop's.
-            for &v in order.iter().rev() {
-                let Some(ch) = forest.hop(v) else { continue };
-                let id = set[v.index()];
-                if id != EMPTY {
-                    add(&mut per_channel[ch.index()], id);
-                    let next = net.channel_dst(ch).index();
-                    set[next] = sets.union(set[next], id);
-                }
-            }
-        }
-        Groups { per_channel, sets }
+        let mut groups = Groups::new(net, ends.len());
+        DestForest::sweep(net, ends, routes, &mut [&mut groups]);
+        groups
     }
 
     /// Maximum matching of every channel (0 for idle channels).
@@ -171,6 +150,37 @@ impl Groups {
                     .sum()
             })
             .collect()
+    }
+}
+
+impl ForestConsumer for Groups {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        let (set, sets) = (&mut self.subtree, &mut self.sets);
+        let d = forest.dst();
+        let order = forest.routed();
+        for &v in order {
+            set[v.index()] = EMPTY;
+        }
+        // Sources hang below their first router, which their injection
+        // channel enters; a failed first router routes nothing.
+        for s in (0..forest.addresses()).filter(|&s| s != d) {
+            let (ch, first) = forest.inject(s);
+            if forest.depth(first).is_some() {
+                add(&mut self.per_channel[ch.index()], s as u32);
+                set[first.index()] = sets.union(set[first.index()], s as u32);
+            }
+        }
+        // Reversed, every subtree is complete before its root's set is
+        // read and folded into the next hop's.
+        for &v in order.iter().rev() {
+            let Some(ch) = forest.hop(v) else { continue };
+            let id = set[v.index()];
+            if id != EMPTY {
+                add(&mut self.per_channel[ch.index()], id);
+                let next = forest.channel_dst(ch).index();
+                set[next] = sets.union(set[next], id);
+            }
+        }
     }
 }
 

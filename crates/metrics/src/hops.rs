@@ -1,7 +1,7 @@
 //! Router-hop statistics (Tables 1 & 2).
 
 use fractanet_graph::{bfs, Network, NodeId};
-use fractanet_route::{DestForest, Paths, RouteSet, Routes};
+use fractanet_route::{DestForest, ForestConsumer, RouteSet, Routes};
 
 /// Hop statistics of a network or a routed network.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,53 +52,22 @@ impl HopStats {
 
     /// Statistics of the *routed* paths (equals topological for
     /// minimal routings; larger for restricted ones like up*/down*).
+    /// `None` when fewer than two end nodes or any pair is unrouted.
     pub fn routed(routes: &RouteSet) -> Option<Self> {
-        Self::routed_paths(Paths::dense(routes))
+        let mut tally = HopSweep::new(routes.len());
+        for (_, _, p) in routes.pairs() {
+            tally.count(p.len().checked_sub(1));
+        }
+        tally.finish()
     }
 
     /// [`HopStats::routed`] over destination tables directly, reading
     /// each route's hop count off its destination's routing forest
     /// instead of tracing pairs: O(nodes · N).
     pub fn routed_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Option<Self> {
-        Self::routed_paths(Paths::tables(net, ends, routes))
-    }
-
-    /// [`HopStats::routed`] over any per-pair path view. `None` when
-    /// fewer than two end nodes or any pair is unrouted.
-    pub fn routed_paths(paths: Paths<'_>) -> Option<Self> {
-        if paths.len() < 2 {
-            return None;
-        }
-        let mut histogram = Vec::new();
-        let mut count = |hops: usize| {
-            if histogram.len() <= hops {
-                histogram.resize(hops + 1, 0);
-            }
-            histogram[hops] += 1;
-        };
-        match paths {
-            Paths::Dense(rs) => {
-                for (_, _, p) in rs.pairs() {
-                    count(p.len().checked_sub(1)?);
-                }
-            }
-            Paths::Tables { net, ends, routes } => {
-                let mut forest = DestForest::new(net, ends, routes);
-                for d in 0..ends.len() {
-                    forest.resolve(d);
-                    for s in (0..ends.len()).filter(|&s| s != d) {
-                        count(forest.route_hops(s)?);
-                    }
-                }
-            }
-        }
-        let pairs: usize = histogram.iter().sum();
-        let total: usize = histogram.iter().enumerate().map(|(h, &c)| h * c).sum();
-        Some(HopStats {
-            max: histogram.len() - 1,
-            avg: total as f64 / pairs as f64,
-            histogram,
-        })
+        let mut sweep = HopSweep::new(ends.len());
+        DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
+        sweep.finish()
     }
 
     /// How many extra hops routing adds over shortest paths, summed
@@ -114,6 +83,64 @@ impl HopStats {
             .map(|(h, &c)| h * c)
             .sum();
         Some(r - t)
+    }
+}
+
+/// The routed hop histogram, one pair at a time or one routing forest
+/// at a time: each absorbed forest counts every source's hops toward
+/// its destination.
+pub struct HopSweep {
+    addresses: usize,
+    histogram: Vec<usize>,
+    /// Whether some pair's route failed.
+    unrouted: bool,
+}
+
+impl HopSweep {
+    /// An empty tally over `addresses` end nodes.
+    pub fn new(addresses: usize) -> Self {
+        HopSweep {
+            addresses,
+            histogram: Vec::new(),
+            unrouted: false,
+        }
+    }
+
+    fn count(&mut self, hops: Option<usize>) {
+        match hops {
+            Some(h) => {
+                if self.histogram.len() <= h {
+                    self.histogram.resize(h + 1, 0);
+                }
+                self.histogram[h] += 1;
+            }
+            None => self.unrouted = true,
+        }
+    }
+
+    /// The statistics of every pair counted, or `None` when fewer than
+    /// two end nodes or any pair is unrouted.
+    pub fn finish(self) -> Option<HopStats> {
+        if self.addresses < 2 || self.unrouted {
+            return None;
+        }
+        let histogram = self.histogram;
+        let pairs: usize = histogram.iter().sum();
+        let total: usize = histogram.iter().enumerate().map(|(h, &c)| h * c).sum();
+        Some(HopStats {
+            max: histogram.len() - 1,
+            avg: total as f64 / pairs as f64,
+            histogram,
+        })
+    }
+}
+
+impl ForestConsumer for HopSweep {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        let d = forest.dst();
+        for s in (0..self.addresses).filter(|&s| s != d) {
+            self.count(forest.route_hops(s));
+        }
     }
 }
 

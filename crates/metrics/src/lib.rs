@@ -34,8 +34,8 @@ pub mod utilization;
 pub use bisection::{bisection_estimate, min_cut_links, BisectionReport};
 pub use contention::{
     compare_contention, max_link_contention, max_link_contention_paths, ContentionComparison,
-    ContentionReport,
+    ContentionReport, ContentionSweep,
 };
 pub use cost::CostSummary;
-pub use hops::HopStats;
+pub use hops::{HopStats, HopSweep};
 pub use utilization::UtilizationReport;

@@ -21,8 +21,18 @@
 //! out to every node (a path property, such as "crosses a dead
 //! channel"), and one pass in reverse sums over subtrees (the sources
 //! behind a channel).
+//!
+//! Every hop read is one load from a flat array (DESIGN.md §13): the
+//! forest snapshots the table columns destination-major, a block of
+//! 64 destinations at a time, and keeps `(node, port) → channel`
+//! and `channel → (far end, source port)` as dense arrays, so no walk
+//! goes through a router's row, its port list and the link record.
+//!
+//! [`DestForest::sweep`] is the one loop over destinations: it
+//! resolves each forest once and hands it to every [`ForestConsumer`],
+//! so analyses reading the same tables share the resolution.
 
-use crate::table::Routes;
+use crate::table::{Routes, NO_ENTRY};
 use fractanet_graph::{ChannelId, Network, NodeId};
 
 /// Not yet visited for the current destination.
@@ -36,6 +46,14 @@ const MISDELIVERS: u32 = u32::MAX - 3;
 /// The walk from here meets a missing entry or a vacant port.
 const UNROUTED: u32 = u32::MAX - 4;
 
+/// A `(node, port)` slot with no cable.
+const VACANT: u32 = u32::MAX;
+
+/// Destinations per column snapshot: table columns are transposed
+/// destination-major this many at a time, so each router row is read
+/// in runs of contiguous bytes and the snapshot stays O(nodes).
+const BLOCK: usize = 64;
+
 /// Why a node's walk toward the destination fails — the
 /// [`RouteError`](crate::RouteError) a pair trace from there reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,14 +66,40 @@ pub enum Failure {
     Loop,
 }
 
+/// One analysis fed by [`DestForest::sweep`]: it reads what it needs
+/// off each destination's resolved forest, in address order.
+pub trait ForestConsumer {
+    /// Takes in the forest of destination [`DestForest::dst`].
+    fn absorb(&mut self, forest: &DestForest<'_>);
+}
+
 /// One destination's routes as an in-forest over the network's nodes,
 /// re-resolved in place by [`DestForest::resolve`] so scratch storage
 /// is allocated once for a sweep over all destinations.
 pub struct DestForest<'a> {
-    net: &'a Network,
     ends: &'a [NodeId],
     routes: &'a Routes,
+    /// Port slots per node in `port_channel`: the widest node's ports.
+    ports: usize,
+    /// `port_channel[v * ports + p]`: the channel leaving node `v` by
+    /// port `p`, or [`VACANT`].
+    port_channel: Vec<u32>,
+    /// The node each channel arrives at.
+    channel_dst: Vec<NodeId>,
+    /// The port each channel leaves its source by.
+    channel_src_port: Vec<u8>,
+    router: Vec<bool>,
+    /// Each address's injection channel and the node it enters.
+    injection: Vec<(ChannelId, NodeId)>,
+    /// Table columns `first_col..first_col + width`, destination-major:
+    /// `columns[(d - first_col) * nodes + v]` is `v`'s entry for `d`.
+    columns: Vec<u8>,
+    width: usize,
+    first_col: usize,
+    /// Offset of the current destination's column in `columns`.
+    col: usize,
     dst: usize,
+    target: NodeId,
     /// Hops from each node to the target, or one of the sentinels.
     depth: Vec<u32>,
     /// Each resolved non-target node's outgoing channel.
@@ -68,14 +112,48 @@ pub struct DestForest<'a> {
 
 impl<'a> DestForest<'a> {
     /// Scratch for walking `routes` over `net`; call
-    /// [`DestForest::resolve`] before reading it.
+    /// [`DestForest::resolve`] before reading it. Every end node must
+    /// be attached.
     pub fn new(net: &'a Network, ends: &'a [NodeId], routes: &'a Routes) -> Self {
         let n = net.node_count();
+        let ports = net
+            .nodes()
+            .map(|v| net.kind(v).ports() as usize)
+            .max()
+            .unwrap_or(0);
+        let mut port_channel = vec![VACANT; n * ports];
+        let mut channel_dst = Vec::with_capacity(net.channel_count());
+        let mut channel_src_port = Vec::with_capacity(net.channel_count());
+        for ch in net.channels() {
+            let port = net.channel_src_port(ch);
+            port_channel[net.channel_src(ch).index() * ports + port.index()] = ch.0;
+            channel_dst.push(net.channel_dst(ch));
+            channel_src_port.push(port.0);
+        }
+        let injection = ends
+            .iter()
+            .map(|&e| {
+                *net.channels_from(e)
+                    .first()
+                    .expect("end node must be attached")
+            })
+            .collect();
+        let width = BLOCK.min(ends.len()).max(1);
         DestForest {
-            net,
             ends,
             routes,
+            ports,
+            port_channel,
+            channel_dst,
+            channel_src_port,
+            router: net.nodes().map(|v| net.is_router(v)).collect(),
+            injection,
+            columns: vec![NO_ENTRY; width * n],
+            width,
+            first_col: usize::MAX,
+            col: 0,
             dst: usize::MAX,
+            target: NodeId(u32::MAX),
             depth: vec![UNSEEN; n],
             out: vec![ChannelId(0); n],
             stack: Vec::new(),
@@ -83,17 +161,54 @@ impl<'a> DestForest<'a> {
         }
     }
 
+    /// Resolves every destination's forest in address order and hands
+    /// each to every consumer — the one pass over the tables that any
+    /// number of analyses share.
+    pub fn sweep(
+        net: &Network,
+        ends: &[NodeId],
+        routes: &Routes,
+        consumers: &mut [&mut dyn ForestConsumer],
+    ) {
+        let mut forest = DestForest::new(net, ends, routes);
+        for d in 0..ends.len() {
+            forest.resolve(d);
+            for c in consumers.iter_mut() {
+                c.absorb(&forest);
+            }
+        }
+    }
+
     /// Resolves every node's route toward destination address `dst`,
     /// replacing the previous destination's forest. O(nodes).
     pub fn resolve(&mut self, dst: usize) {
+        if !(self.first_col..self.first_col.saturating_add(self.width)).contains(&dst) {
+            self.load_columns(dst - dst % self.width);
+        }
+        self.col = (dst - self.first_col) * self.depth.len();
         self.dst = dst;
+        self.target = self.ends[dst];
         self.depth.fill(UNSEEN);
-        self.depth[self.ends[dst].index()] = 0;
+        self.depth[self.target.index()] = 0;
         self.order.clear();
-        self.order.push(self.ends[dst]);
+        self.order.push(self.target);
         for v in 0..self.depth.len() {
             if self.depth[v] == UNSEEN {
                 self.resolve_from(NodeId(v as u32));
+            }
+        }
+    }
+
+    /// Snapshots table columns `first..first + width` destination-major.
+    fn load_columns(&mut self, first: usize) {
+        let n = self.depth.len();
+        self.first_col = first;
+        self.columns.fill(NO_ENTRY);
+        for v in 0..n {
+            let row = self.routes.row(v);
+            let run = row.get(first..).unwrap_or_default();
+            for (j, &port) in run.iter().take(self.width).enumerate() {
+                self.columns[j * n + v] = port;
             }
         }
     }
@@ -119,7 +234,7 @@ impl<'a> DestForest<'a> {
             self.depth[v.index()] = ON_STACK;
             self.out[v.index()] = ch;
             self.stack.push(v);
-            v = self.net.channel_dst(ch);
+            v = self.channel_dst(ch);
         };
         while let Some(u) = self.stack.pop() {
             if depth < UNROUTED {
@@ -133,15 +248,46 @@ impl<'a> DestForest<'a> {
     /// The channel a packet for the current destination leaves `v` by,
     /// or why the walk fails right here: no entry (end nodes have
     /// none), a vacant port, or delivery into the wrong end node.
+    #[inline]
     fn forward(&self, v: NodeId) -> Result<ChannelId, u32> {
-        let port = self.routes.get(v, self.dst).ok_or(UNROUTED)?;
-        let ch = self.net.channel_out(v, port).ok_or(UNROUTED)?;
-        let next = self.net.channel_dst(ch);
-        if self.net.is_router(next) || next == self.ends[self.dst] {
-            Ok(ch)
+        let port = self.columns[self.col + v.index()] as usize;
+        if port >= self.ports {
+            return Err(UNROUTED);
+        }
+        let ch = self.port_channel[v.index() * self.ports + port];
+        if ch == VACANT {
+            return Err(UNROUTED);
+        }
+        let next = self.channel_dst[ch as usize];
+        if self.router[next.index()] || next == self.target {
+            Ok(ChannelId(ch))
         } else {
             Err(MISDELIVERS)
         }
+    }
+
+    /// Number of addresses (sources and destinations alike).
+    pub fn addresses(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The destination address this forest was resolved for.
+    pub fn dst(&self) -> usize {
+        self.dst
+    }
+
+    /// The node channel `ch` arrives at (one load; equals
+    /// [`Network::channel_dst`]).
+    #[inline]
+    pub fn channel_dst(&self, ch: ChannelId) -> NodeId {
+        self.channel_dst[ch.index()]
+    }
+
+    /// The port channel `ch` leaves its source by (one load; equals
+    /// [`Network::channel_src_port`]).
+    #[inline]
+    pub fn channel_src_port(&self, ch: ChannelId) -> usize {
+        self.channel_src_port[ch.index()] as usize
     }
 
     /// Hops from `v` to the destination end node (0 at the target), or
@@ -164,6 +310,7 @@ impl<'a> DestForest<'a> {
 
     /// The channel `v` forwards on, when `v`'s walk reaches the target
     /// and `v` is not the target itself.
+    #[inline]
     pub fn hop(&self, v: NodeId) -> Option<ChannelId> {
         match self.depth[v.index()] {
             0 => None,
@@ -181,12 +328,9 @@ impl<'a> DestForest<'a> {
 
     /// The injection channel of source address `src` and the node it
     /// leads to — the first hop of every route from `src`.
+    #[inline]
     pub fn inject(&self, src: usize) -> (ChannelId, NodeId) {
-        *self
-            .net
-            .channels_from(self.ends[src])
-            .first()
-            .expect("end node must be attached")
+        self.injection[src]
     }
 
     /// Router hops of the route from `src` to the current destination
@@ -220,11 +364,14 @@ mod tests {
         (net, ends, r0, r1)
     }
 
-    /// Every pair's forest answer against the pair tracer.
+    /// Every pair's forest answer against the pair tracer, resolving
+    /// destinations in address order and then in reverse, so every
+    /// column block is reloaded out of order too.
     fn assert_agrees_with_trace(net: &Network, ends: &[NodeId], routes: &Routes) {
         let mut forest = DestForest::new(net, ends, routes);
-        for d in 0..ends.len() {
+        for d in (0..ends.len()).chain((0..ends.len()).rev()) {
             forest.resolve(d);
+            assert_eq!(forest.dst(), d);
             for s in (0..ends.len()).filter(|&s| s != d) {
                 let traced = routes.trace(net, ends, s, d);
                 assert_eq!(
@@ -246,7 +393,12 @@ mod tests {
                     let mut walked = vec![inject];
                     while let Some(ch) = forest.hop(v) {
                         walked.push(ch);
-                        v = net.channel_dst(ch);
+                        assert_eq!(forest.channel_dst(ch), net.channel_dst(ch));
+                        assert_eq!(
+                            forest.channel_src_port(ch),
+                            net.channel_src_port(ch).index()
+                        );
+                        v = forest.channel_dst(ch);
                     }
                     assert_eq!(walked, p, "{s}->{d}");
                 }
@@ -315,5 +467,82 @@ mod tests {
         assert_eq!(forest.failure(r0), Some(Failure::Unrouted));
         assert_eq!(forest.routed(), &[ends[2]]);
         assert_agrees_with_trace(&net, &ends, &routes);
+    }
+
+    /// A ring of routers with dual-ported end nodes on some of them and
+    /// more addresses than one column block, under tables that mix
+    /// shortest-path entries with holes, ports past the router's count,
+    /// vacant ports, misdeliveries and loops.
+    #[test]
+    fn flat_kernel_matches_the_tracer_on_corrupted_dual_ported_tables() {
+        use fractanet_graph::bfs;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut seen = [0usize; 4];
+        for (routers, noise) in [(12usize, 0u64), (36, 8), (40, 24), (40, 64)] {
+            let mut net = Network::new();
+            let rs: Vec<NodeId> = (0..routers)
+                .map(|i| net.add_router(format!("r{i}"), 8))
+                .collect();
+            for i in 0..routers {
+                net.connect_any(rs[i], rs[(i + 1) % routers], LinkClass::Local)
+                    .unwrap();
+            }
+            let mut ends = Vec::new();
+            for (i, &r) in rs.iter().enumerate() {
+                for j in 0..2 {
+                    let dual = (i + j) % 3 == 0;
+                    let e = net.add_end_node_with_ports(format!("n{i}.{j}"), 1 + u8::from(dual));
+                    net.connect_any(e, r, LinkClass::Attach).unwrap();
+                    if dual {
+                        let other = rs[(i + routers / 2) % routers];
+                        net.connect_any(e, other, LinkClass::Attach).unwrap();
+                    }
+                    ends.push(e);
+                }
+            }
+            assert!(ends.len() > BLOCK || routers == 12);
+            let mut routes = Routes::new(&net, ends.len());
+            for (d, &target) in ends.iter().enumerate() {
+                let dist = bfs::distances(&net, target);
+                for &r in &rs {
+                    let roll = next() % 100;
+                    if roll < noise {
+                        // Holes, then raw ports: past the router's 8,
+                        // vacant, into a foreign end node, or around
+                        // the ring the wrong way.
+                        if roll % 4 != 0 {
+                            routes.set(r, d, PortId((next() % 10) as u8));
+                        }
+                        continue;
+                    }
+                    let port = net
+                        .channels_from(r)
+                        .iter()
+                        .find(|&&(_, v)| dist[v.index()] + 1 == dist[r.index()])
+                        .map(|&(ch, _)| net.channel_src_port(ch));
+                    if let Some(port) = port {
+                        routes.set(r, d, port);
+                    }
+                }
+            }
+            assert_agrees_with_trace(&net, &ends, &routes);
+            let mut forest = DestForest::new(&net, &ends, &routes);
+            for d in 0..ends.len() {
+                forest.resolve(d);
+                for s in 0..ends.len() {
+                    seen[forest
+                        .failure(forest.inject(s).1)
+                        .map_or(0, |f| 1 + f as usize)] += 1;
+                }
+            }
+        }
+        // Routed, unrouted, misdelivered and looping pairs all occur.
+        assert!(seen.iter().all(|&k| k > 0), "{seen:?}");
     }
 }

@@ -46,7 +46,7 @@ pub mod ringroute;
 pub mod table;
 pub mod treeroute;
 
-pub use forest::{DestForest, Failure};
+pub use forest::{DestForest, Failure, ForestConsumer};
 pub use paths::Paths;
 pub use repair::{
     repair_routes, repair_tables, DeadMask, IncrementalRepair, RepairError, RepairReport,

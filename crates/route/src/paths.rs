@@ -1,12 +1,13 @@
 //! A routing view over either representation.
 //!
-//! Analyses (lint, contention, utilization, hop statistics, the channel
-//! dependency graph) take a [`Paths`] and branch on it: a dense
-//! [`RouteSet`] is walked pair by pair in place, while canonical
-//! [`Routes`] tables are read per destination through
-//! [`DestForest`](crate::DestForest), in O(nodes · N) rather than
-//! O(N² · path length). Dense views keep the pair walk because
-//! per-pair routes need not agree on a next hop per destination.
+//! Contention and utilization take a [`Paths`] and branch on it (lint,
+//! hop statistics and the channel dependency graph have one entry
+//! point per representation): a dense [`RouteSet`] is walked pair by
+//! pair in place, while canonical [`Routes`] tables are read per
+//! destination through [`DestForest`](crate::DestForest), in
+//! O(nodes · N) rather than O(N² · path length). Dense views keep the
+//! pair walk because per-pair routes need not agree on a next hop per
+//! destination.
 //!
 //! [`Paths::for_each_pair`] still traces a table view pair by pair
 //! into one reused scratch buffer. No analysis calls it on tables any

@@ -92,7 +92,7 @@ impl std::error::Error for RouteError {}
 /// The sentinel byte marking an empty table entry. Port numbers in
 /// this workspace are tiny (routers have ≤ 8 ports), so `u8::MAX` can
 /// never collide with a real port.
-const NO_ENTRY: u8 = u8::MAX;
+pub(crate) const NO_ENTRY: u8 = u8::MAX;
 
 /// Per-router destination-indexed routing tables — the ServerNet
 /// model and the workspace's single source of truth for routing.
@@ -216,6 +216,12 @@ impl Routes {
             .copied()
             .filter(|&p| p != NO_ENTRY)
             .map(PortId)
+    }
+
+    /// The raw table row of node index `v` (empty for end nodes),
+    /// [`NO_ENTRY`] marking a missing entry.
+    pub(crate) fn row(&self, v: usize) -> &[u8] {
+        &self.rows[v]
     }
 
     /// Bytes resident in this table, counting per-row headers — the

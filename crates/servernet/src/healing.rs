@@ -20,11 +20,11 @@
 use crate::faults::FaultSet;
 use fractanet_deadlock::DeadlockReport;
 use fractanet_deadlock::{
-    synthesize_disables_exact, verify_deadlock_free, verify_deadlock_free_tables, DisableSet,
-    ExactConfig, SynthesisError,
+    synthesize_disables_exact, verify_deadlock_free, verify_deadlock_free_tables,
+    ChannelDependencyGraph, DisableSet, ExactConfig, SynthesisError,
 };
 use fractanet_graph::{LinkId, Network, NodeId};
-use fractanet_lint::{LintReport, Linter};
+use fractanet_lint::{LintReport, Linter, Precomputed};
 use fractanet_route::repair::{repair_tables, trace_surviving, DeadMask, RepairError};
 use fractanet_route::{IncrementalRepair, RouteSet, Routes};
 use std::sync::Arc;
@@ -221,10 +221,11 @@ pub fn heal_mask_with_fallback(
 
 /// The certification gate itself, run directly over destination
 /// tables: the Dally & Seitz acyclicity certificate (CDG built from
-/// table walks) plus the full static lint, with no dense path matrix
-/// materialized. Returns the certified CDG's dependency count. Public
-/// so integrations that regenerate tables some other way can push them
-/// through the same gate [`heal_mask`] uses.
+/// table walks) plus the full static lint, whose L3 reads that same
+/// CDG, with no dense path matrix materialized. Returns the certified
+/// CDG's dependency count. Public so integrations that regenerate
+/// tables some other way can push them through the same gate
+/// [`heal_mask`] uses.
 pub fn certify_tables(
     net: &Network,
     ends: &[NodeId],
@@ -232,11 +233,7 @@ pub fn certify_tables(
     tables: &Routes,
 ) -> Result<usize, HealError> {
     let cdg = verify_deadlock_free_tables(net, ends, tables).map_err(HealError::Cyclic)?;
-    let lint = Linter::new(net, ends)
-        .with_subject("heal")
-        .with_mask(mask)
-        .without_suggestions()
-        .check_tables(tables);
+    let lint = gate_linter(net, ends, mask, &cdg).check_tables(tables);
     if !lint.is_clean() {
         return Err(HealError::Lint(Box::new(lint)));
     }
@@ -253,15 +250,29 @@ pub fn certify_routes(
     routes: &RouteSet,
 ) -> Result<usize, HealError> {
     let cdg = verify_deadlock_free(net, routes).map_err(HealError::Cyclic)?;
-    let lint = Linter::new(net, ends)
-        .with_subject("heal")
-        .with_mask(mask)
-        .without_suggestions()
-        .check(routes);
+    let lint = gate_linter(net, ends, mask, &cdg).check(routes);
     if !lint.is_clean() {
         return Err(HealError::Lint(Box::new(lint)));
     }
     Ok(cdg.dependency_count())
+}
+
+/// The gate's static lint over the surviving network, judging L3 on
+/// the dependency graph the gate has just verified.
+fn gate_linter<'a>(
+    net: &'a Network,
+    ends: &'a [NodeId],
+    mask: &'a DeadMask,
+    cdg: &'a ChannelDependencyGraph,
+) -> Linter<'a> {
+    Linter::new(net, ends)
+        .with_subject("heal")
+        .with_mask(mask)
+        .without_suggestions()
+        .with_certificate(Precomputed {
+            cdg: Some(cdg),
+            ..Precomputed::default()
+        })
 }
 
 /// A ready-made repairer hook for
