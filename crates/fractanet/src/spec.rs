@@ -24,7 +24,8 @@ use std::str::FromStr;
 /// A parsed topology specifier, e.g. `fat-fractahedron:2` or
 /// `mesh:6x6`. See the module docs for the grammar; invalid sizes
 /// (levels outside `1..=5`, hypercubes above dim 8, clusters above 6
-/// routers) are rejected at parse time.
+/// routers, rings below 3 routers, fat trees and binary trees their
+/// 6-port routers cannot build) are rejected at parse time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopoSpec {
     /// `fat-fractahedron:<levels>` — the paper's Fig 7 network at 2.
@@ -72,11 +73,11 @@ pub enum TopoSpec {
     },
     /// `fattree:<nodes>:<down>:<up>` — the Fig 6 fat tree.
     FatTree {
-        /// End nodes.
+        /// End nodes, at least 2.
         nodes: usize,
-        /// Down-links per router.
+        /// Down-links per router, at least 2.
         down: usize,
-        /// Up-links per router.
+        /// Up-links per router, at least 1 (`down + up <= 6`).
         up: usize,
     },
     /// `hypercube:<dim>` — Fig 2; dim `1..=8` (routers grow past 6
@@ -87,7 +88,7 @@ pub enum TopoSpec {
     },
     /// `ring:<n>` — Fig 1's ring (deadlock-prone with minimal routing).
     Ring {
-        /// Routers on the ring.
+        /// Routers on the ring, at least 3.
         n: usize,
     },
     /// `tetrahedron` — Fig 4 (4 routers, 12 nodes).
@@ -99,9 +100,10 @@ pub enum TopoSpec {
     },
     /// `bintree:<depth>:<nodes-per-leaf>` — §2's binary tree.
     BinTree {
-        /// Router levels.
+        /// Router levels, `1..=16`.
         depth: u32,
-        /// End nodes per leaf router.
+        /// End nodes per leaf router, `1..=5`; at least 2 end nodes in
+        /// all.
         nodes_per_leaf: usize,
     },
 }
@@ -254,19 +256,29 @@ impl FromStr for TopoSpec {
                 }
                 Ok(TopoSpec::Torus { cols, rows })
             }
-            "fattree" if parts.len() == 4 => Ok(TopoSpec::FatTree {
-                nodes: int(parts[1])?,
-                down: int(parts[2])?,
-                up: int(parts[3])?,
-            }),
+            "fattree" if parts.len() == 4 => {
+                let (nodes, down, up) = (int(parts[1])?, int(parts[2])?, int(parts[3])?);
+                if nodes < 2 || down < 2 || up < 1 || down + up > 6 {
+                    return Err(SpecError(
+                        "fat tree needs nodes >= 2, down >= 2, up >= 1 and down + up <= 6".into(),
+                    ));
+                }
+                Ok(TopoSpec::FatTree { nodes, down, up })
+            }
             "hypercube" if parts.len() == 2 => {
-                let dim = int(parts[1])? as u32;
+                let dim = int(parts[1])?;
                 if !(1..=8).contains(&dim) {
                     return Err(SpecError("hypercube dim must be 1..=8".into()));
                 }
-                Ok(TopoSpec::Hypercube { dim })
+                Ok(TopoSpec::Hypercube { dim: dim as u32 })
             }
-            "ring" if parts.len() == 2 => Ok(TopoSpec::Ring { n: int(parts[1])? }),
+            "ring" if parts.len() == 2 => {
+                let n = int(parts[1])?;
+                if n < 3 {
+                    return Err(SpecError("ring needs at least 3 routers".into()));
+                }
+                Ok(TopoSpec::Ring { n })
+            }
             "tetrahedron" if parts.len() == 1 => Ok(TopoSpec::Tetrahedron),
             "cluster" if parts.len() == 2 => {
                 let m = int(parts[1])?;
@@ -277,10 +289,22 @@ impl FromStr for TopoSpec {
                 }
                 Ok(TopoSpec::Cluster { m })
             }
-            "bintree" if parts.len() == 3 => Ok(TopoSpec::BinTree {
-                depth: int(parts[1])? as u32,
-                nodes_per_leaf: int(parts[2])?,
-            }),
+            "bintree" if parts.len() == 3 => {
+                let (depth, nodes_per_leaf) = (int(parts[1])?, int(parts[2])?);
+                if !(1..=16).contains(&depth)
+                    || !(1..=5).contains(&nodes_per_leaf)
+                    || (nodes_per_leaf << (depth - 1)) < 2
+                {
+                    return Err(SpecError(
+                        "binary tree needs depth 1..=16, 1..=5 nodes per leaf and >= 2 end nodes"
+                            .into(),
+                    ));
+                }
+                Ok(TopoSpec::BinTree {
+                    depth: depth as u32,
+                    nodes_per_leaf,
+                })
+            }
             _ => Err(bad()),
         }
     }
@@ -475,6 +499,18 @@ mod tests {
             "tetrahedron:1",
             "nonsense:1",
             "",
+            "ring:0",
+            "ring:1",
+            "ring:2",
+            "ring:2:vc2",
+            "fattree:1:4:2",
+            "fattree:64:1:1",
+            "fattree:64:4:3",
+            "bintree:0:1",
+            "bintree:2:9",
+            "bintree:2:0",
+            "bintree:1:1",
+            "hypercube:4294967299",
         ] {
             assert!(s.parse::<TopoSpec>().is_err(), "{s}");
         }
