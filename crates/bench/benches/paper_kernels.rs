@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fractanet::deadlock::{verify_deadlock_free, ChannelDependencyGraph};
-use fractanet::metrics::{bisection_estimate, max_link_contention};
+use fractanet::metrics::{bisection_estimate, max_link_contention_paths};
 use fractanet::prelude::*;
 use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet::route::treeroute::updown_routeset;
@@ -51,7 +51,8 @@ fn bench_fig3(c: &mut Criterion) {
             let mut total = 0;
             for m in 2..=6 {
                 let sys = System::cluster(m);
-                total += max_link_contention(sys.net(), sys.route_set()).worst;
+                let paths = Paths::tables(sys.net(), sys.end_nodes(), sys.routes());
+                total += max_link_contention_paths(sys.net(), paths).worst;
             }
             assert_eq!(total, 5 + 4 + 3 + 2 + 1);
         })
@@ -77,10 +78,22 @@ fn bench_table2(c: &mut Criterion) {
     let ft = System::fat_tree(64, 4, 2);
     let ff = System::fat_fractahedron(2);
     c.bench_function("table2_contention_fat_tree_64", |b| {
-        b.iter(|| max_link_contention(ft.net(), ft.route_set()).worst)
+        b.iter(|| {
+            max_link_contention_paths(
+                ft.net(),
+                Paths::tables(ft.net(), ft.end_nodes(), ft.routes()),
+            )
+            .worst
+        })
     });
     c.bench_function("table2_contention_fractahedron_64", |b| {
-        b.iter(|| max_link_contention(ff.net(), ff.route_set()).worst)
+        b.iter(|| {
+            max_link_contention_paths(
+                ff.net(),
+                Paths::tables(ff.net(), ff.end_nodes(), ff.routes()),
+            )
+            .worst
+        })
     });
     // A fresh system per call: `analyze` caches its certificate.
     c.bench_function("table2_full_analyze_fractahedron", |b| {
@@ -91,7 +104,10 @@ fn bench_table2(c: &mut Criterion) {
         )
     });
     c.bench_function("table2_cdg_build_fractahedron", |b| {
-        b.iter(|| ChannelDependencyGraph::from_routes(ff.net(), ff.route_set()).dependency_count())
+        b.iter(|| {
+            ChannelDependencyGraph::from_tables(ff.net(), ff.end_nodes(), ff.routes())
+                .dependency_count()
+        })
     });
 }
 
@@ -142,7 +158,7 @@ fn bench_certify(c: &mut Criterion) {
 fn bench_forest_certify(c: &mut Criterion) {
     use fractanet::deadlock::CdgSweep;
     use fractanet::lint::Discipline;
-    use fractanet::metrics::{max_link_contention_paths, ContentionSweep, HopSweep};
+    use fractanet::metrics::{ContentionSweep, HopSweep};
     use fractanet::route::fractal::fractal_routes;
     use fractanet::route::DestForest;
     let f = Fractahedron::new(3, Variant::Fat, false).unwrap();

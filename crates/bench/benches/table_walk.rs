@@ -31,7 +31,9 @@ fn guard_resident_bytes(_c: &mut Criterion) {
         let sys = system(spec);
         assert_eq!(sys.end_nodes().len(), nodes, "{spec}");
         let table_bytes = sys.routes().resident_bytes();
-        let dense_bytes = sys.route_set().resident_bytes();
+        let dense_bytes = RouteSet::from_table(sys.net(), sys.end_nodes(), sys.routes())
+            .expect("canonical routing covers every pair")
+            .resident_bytes();
         let ratio = dense_bytes as f64 / table_bytes as f64;
         println!(
             "bench route-state bytes N={nodes:>4} ({spec}): tables {table_bytes} \

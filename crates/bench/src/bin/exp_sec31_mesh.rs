@@ -57,12 +57,15 @@ fn main() {
         "worst-case contention on the 6x6 mesh (dimension-order)",
     );
     let sys = system("mesh:6x6");
-    let rep = max_link_contention(sys.net(), sys.route_set());
+    // The matching witness names pairs, so this view traces them.
+    let rs = RouteSet::from_table(sys.net(), sys.end_nodes(), sys.routes())
+        .expect("canonical routing covers every pair");
+    let rep = max_link_contention(sys.net(), &rs);
     println!(
         "  max link contention: {}",
         versus(format!("{}:1", rep.worst), "10:1")
     );
-    let (_, witness) = contention_of_channel(sys.net(), sys.route_set(), rep.worst_channel);
+    let (_, witness) = contention_of_channel(sys.net(), &rs, rep.worst_channel);
     let ch = rep.worst_channel;
     println!(
         "  hot corner: {} -> {} carrying {} simultaneous transfers:",

@@ -90,8 +90,11 @@ fn main() {
         "E9 / §3.3",
         "the fat tree's 12:1 adversarial set (link \"HLP\")",
     );
-    let rep = max_link_contention(ft.net(), ft.route_set());
-    let (k, witness) = contention_of_channel(ft.net(), ft.route_set(), rep.worst_channel);
+    // The matching witness names pairs, so this view traces them.
+    let ft_rs = RouteSet::from_table(ft.net(), ft.end_nodes(), ft.routes())
+        .expect("canonical routing covers every pair");
+    let rep = max_link_contention(ft.net(), &ft_rs);
+    let (k, witness) = contention_of_channel(ft.net(), &ft_rs, rep.worst_channel);
     println!("  worst channel carries a {k}-transfer matching:");
     let pairs: Vec<String> = witness.iter().map(|(s, d)| format!("{s}->{d}")).collect();
     println!("    {}", pairs.join(", "));
@@ -102,7 +105,9 @@ fn main() {
         "the fractahedron's 4:1 example: 6,7,14,15 -> 54,55,62,63",
     );
     let pattern = [(6, 54), (7, 55), (14, 62), (15, 63)];
-    let (worst, ch) = pattern_contention(ff.net(), ff.route_set(), &pattern);
+    let ff_rs = RouteSet::from_table(ff.net(), ff.end_nodes(), ff.routes())
+        .expect("canonical routing covers every pair");
+    let (worst, ch) = pattern_contention(ff.net(), &ff_rs, &pattern);
     let src = ff.net().channel_src(ch);
     let dst = ff.net().channel_dst(ch);
     println!(

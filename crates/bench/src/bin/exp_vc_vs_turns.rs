@@ -128,14 +128,21 @@ fn finish(
     }
 }
 
+/// Mean router hops of a system's canonical tables.
+fn avg_hops(sys: &System) -> f64 {
+    HopStats::routed_tables(sys.net(), sys.end_nodes(), sys.routes())
+        .expect("canonical routing covers every pair")
+        .avg
+}
+
 /// The turn-disable arm: canonical tables when they already certify,
 /// otherwise a synthesized disable set over the same physical network.
 fn run_turn_arm(label: &str, sys: &System) -> Row {
     let net = sys.net();
     let slots = net.channel_count() * DEPTH as usize;
-    if verify_deadlock_free(net, sys.route_set()).is_ok() {
+    if verify_deadlock_free_tables(net, sys.end_nodes(), sys.routes()).is_ok() {
         let res = Engine::new(net, sys.end_nodes(), sys.shared_routes(), sim_cfg()).run(workload());
-        let hops = sys.route_set().avg_router_hops();
+        let hops = avg_hops(sys);
         return finish(label, "turn-disable (table)", 1, 0, hops, slots, res);
     }
     let (disables, routes) =
@@ -170,7 +177,7 @@ fn run_vc_spec_arm(label: &str, spec: &str) -> Row {
     );
     let slots = sys.net().channel_count() * vcs as usize * DEPTH as usize;
     let res = sys.simulate(workload(), sim_cfg());
-    let hops = sys.route_set().avg_router_hops();
+    let hops = avg_hops(&sys);
     finish(
         label,
         &format!("vc{vcs}:{scheme}"),
@@ -192,7 +199,7 @@ fn run_vc_classes_arm(label: &str, sys: &System) -> Row {
     let res = Engine::new(net, sys.end_nodes(), sys.shared_routes(), sim_cfg())
         .with_vc_map(map)
         .run(workload());
-    let hops = sys.route_set().avg_router_hops();
+    let hops = avg_hops(sys);
     finish(label, "vc2:classes (idle spare)", VCS, 0, hops, slots, res)
 }
 

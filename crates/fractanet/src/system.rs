@@ -12,10 +12,10 @@ use fractanet_route::fattree::{fattree_routes, UpPolicy};
 use fractanet_route::fractal::fractal_routes;
 use fractanet_route::ringroute::ring_shortest_routes;
 use fractanet_route::treeroute::bintree_routes;
-use fractanet_route::{direct, dor, DestForest, RouteSet, Routes};
+use fractanet_route::{direct, dor, DestForest, ForestConsumer, Routes};
 use fractanet_sim::{
     dateline_ring_map, dateline_torus_map, ecube_hypercube_map, ecube_mesh_map, Engine, SimConfig,
-    SimResult, VcMap, Workload,
+    SimResult, VcMap, VcSweep, Workload,
 };
 use fractanet_topo::{
     BinaryTree, FatTree, Fractahedron, FullyConnectedCluster, Hypercube, Mesh2D, Ring, Topology,
@@ -164,9 +164,6 @@ pub struct System {
     /// Canonical routing state: destination-indexed tables, shared
     /// with the simulator via `Arc` rather than copied per engine.
     routes: Arc<Routes>,
-    /// Dense per-pair view, traced lazily the first time a caller
-    /// actually asks for frozen paths.
-    routeset: OnceLock<RouteSet>,
     /// The canonical tables' certificate, shared by `lint`,
     /// `lint_exact` and `analyze`.
     certificate: OnceLock<Certificate>,
@@ -181,7 +178,6 @@ impl System {
         System {
             built,
             routes,
-            routeset: OnceLock::new(),
             certificate: OnceLock::new(),
             vc: None,
         }
@@ -328,21 +324,11 @@ impl System {
         Arc::clone(&self.routes)
     }
 
-    /// All traced pair paths. Derived from [`System::routes`] on first
-    /// use; the table form stays canonical.
-    pub fn route_set(&self) -> &RouteSet {
-        self.routeset.get_or_init(|| {
-            let topo = self.built.topo();
-            RouteSet::from_table(topo.net(), topo.end_nodes(), &self.routes)
-                .expect("canonical routing must cover all pairs")
-        })
-    }
-
     /// The canonical tables' certificate: one [`DestForest::sweep`]
-    /// feeds the dependency graph, hop statistics, contention and lint
-    /// rules L1/L2/L4 (`O(nodes × N)` in all), and the VC verdict is
-    /// checked once; cached for every later `lint`, `lint_exact` and
-    /// `analyze`.
+    /// feeds the dependency graph, hop statistics, contention, lint
+    /// rules L1/L2/L4 and, with VCs, the extended `(channel, vc)` graph
+    /// (`O(nodes × N)` in all); cached for every later `lint`,
+    /// `lint_exact` and `analyze`.
     fn certificate(&self) -> &Certificate {
         self.certificate.get_or_init(|| {
             let (net, ends) = (self.net(), self.end_nodes());
@@ -351,21 +337,22 @@ impl System {
             let mut hops = HopSweep::new(ends.len());
             let mut contention = ContentionSweep::new(net, ends.len());
             let mut pairs = linter.pair_sweep(&self.routes);
-            DestForest::sweep(
-                net,
-                ends,
-                &self.routes,
-                &mut [&mut cdg, &mut hops, &mut contention, &mut pairs],
-            );
+            // `with_vcs` installs only dateline and class maps, which
+            // the forest build accepts.
+            let mut vc = self
+                .vc
+                .as_ref()
+                .map(|v| VcSweep::new(net, &v.map).expect("System VC maps are per-channel"));
+            let mut consumers: Vec<&mut dyn ForestConsumer> =
+                vec![&mut cdg, &mut hops, &mut contention, &mut pairs];
+            consumers.extend(vc.as_mut().map(|v| v as &mut dyn ForestConsumer));
+            DestForest::sweep(net, ends, &self.routes, &mut consumers);
             Certificate {
                 cdg: cdg.finish(),
                 hops: hops.finish(),
                 contention: contention.finish(),
                 pairs: pairs.finish(),
-                vc_deadlock_free: self
-                    .vc
-                    .as_ref()
-                    .map(|v| v.map.annotate(self.route_set()).is_deadlock_free(net)),
+                vc_deadlock_free: vc.map(|v| v.finish().is_acyclic()),
             }
         })
     }

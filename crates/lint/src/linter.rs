@@ -93,8 +93,8 @@ pub struct PairVerdicts {
 }
 
 /// An externally verified virtual-channel ordering (the linter has no
-/// VC model of its own — the caller annotates the routes over the
-/// extended `(channel, vc)` graph and reports the verdict here).
+/// VC model of its own — the caller checks the extended
+/// `(channel, vc)` graph and reports the verdict here).
 struct VcOrdering {
     vcs: u8,
     scheme: String,
@@ -1063,8 +1063,9 @@ fn turn_hitting_set(cycles: &[Vec<u32>]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fractanet_route::repair::trace_surviving;
     use fractanet_route::ringroute::{ring_clockwise_routes, ring_shortest_routes};
-    use fractanet_route::{dor, fractal, repair_routes, Routes};
+    use fractanet_route::{dor, fractal, repair_tables, Routes};
     use fractanet_topo::{Fractahedron, Mesh2D, Ring, Topology, Variant};
 
     fn fracta_rs(f: &Fractahedron) -> RouteSet {
@@ -1206,10 +1207,10 @@ mod tests {
         let mut mask = DeadMask::new(r.net());
         let router0 = r.net().channels_from(r.end_nodes()[0]).first().unwrap().1;
         mask.kill_router(router0);
-        let rep = repair_routes(r.net(), r.end_nodes(), &mask).unwrap();
+        let rep = repair_tables(r.net(), r.end_nodes(), &mask);
         let report = Linter::new(r.net(), r.end_nodes())
             .with_mask(&mask)
-            .check(&rep.routes);
+            .check(&trace_surviving(r.net(), r.end_nodes(), &mask, &rep.tables));
         assert!(report.is_clean(), "{report}");
         // End 0 itself is alive (only its attach router died), so all
         // 4*3 ordered pairs are examined; its pairs lint as severed
@@ -1419,15 +1420,19 @@ mod tests {
             .map(|&(ch, _)| ch.link())
             .unwrap();
         mask.kill_link(victim);
-        let repaired = fractanet_route::repair_tables(r.net(), r.end_nodes(), &mask);
+        let repaired = repair_tables(r.net(), r.end_nodes(), &mask);
         let tabled = Linter::new(r.net(), r.end_nodes())
             .with_mask(&mask)
             .check_tables(&repaired.tables);
         assert!(tabled.is_clean(), "{tabled}");
-        let rep = repair_routes(r.net(), r.end_nodes(), &mask).unwrap();
         let dense = Linter::new(r.net(), r.end_nodes())
             .with_mask(&mask)
-            .check(&rep.routes);
+            .check(&trace_surviving(
+                r.net(),
+                r.end_nodes(),
+                &mask,
+                &repaired.tables,
+            ));
         assert_eq!(tabled.to_json(), dense.to_json());
     }
 

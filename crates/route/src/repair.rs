@@ -28,7 +28,7 @@
 //! column by column instead of regenerating the whole set.
 //!
 //! Pairs split across components are left with **missing entries**
-//! (tracing them reports the hole); the [`RepairReport`] quotes the
+//! (tracing them reports the hole); the [`TableRepair`] quotes the
 //! surviving-pair coverage so callers can report graceful degradation
 //! when full repair is impossible.
 
@@ -105,62 +105,6 @@ impl DeadMask {
     }
 }
 
-/// Internal-invariant failures during route regeneration.
-///
-/// Both variants mean an up*/down* meet-point reconstruction lost its
-/// breadcrumb trail. The table builder cannot hit them (its columns
-/// are built forward, not reconstructed), but the error type remains
-/// part of the repair API so callers keep one failure channel for all
-/// regeneration strategies.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RepairError {
-    /// Walking the up phase back from the meet router reached `at`
-    /// without a recorded predecessor channel.
-    MissingUpPredecessor {
-        /// Router where the chain broke.
-        at: NodeId,
-        /// Source end node of the pair being routed.
-        src: NodeId,
-        /// Destination end node of the pair being routed.
-        dst: NodeId,
-    },
-    /// Walking the down phase forward from the meet router reached
-    /// `at` without a recorded successor channel.
-    MissingDownSuccessor {
-        /// Router where the chain broke.
-        at: NodeId,
-        /// Source end node of the pair being routed.
-        src: NodeId,
-        /// Destination end node of the pair being routed.
-        dst: NodeId,
-    },
-}
-
-impl std::fmt::Display for RepairError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RepairError::MissingUpPredecessor { at, src, dst } => write!(
-                f,
-                "repair invariant broken: no up-phase predecessor at node {} \
-                 while reconstructing {} -> {}",
-                at.index(),
-                src.index(),
-                dst.index()
-            ),
-            RepairError::MissingDownSuccessor { at, src, dst } => write!(
-                f,
-                "repair invariant broken: no down-phase successor at node {} \
-                 while reconstructing {} -> {}",
-                at.index(),
-                src.index(),
-                dst.index()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RepairError {}
-
 /// Outcome of a table regeneration.
 #[derive(Clone, Debug)]
 pub struct TableRepair {
@@ -174,38 +118,6 @@ pub struct TableRepair {
 }
 
 impl TableRepair {
-    /// Fraction of ordered pairs still connected (1.0 = full repair).
-    pub fn coverage(&self) -> f64 {
-        if self.total_pairs == 0 {
-            1.0
-        } else {
-            self.connected_pairs as f64 / self.total_pairs as f64
-        }
-    }
-
-    /// Whether every pair still has a route.
-    pub fn is_full(&self) -> bool {
-        self.connected_pairs == self.total_pairs
-    }
-}
-
-/// Outcome of a route regeneration, with the dense traced view for
-/// callers that still consume per-pair paths.
-#[derive(Clone, Debug)]
-pub struct RepairReport {
-    /// The regenerated paths, traced from [`RepairReport::tables`].
-    /// Pairs with no surviving route have empty paths — callers must
-    /// treat those as unreachable.
-    pub routes: RouteSet,
-    /// The canonical regenerated destination tables.
-    pub tables: Routes,
-    /// Ordered pairs (`src != dst`) that still have a path.
-    pub connected_pairs: usize,
-    /// All ordered pairs.
-    pub total_pairs: usize,
-}
-
-impl RepairReport {
     /// Fraction of ordered pairs still connected (1.0 = full repair).
     pub fn coverage(&self) -> f64 {
         if self.total_pairs == 0 {
@@ -477,24 +389,6 @@ pub fn repair_tables(net: &Network, ends: &[NodeId], mask: &DeadMask) -> TableRe
     }
 }
 
-/// Regenerates a complete route set avoiding everything `mask` marks
-/// dead — the dense view of [`repair_tables`], traced from the
-/// regenerated tables so the two representations agree path for path.
-pub fn repair_routes(
-    net: &Network,
-    ends: &[NodeId],
-    mask: &DeadMask,
-) -> Result<RepairReport, RepairError> {
-    let rep = repair_tables(net, ends, mask);
-    let routes = trace_surviving(net, ends, mask, &rep.tables);
-    Ok(RepairReport {
-        routes,
-        tables: rep.tables,
-        connected_pairs: rep.connected_pairs,
-        total_pairs: rep.total_pairs,
-    })
-}
-
 /// Traces repaired tables into a dense route set, leaving every pair
 /// `mask` severs empty. Tables only know surviving routers' entries,
 /// so a pair whose own attach channel died would otherwise trace
@@ -667,9 +561,8 @@ fn column_dirty(net: &Network, mask: &DeadMask, tables: &Routes, d: usize) -> bo
 
 /// Shortest `up* down*` path between two end nodes over surviving
 /// channels only — the legacy per-pair meet construction, kept as the
-/// connectivity oracle for the table builder. `Ok(None)` when the
-/// pair is severed, `Err` when the reconstruction invariants are
-/// violated.
+/// connectivity oracle for the table builder. `None` when the pair is
+/// severed.
 #[cfg(test)]
 fn survivor_updown_path(
     net: &Network,
@@ -677,25 +570,25 @@ fn survivor_updown_path(
     order: &SurvivorOrder,
     src: NodeId,
     dst: NodeId,
-) -> Result<Option<Vec<ChannelId>>, RepairError> {
+) -> Option<Vec<ChannelId>> {
     if !mask.node_ok(src) || !mask.node_ok(dst) {
-        return Ok(None);
+        return None;
     }
     let (Some(&(inject, src_router)), Some(&(eject_rev, dst_router))) = (
         net.channels_from(src).first(),
         net.channels_from(dst).first(),
     ) else {
-        return Ok(None);
+        return None;
     };
     let eject = eject_rev.reverse();
     if !mask.channel_ok(net, inject) || !mask.channel_ok(net, eject) {
-        return Ok(None);
+        return None;
     }
     if order.comp[src_router.index()] != order.comp[dst_router.index()] {
-        return Ok(None);
+        return None;
     }
     if src_router == dst_router {
-        return Ok(Some(vec![inject, eject]));
+        return Some(vec![inject, eject]);
     }
 
     // Up-phase BFS from src_router over surviving up channels.
@@ -748,17 +641,14 @@ fn survivor_updown_path(
             }
         }
     }
-    let Some((_, meet)) = best else {
-        return Ok(None);
-    };
+    let (_, meet) = best?;
     // Reconstruct: up segment backwards from meet, then down segment
     // forwards.
     let mut path = vec![inject];
     let mut seg = Vec::new();
     let mut cur = NodeId(meet as u32);
     while cur != src_router {
-        let ch =
-            prev_up[cur.index()].ok_or(RepairError::MissingUpPredecessor { at: cur, src, dst })?;
+        let ch = prev_up[cur.index()].expect("up-phase predecessor on the BFS tree");
         seg.push(ch);
         cur = net.channel_src(ch);
     }
@@ -766,13 +656,12 @@ fn survivor_updown_path(
     path.extend(seg);
     let mut cur = NodeId(meet as u32);
     while cur != dst_router {
-        let ch =
-            next_dn[cur.index()].ok_or(RepairError::MissingDownSuccessor { at: cur, src, dst })?;
+        let ch = next_dn[cur.index()].expect("down-phase successor on the BFS tree");
         path.push(ch);
         cur = net.channel_dst(ch);
     }
     path.push(eject);
-    Ok(Some(path))
+    Some(path)
 }
 
 #[cfg(test)]
@@ -780,8 +669,15 @@ mod tests {
     use super::*;
     use fractanet_topo::{Fractahedron, Hypercube, Ring, Topology, Variant};
 
-    fn check_avoids(net: &Network, mask: &DeadMask, report: &RepairReport) {
-        for (_, _, p) in report.routes.pairs() {
+    /// [`repair_tables`] with its surviving pairs traced.
+    fn repair_traced(net: &Network, ends: &[NodeId], mask: &DeadMask) -> (TableRepair, RouteSet) {
+        let rep = repair_tables(net, ends, mask);
+        let routes = trace_surviving(net, ends, mask, &rep.tables);
+        (rep, routes)
+    }
+
+    fn check_avoids(net: &Network, mask: &DeadMask, routes: &RouteSet) {
+        for (_, _, p) in routes.pairs() {
             for &ch in p {
                 assert!(
                     mask.channel_ok(net, ch),
@@ -803,10 +699,10 @@ mod tests {
     #[test]
     fn no_faults_full_coverage() {
         let h = Hypercube::new(3, 1, 6).unwrap();
-        let rep = repair_routes(h.net(), h.end_nodes(), &DeadMask::new(h.net())).unwrap();
+        let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &DeadMask::new(h.net()));
         assert!(rep.is_full());
         assert_eq!(rep.coverage(), 1.0);
-        assert!(rep.routes.check_simple().is_ok());
+        assert!(routes.check_simple().is_ok());
     }
 
     #[test]
@@ -816,9 +712,9 @@ mod tests {
         let r = Ring::new(5, 1, 6).unwrap();
         let mut mask = DeadMask::new(r.net());
         mask.kill_link(first_router_link(r.net()));
-        let rep = repair_routes(r.net(), r.end_nodes(), &mask).unwrap();
+        let (rep, routes) = repair_traced(r.net(), r.end_nodes(), &mask);
         assert!(rep.is_full(), "coverage {}", rep.coverage());
-        check_avoids(r.net(), &mask, &rep);
+        check_avoids(r.net(), &mask, &routes);
     }
 
     #[test]
@@ -829,15 +725,15 @@ mod tests {
         // reroute around the hole.
         let router0 = r.net().channels_from(r.end_nodes()[0]).first().unwrap().1;
         mask.kill_router(router0);
-        let rep = repair_routes(r.net(), r.end_nodes(), &mask).unwrap();
+        let (rep, routes) = repair_traced(r.net(), r.end_nodes(), &mask);
         assert!(!rep.is_full());
         // 3 surviving ends remain mutually connected: 3 * 2 = 6 of 12.
         assert_eq!(rep.connected_pairs, 6);
-        check_avoids(r.net(), &mask, &rep);
+        check_avoids(r.net(), &mask, &routes);
         // Severed pairs really are empty.
-        assert!(rep.routes.path(0, 1).is_empty());
-        assert!(rep.routes.path(1, 0).is_empty());
-        assert!(!rep.routes.path(1, 2).is_empty());
+        assert!(routes.path(0, 1).is_empty());
+        assert!(routes.path(1, 0).is_empty());
+        assert!(!routes.path(1, 2).is_empty());
     }
 
     #[test]
@@ -845,14 +741,14 @@ mod tests {
         let f = Fractahedron::new(1, Variant::Fat, false).unwrap();
         let mut mask = DeadMask::new(f.net());
         mask.kill_link(first_router_link(f.net()));
-        let a = repair_routes(f.net(), f.end_nodes(), &mask).unwrap();
-        let b = repair_routes(f.net(), f.end_nodes(), &mask).unwrap();
-        for (s, d, p) in a.routes.pairs() {
-            assert_eq!(p, b.routes.path(s, d), "{s}->{d}");
+        let (a, a_routes) = repair_traced(f.net(), f.end_nodes(), &mask);
+        let (b, b_routes) = repair_traced(f.net(), f.end_nodes(), &mask);
+        for (s, d, p) in a_routes.pairs() {
+            assert_eq!(p, b_routes.path(s, d), "{s}->{d}");
         }
         assert_eq!(a.tables, b.tables);
         assert!(a.is_full());
-        check_avoids(f.net(), &mask, &a);
+        check_avoids(f.net(), &mask, &a_routes);
     }
 
     #[test]
@@ -861,9 +757,9 @@ mod tests {
         let mut mask = DeadMask::new(h.net());
         mask.kill_link(first_router_link(h.net()));
         let order = SurvivorOrder::new(h.net(), &mask);
-        let rep = repair_routes(h.net(), h.end_nodes(), &mask).unwrap();
+        let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &mask);
         assert!(rep.is_full());
-        for (s, d, p) in rep.routes.pairs() {
+        for (s, d, p) in routes.pairs() {
             let interior = &p[1..p.len() - 1];
             let mut descending = false;
             for &ch in interior {
@@ -889,7 +785,7 @@ mod tests {
                 mask.kill_router(r);
             }
             let order = SurvivorOrder::new(h.net(), &mask);
-            let rep = repair_routes(h.net(), h.end_nodes(), &mask).unwrap();
+            let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &mask);
             let ends = h.end_nodes();
             let mut oracle_connected = 0;
             for s in 0..ends.len() {
@@ -897,11 +793,10 @@ mod tests {
                     if s == d {
                         continue;
                     }
-                    let legacy =
-                        survivor_updown_path(h.net(), &mask, &order, ends[s], ends[d]).unwrap();
+                    let legacy = survivor_updown_path(h.net(), &mask, &order, ends[s], ends[d]);
                     assert_eq!(
                         legacy.is_some(),
-                        !rep.routes.path(s, d).is_empty(),
+                        !routes.path(s, d).is_empty(),
                         "{s}->{d} (kill_router={kill_router})"
                     );
                     if legacy.is_some() {

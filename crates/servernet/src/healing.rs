@@ -25,19 +25,19 @@ use fractanet_deadlock::{
 };
 use fractanet_graph::{LinkId, Network, NodeId};
 use fractanet_lint::{LintReport, Linter, Precomputed};
-use fractanet_route::repair::{repair_tables, trace_surviving, DeadMask, RepairError};
+use fractanet_route::repair::{repair_tables, DeadMask};
 use fractanet_route::{IncrementalRepair, RouteSet, Routes};
 use std::sync::Arc;
 
-/// A certified repair: tables verified acyclic, plus coverage.
+/// A certified repair: tables verified acyclic, plus coverage. The
+/// tables are the only route state it carries; a caller that wants
+/// per-pair paths traces them with
+/// [`trace_surviving`](fractanet_route::repair::trace_surviving).
 #[derive(Clone, Debug)]
 pub struct HealReport {
     /// The verified, installable destination tables — the canonical
     /// form repairs are certified and installed in.
     pub tables: Routes,
-    /// Dense per-pair view traced from `tables` (severed pairs have
-    /// empty paths), for consumers that still want frozen paths.
-    pub routes: RouteSet,
     /// Ordered pairs still connected.
     pub connected_pairs: usize,
     /// All ordered pairs.
@@ -66,9 +66,6 @@ impl HealReport {
 /// Why a heal was not installed.
 #[derive(Debug)]
 pub enum HealError {
-    /// The route generator itself failed an internal invariant; the
-    /// old tables stay in place.
-    Repair(RepairError),
     /// The regenerated tables failed Dally & Seitz certification
     /// (should be impossible for up*/down* output — treated as a bug
     /// guard, never silently installed).
@@ -86,7 +83,6 @@ pub enum HealError {
 impl std::fmt::Display for HealError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HealError::Repair(e) => write!(f, "route regeneration failed: {e}"),
             HealError::Cyclic(r) => write!(f, "repaired tables not deadlock-free: {r}"),
             HealError::Lint(r) => write!(
                 f,
@@ -126,10 +122,8 @@ pub fn heal(net: &Network, ends: &[NodeId], faults: &FaultSet) -> Result<HealRep
 pub fn heal_mask(net: &Network, ends: &[NodeId], mask: &DeadMask) -> Result<HealReport, HealError> {
     let rep = repair_tables(net, ends, mask);
     let cdg_dependencies = certify_tables(net, ends, mask, &rep.tables)?;
-    let routes = trace_surviving(net, ends, mask, &rep.tables);
     Ok(HealReport {
         tables: rep.tables,
-        routes,
         connected_pairs: rep.connected_pairs,
         total_pairs: rep.total_pairs,
         cdg_dependencies,
@@ -309,6 +303,7 @@ pub fn table_healing_repairer<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fractanet_route::repair::trace_surviving;
     use fractanet_sim::{Engine, FaultEvent, RetryPolicy, SimConfig, SimResult, Workload};
     use fractanet_topo::{Fractahedron, Hypercube, Ring, Topology, Variant};
 
@@ -351,14 +346,14 @@ mod tests {
         let h = Hypercube::new(3, 1, 6).unwrap();
         let mut mask = DeadMask::new(h.net());
         mask.kill_link(router_link(h.net()));
-        let rep = fractanet_route::repair::repair_routes(h.net(), h.end_nodes(), &mask).unwrap();
+        let rep = repair_tables(h.net(), h.end_nodes(), &mask);
         assert!(rep.is_full());
-        let n = rep.routes.len();
-        let holed = RouteSet::from_pairs(n, |s, d| {
+        let routes = trace_surviving(h.net(), h.end_nodes(), &mask, &rep.tables);
+        let holed = RouteSet::from_pairs(routes.len(), |s, d| {
             if (s, d) == (1, 6) {
                 Vec::new()
             } else {
-                rep.routes.path(s, d).to_vec()
+                routes.path(s, d).to_vec()
             }
         });
         let err = certify_routes(h.net(), h.end_nodes(), &mask, &holed).unwrap_err();
@@ -524,13 +519,14 @@ mod tests {
             let mut mask = DeadMask::new(f.net());
             mask.kill_link(victim);
             let rep = heal_mask(f.net(), f.end_nodes(), &mask).unwrap();
+            let routes = trace_surviving(f.net(), f.end_nodes(), &mask, &rep.tables);
             let n = f.end_nodes().len();
             for s in 0..n {
                 for d in 0..n {
                     if s == d {
                         continue;
                     }
-                    let path = rep.routes.path(s, d);
+                    let path = routes.path(s, d);
                     proptest::prop_assert!(
                         path.iter().all(|c| c.link() != victim),
                         "pair ({s},{d}) routed over down link {victim:?}"

@@ -26,6 +26,9 @@
 //!   extended-graph acyclicity check (`is_deadlock_free`): the Dally &
 //!   Seitz theorem says the routing is deadlock-free iff the
 //!   dependency graph over *(channel, vc)* vertices is acyclic.
+//! - [`VcSweep`], the same extended graph read off destination tables
+//!   one routing forest at a time, for the per-channel maps — no pair
+//!   is traced.
 //! - [`VcEngine`], a thin construction wrapper that projects the
 //!   physical paths of a `VcRouteSet` onto destination tables,
 //!   installs the matching [`VcMap`], and hands everything to the
@@ -38,7 +41,7 @@ use crate::engine::Engine;
 use crate::stats::SimResult;
 use crate::traffic::Workload;
 use fractanet_graph::{AdjList, ChannelId, Network, NodeId};
-use fractanet_route::{RouteSet, Routes};
+use fractanet_route::{DestForest, ForestConsumer, RouteSet, Routes};
 use fractanet_topo::mesh::{PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use fractanet_topo::ring::{PORT_CW, PORT_NODE0};
 use fractanet_topo::{Hypercube, Mesh2D, Ring, Topology, Torus2D};
@@ -354,8 +357,9 @@ impl VcMap {
     }
 
     /// Replays the discipline over a physical route set, producing the
-    /// `(channel, vc)` routes it induces — the bridge to the Dally &
-    /// Seitz extended-graph check for lint.
+    /// `(channel, vc)` routes it induces — the dense reference for the
+    /// Dally & Seitz extended-graph check that [`VcSweep`] reads off
+    /// destination tables.
     pub fn annotate(&self, routes: &RouteSet) -> VcRouteSet {
         VcRouteSet::from_pairs(routes.len(), self.vcs, |s, d| {
             let mut cur: Option<ChannelId> = None;
@@ -371,6 +375,73 @@ impl VcMap {
                 })
                 .collect()
         })
+    }
+}
+
+/// The forest-side extended-graph build: each [`DestForest`] it absorbs
+/// adds that destination's `(channel, vc)` dependencies, so the Dally &
+/// Seitz verdict on the extended graph shares the one pass over the
+/// tables that feeds the physical CDG (DESIGN.md §13). The edge set
+/// equals that of [`VcMap::annotate`] over the traced pairs; pairs
+/// whose route fails add nothing, as an empty path adds nothing.
+pub struct VcSweep<'a> {
+    map: &'a VcMap,
+    /// Over the `channel · vcs + vc` vertices
+    /// [`VcRouteSet::is_deadlock_free`] numbers, each dependency once.
+    graph: AdjList,
+    /// `claimed[a · vcs + x] == d`: some walk toward `d` already went
+    /// on from `(a, x)`. A dateline walk's future depends on the VC it
+    /// arrives with, so the claim is per state, not per node.
+    claimed: Vec<u32>,
+}
+
+impl<'a> VcSweep<'a> {
+    /// An empty build over `net`'s channels under `map`, or `None` for
+    /// a per-hop map: its VCs depend on the pair and the path position,
+    /// so walks toward one destination that meet on a `(channel, vc)`
+    /// need not share what follows.
+    pub fn new(net: &Network, map: &'a VcMap) -> Option<Self> {
+        if let VcMapKind::PerHop { .. } = map.kind {
+            return None;
+        }
+        let states = net.channel_count() * map.vcs as usize;
+        Some(VcSweep {
+            map,
+            graph: AdjList::new(states),
+            claimed: vec![u32::MAX; states],
+        })
+    }
+
+    /// The extended dependency graph of every destination absorbed so
+    /// far.
+    pub fn finish(self) -> AdjList {
+        self.graph
+    }
+}
+
+impl ForestConsumer for VcSweep<'_> {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        let (d, vcs) = (forest.dst() as u32, self.map.vcs as usize);
+        for s in (0..forest.addresses() as u32).filter(|&s| s != d) {
+            let (mut a, mut v) = forest.inject(s as usize);
+            let mut x = self.map.vc_for(s, d, 0, 0, None, a);
+            let mut pos = 1;
+            while let Some(b) = forest.hop(v) {
+                let state = a.index() * vcs + x as usize;
+                if self.claimed[state] == d {
+                    break;
+                }
+                self.claimed[state] = d;
+                let y = self.map.vc_for(s, d, pos, x, Some(a), b);
+                // A state turns into `b` on one VC, so its successors
+                // number at most its router's ports.
+                let next = (b.index() * vcs + y as usize) as u32;
+                if !self.graph.succ(state as u32).contains(&next) {
+                    self.graph.add_edge(state as u32, next);
+                }
+                (a, v, x, pos) = (b, forest.channel_dst(b), y, pos + 1);
+            }
+        }
     }
 }
 

@@ -39,8 +39,11 @@ fn query_workload(pairs: &[(usize, usize)], repeats: u64, gap: u64) -> Workload 
 /// The adversary's placement: the system's own worst-channel witness,
 /// topped up to `flows` with spread-out fillers.
 fn adversarial_pairs(sys: &System, flows: usize) -> (usize, Vec<(usize, usize)>) {
-    let rep = max_link_contention(sys.net(), sys.route_set());
-    let (_, mut pairs) = contention_of_channel(sys.net(), sys.route_set(), rep.worst_channel);
+    // The matching witness names pairs, so this view traces them.
+    let rs = RouteSet::from_table(sys.net(), sys.end_nodes(), sys.routes())
+        .expect("canonical routing covers every pair");
+    let rep = max_link_contention(sys.net(), &rs);
+    let (_, mut pairs) = contention_of_channel(sys.net(), &rs, rep.worst_channel);
     pairs.truncate(flows);
     let n = sys.end_nodes().len();
     let mut s = 0usize;

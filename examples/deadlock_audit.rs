@@ -10,7 +10,7 @@
 //! cargo run --release --example deadlock_audit
 //! ```
 
-use fractanet::deadlock::verify_deadlock_free;
+use fractanet::deadlock::{verify_deadlock_free, verify_deadlock_free_tables};
 use fractanet::prelude::*;
 use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet::route::treeroute::updown_routeset;
@@ -33,7 +33,7 @@ fn main() {
         ("binary tree d3", System::binary_tree(3, 2)),
     ];
     for (label, sys) in &systems {
-        match verify_deadlock_free(sys.net(), sys.route_set()) {
+        match verify_deadlock_free_tables(sys.net(), sys.end_nodes(), sys.routes()) {
             Ok(cdg) => println!(
                 "  {:<24} deadlock-free  ({} dependencies, all acyclic)",
                 label,

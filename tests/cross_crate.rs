@@ -24,7 +24,7 @@ fn all_systems() -> Vec<System> {
 #[test]
 fn canonical_routings_are_minimal() {
     for sys in all_systems() {
-        let routed = HopStats::routed(sys.route_set()).unwrap();
+        let routed = HopStats::routed_tables(sys.net(), sys.end_nodes(), sys.routes()).unwrap();
         let topo = HopStats::topological(sys.net()).unwrap();
         assert_eq!(routed.histogram, topo.histogram, "{}", sys.name());
     }
@@ -95,7 +95,11 @@ fn zero_load_latency_matches_hops() {
             .with_max_cycles(2_000);
         let res = sys.simulate(Workload::Scripted(vec![(0, s, d)]), cfg);
         assert!(res.is_clean());
-        let hops = sys.route_set().router_hops(s, d) as u64;
+        let path = sys
+            .routes()
+            .trace(sys.net(), sys.end_nodes(), s, d)
+            .unwrap();
+        let hops = path.len() as u64 - 1;
         // Head pipelines one channel per cycle over hops+1 channels;
         // the tail follows `flits` cycles behind.
         let expect = hops + 1 + flits;
@@ -117,7 +121,13 @@ fn flit_conservation() {
     assert!(res.is_clean());
     let expected: u64 = [(0usize, 11usize), (3, 6), (2, 9)]
         .iter()
-        .map(|&(s, d)| flits * sys.route_set().path(s, d).len() as u64)
+        .map(|&(s, d)| {
+            let path = sys
+                .routes()
+                .trace(sys.net(), sys.end_nodes(), s, d)
+                .unwrap();
+            flits * path.len() as u64
+        })
         .sum();
     assert_eq!(res.channel_busy.iter().sum::<u64>(), expected);
 }
@@ -130,17 +140,18 @@ fn contention_manifests_in_simulation() {
     use fractanet::metrics::contention::{contention_of_channel, pattern_contention};
 
     let ft = System::fat_tree(64, 4, 2);
-    let rep = fractanet::metrics::max_link_contention(ft.net(), ft.route_set());
+    let rs = RouteSet::from_table(ft.net(), ft.end_nodes(), ft.routes()).unwrap();
+    let rep = fractanet::metrics::max_link_contention(ft.net(), &rs);
     assert_eq!(rep.worst, 12);
     // The adversarial set: the maximum matching on the worst channel.
-    let (k, witness) = contention_of_channel(ft.net(), ft.route_set(), rep.worst_channel);
+    let (k, witness) = contention_of_channel(ft.net(), &rs, rep.worst_channel);
     assert_eq!(k, 12);
     let adversarial: Vec<(u64, usize, usize)> =
         witness.iter().map(|&(s, d)| (0u64, s, d)).collect();
     // A benign set of the same size: sources spread over all four
     // groups, each to a far destination, verified low-contention.
     let benign_pairs: Vec<(usize, usize)> = (0..12).map(|i| (i * 5, (i * 5 + 32) % 64)).collect();
-    let (benign_worst, _) = pattern_contention(ft.net(), ft.route_set(), &benign_pairs);
+    let (benign_worst, _) = pattern_contention(ft.net(), &rs, &benign_pairs);
     assert!(
         benign_worst <= 4,
         "benign pattern should spread: {benign_worst}"

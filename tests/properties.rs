@@ -4,8 +4,9 @@
 use fractanet::deadlock::verify_deadlock_free;
 use fractanet::graph::bfs;
 use fractanet::graph::{LinkId, NodeId};
-use fractanet::metrics::{bisection_estimate, max_link_contention};
+use fractanet::metrics::{bisection_estimate, max_link_contention_paths};
 use fractanet::prelude::*;
+use fractanet::route::repair::trace_surviving;
 use fractanet::route::{repair_tables, DeadMask, IncrementalRepair, Paths};
 use fractanet::System;
 use proptest::prelude::*;
@@ -80,7 +81,7 @@ proptest! {
         let sys = cfg.build();
         prop_assert!(sys.net().validate().is_ok());
         prop_assert!(bfs::is_connected(sys.net()));
-        let rs = sys.route_set();
+        let rs = RouteSet::from_table(sys.net(), sys.end_nodes(), sys.routes()).unwrap();
         prop_assert!(rs.check_simple().is_ok());
         for (s, d, p) in rs.pairs() {
             prop_assert_eq!(
@@ -96,7 +97,7 @@ proptest! {
     #[test]
     fn routings_are_minimal(cfg in configs()) {
         let sys = cfg.build();
-        let routed = sys.route_set().avg_router_hops();
+        let routed = HopStats::routed_tables(sys.net(), sys.end_nodes(), sys.routes()).unwrap().avg;
         let topo = bfs::avg_router_hops(sys.net()).unwrap();
         prop_assert!((routed - topo).abs() < 1e-9, "{:?}: {} vs {}", cfg, routed, topo);
     }
@@ -108,7 +109,7 @@ proptest! {
     fn canonical_routings_deadlock_free(cfg in configs()) {
         let sys = cfg.build();
         prop_assert!(
-            verify_deadlock_free(sys.net(), sys.route_set()).is_ok(),
+            verify_deadlock_free_tables(sys.net(), sys.end_nodes(), sys.routes()).is_ok(),
             "{:?} has a dependency cycle", cfg
         );
     }
@@ -119,7 +120,8 @@ proptest! {
     fn contention_bounds(cfg in configs()) {
         let sys = cfg.build();
         let n = sys.end_nodes().len();
-        let rep = max_link_contention(sys.net(), sys.route_set());
+        let paths = Paths::tables(sys.net(), sys.end_nodes(), sys.routes());
+        let rep = max_link_contention_paths(sys.net(), paths);
         prop_assert!(rep.worst >= 1);
         prop_assert!(rep.worst < n, "{:?}: {} vs {}", cfg, rep.worst, n);
     }
@@ -182,21 +184,25 @@ proptest! {
         let links: Vec<LinkId> = net.links().collect();
         let routers: Vec<NodeId> = net.nodes().filter(|&v| net.is_router(v)).collect();
         let mut faults = FaultSet::none();
+        let mut mask = DeadMask::new(net);
         for &p in &link_picks {
             faults.kill_link(links[p % links.len()]);
+            mask.kill_link(links[p % links.len()]);
         }
         for &p in &router_picks {
             faults.kill_router(routers[p % routers.len()]);
+            mask.kill_router(routers[p % routers.len()]);
         }
 
         let rep = heal(net, sys.end_nodes(), &faults);
         prop_assert!(rep.is_ok(), "healing must always certify: {:?}", rep.err());
         let rep = rep.unwrap();
+        let routes = trace_surviving(net, sys.end_nodes(), &mask, &rep.tables);
         // Independent re-certification (heal verified internally too).
-        prop_assert!(verify_deadlock_free(net, &rep.routes).is_ok());
+        prop_assert!(verify_deadlock_free(net, &routes).is_ok());
         // No surviving route crosses a dead component.
         let mut connected = 0usize;
-        for (s, d, p) in rep.routes.pairs() {
+        for (s, d, p) in routes.pairs() {
             if p.is_empty() {
                 continue;
             }
@@ -217,7 +223,7 @@ proptest! {
         // reproduces every surviving traced path element for element.
         let mut mismatches = Vec::new();
         Paths::tables(net, sys.end_nodes(), &rep.tables).for_each_pair(|s, d, res| {
-            let frozen = rep.routes.path(s, d);
+            let frozen = routes.path(s, d);
             if frozen.is_empty() {
                 return; // severed by the fault set; tables may err here
             }
@@ -233,7 +239,7 @@ proptest! {
     #[test]
     fn tables_trace_to_the_same_paths(cfg in configs()) {
         let sys = cfg.build();
-        let rs = sys.route_set();
+        let rs = RouteSet::from_table(sys.net(), sys.end_nodes(), sys.routes()).unwrap();
         let mut mismatches = Vec::new();
         Paths::tables(sys.net(), sys.end_nodes(), sys.routes()).for_each_pair(|s, d, res| {
             if res != Ok(rs.path(s, d)) {
@@ -251,7 +257,8 @@ proptest! {
     #[test]
     fn pair_routes_project_onto_equivalent_tables(cfg in configs(), seed in 0u64..1000) {
         let sys = cfg.build();
-        let projected = Routes::from_pair_paths(sys.net(), sys.end_nodes(), sys.route_set());
+        let rs = RouteSet::from_table(sys.net(), sys.end_nodes(), sys.routes()).unwrap();
+        let projected = Routes::from_pair_paths(sys.net(), sys.end_nodes(), &rs);
         prop_assert!(projected.is_some(), "{:?}: route set does not project", cfg);
         let sim_cfg = SimConfig {
             packet_flits: 6,

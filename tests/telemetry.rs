@@ -114,7 +114,8 @@ fn empirical_contention_stays_within_analytical_bounds() {
         ("fattree:64:4:2", System::fat_tree(64, 4, 2), 12),
     ];
     for (name, sys, paper_worst) in systems {
-        let analytical = max_link_contention(sys.net(), sys.route_set());
+        let paths = Paths::tables(sys.net(), sys.end_nodes(), sys.routes());
+        let analytical = fractanet_metrics::max_link_contention_paths(sys.net(), paths);
         assert_eq!(analytical.worst, paper_worst, "{name}");
         let cfg = SimConfig {
             packet_flits: 16,
