@@ -27,7 +27,7 @@ const GOLDEN: [(&str, u64); 7] = [
     ("to_jsonl", 0xaf68_e331_1e38_f8b0),
     ("to_text_summary", 0x07f9_2ddf_19f3_b0fd),
     ("to_prometheus", 0xc0d0_5a6e_1cd7_378e),
-    ("write_trace", 0xbf05_928f_d434_8cd0),
+    ("write_trace", 0x1104_a708_4012_9335),
     ("incident_chrome_trace", 0x8842_dcc5_fa48_7697),
     ("incident_chrome_trace+extra", 0x6e5a_0ec7_b444_0cb3),
 ];
