@@ -235,7 +235,7 @@ fn bench_sim(c: &mut Criterion) {
 /// §4 extensions: generalized construction + VC engine + bisection
 /// max-flow at the 1024-node scale.
 fn bench_extensions(c: &mut Criterion) {
-    use fractanet::sim::vc::{dateline_ring_routes, VcEngine};
+    use fractanet::sim::vc::dateline_ring_map;
     use fractanet::topo::{ClusterShape, Fractahedron, GenFractahedron};
 
     c.bench_function("ext_build_generalized_3_6_2_2", |b| {
@@ -249,7 +249,7 @@ fn bench_extensions(c: &mut Criterion) {
     });
 
     let ring = Ring::new(4, 1, 6).unwrap();
-    let routes = dateline_ring_routes(&ring, 2);
+    let tables = std::sync::Arc::new(ring_clockwise_routes(&ring));
     let cfg = SimConfig {
         packet_flits: 32,
         buffer_depth: 2,
@@ -259,7 +259,8 @@ fn bench_extensions(c: &mut Criterion) {
     };
     c.bench_function("ext_vc_ring_fig1_completes", |b| {
         b.iter(|| {
-            let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg.clone())
+            let res = Engine::new(ring.net(), ring.end_nodes(), tables.clone(), cfg.clone())
+                .with_vc_map(dateline_ring_map(&ring, 2))
                 .run(Workload::fig1_ring(4));
             assert!(res.deadlock.is_none());
         })

@@ -52,8 +52,10 @@ pub fn verify_deadlock_free(
     report_cycles(net, ChannelDependencyGraph::from_routes(net, routes))
 }
 
-/// [`verify_deadlock_free`] over destination tables directly, walking
-/// the table per pair instead of materializing a path matrix.
+/// [`verify_deadlock_free`] over destination tables directly: the CDG
+/// is read off one routing forest per destination
+/// ([`ChannelDependencyGraph::from_tables`]), so no pair is traced and
+/// no path matrix is materialized.
 pub fn verify_deadlock_free_tables(
     net: &Network,
     ends: &[NodeId],

@@ -337,12 +337,7 @@ impl System {
             let mut hops = HopSweep::new(ends.len());
             let mut contention = ContentionSweep::new(net, ends.len());
             let mut pairs = linter.pair_sweep(&self.routes);
-            // `with_vcs` installs only dateline and class maps, which
-            // the forest build accepts.
-            let mut vc = self
-                .vc
-                .as_ref()
-                .map(|v| VcSweep::new(net, &v.map).expect("System VC maps are per-channel"));
+            let mut vc = self.vc.as_ref().map(|v| VcSweep::new(net, &v.map));
             let mut consumers: Vec<&mut dyn ForestConsumer> =
                 vec![&mut cdg, &mut hops, &mut contention, &mut pairs];
             consumers.extend(vc.as_mut().map(|v| v as &mut dyn ForestConsumer));

@@ -20,7 +20,7 @@ use fractanet_deadlock::ChannelDependencyGraph;
 use fractanet_graph::AdjList;
 use fractanet_route::ringroute::{ring_clockwise_routes, ring_shortest_routes};
 use fractanet_route::{repair_tables, DestForest};
-use fractanet_sim::{dateline_ring_map, dateline_ring_routes, VcMap, VcRouteSet, VcSweep};
+use fractanet_sim::{dateline_ring_map, VcMap, VcSweep};
 use fractanet_topo::{Ring, Topology};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -72,7 +72,7 @@ fn check(
         }));
     }
 
-    let mut sweep = VcSweep::new(net, map).expect("dateline and class maps are per-channel");
+    let mut sweep = VcSweep::new(net, map);
     DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
     let graph = sweep.finish();
     prop_assert_eq!(graph.len(), net.channel_count() * vcs as usize);
@@ -262,15 +262,4 @@ fn system_vc_verdicts_match_annotate() {
         let classes = !spec.starts_with("ring") && !spec.starts_with("torus");
         check(net, ends, sys.routes(), map, classes).unwrap_or_else(|e| panic!("{spec}: {e}"));
     }
-}
-
-/// Per-hop maps assign VCs by pair and path position, which walks
-/// meeting in one forest do not share, so the forest build refuses
-/// them instead of answering wrongly.
-#[test]
-fn per_hop_maps_are_refused() {
-    let ring = Ring::new(4, 1, 6).unwrap();
-    let vc_routes: VcRouteSet = dateline_ring_routes(&ring, 2);
-    let map = VcMap::from_vc_routes(&vc_routes);
-    assert!(VcSweep::new(ring.net(), &map).is_none());
 }

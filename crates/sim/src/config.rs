@@ -18,10 +18,6 @@ pub struct SimConfig {
     /// ordering). `0` — the default — reproduces the historical
     /// instantaneous start-of-cycle space check bit-for-bit.
     pub credit_delay: u64,
-    /// Virtual channels multiplexed over each physical channel. `1`
-    /// (the default) is plain wormhole; values above 1 require a VC
-    /// map installed via [`crate::engine::Engine::with_vc_map`].
-    pub vcs: u8,
     /// Flits per packet (a 64-byte ServerNet packet at one byte per
     /// flit cycle ≈ 16–64 flits; 16 keeps tests fast).
     pub packet_flits: u32,
@@ -74,7 +70,6 @@ impl Default for SimConfig {
         SimConfig {
             buffer_depth: 4,
             credit_delay: 0,
-            vcs: 1,
             packet_flits: 16,
             max_cycles: 50_000,
             stall_threshold: 1_000,
@@ -110,12 +105,6 @@ impl SimConfig {
     /// Builder-style credit round-trip delay.
     pub fn with_credit_delay(mut self, cycles: u64) -> Self {
         self.credit_delay = cycles;
-        self
-    }
-
-    /// Builder-style virtual-channel count. `0` is normalized to `1`.
-    pub fn with_vcs(mut self, vcs: u8) -> Self {
-        self.vcs = vcs.max(1);
         self
     }
 
@@ -207,13 +196,6 @@ mod tests {
         assert!(c.dedup, "duplicate suppression is on by default");
         assert_eq!(c.threads, 1, "one shard is the default");
         assert_eq!(c.credit_delay, 0, "instantaneous credits by default");
-        assert_eq!(c.vcs, 1, "plain wormhole by default");
-    }
-
-    #[test]
-    fn vcs_builder_normalizes_zero() {
-        assert_eq!(SimConfig::default().with_vcs(0).vcs, 1);
-        assert_eq!(SimConfig::default().with_vcs(3).vcs, 3);
     }
 
     #[test]

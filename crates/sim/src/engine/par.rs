@@ -101,12 +101,12 @@ impl ScanView<'_> {
         Some(next)
     }
 
-    /// The value of [`ChanState::next`] for `p`'s head entering `vid`
-    /// at route position `pos`: the downstream vid, or [`EJECT`].
-    pub(super) fn resolve_next(&self, p: &Packet, vid: u32, pos: u32) -> u32 {
+    /// The value of [`ChanState::next`] for `p`'s head entering `vid`:
+    /// the downstream vid, or [`EJECT`].
+    pub(super) fn resolve_next(&self, p: &Packet, vid: u32) -> u32 {
         match self.next_hop(p, ChannelId(vid / self.vcs)) {
             None => EJECT,
-            Some(next) => self.vid_of(p, pos + 1, vid, next),
+            Some(next) => self.vid_of(vid, next),
         }
     }
 
@@ -116,30 +116,29 @@ impl ScanView<'_> {
     /// with one VC (or no map installed) this degenerates to the
     /// physical channel index times `vcs`, preserving the legacy
     /// engine's indexing exactly at `vcs == 1`. `cur_vid` is the vid
-    /// the worm head currently occupies; `next_pos` its route position
-    /// after the move (path index of `next`).
+    /// the worm head currently occupies.
     #[inline]
-    fn vid_of(&self, p: &Packet, next_pos: u32, cur_vid: u32, next: ChannelId) -> u32 {
+    fn vid_of(&self, cur_vid: u32, next: ChannelId) -> u32 {
         match self.vcmap {
             None => next.0 * self.vcs,
             Some(map) => {
                 let cur_vc = (cur_vid % self.vcs) as u8;
                 let cur = ChannelId(cur_vid / self.vcs);
-                let vc = map.vc_for(p.src, p.dst, next_pos, cur_vc, Some(cur), next);
+                let vc = map.vc_for(cur_vc, Some(cur), next);
                 next.0 * self.vcs + u32::from(vc)
             }
         }
     }
 
     /// The first physical hop and its vid for a packet about to inject
-    /// (route position 0, no current channel, VC 0 discipline seed).
+    /// (no current channel, VC 0 discipline seed).
     #[inline]
     pub(super) fn first_vid(&self, p: &Packet) -> (ChannelId, u32) {
         let c0 = self.first_hop(p);
         match self.vcmap {
             None => (c0, c0.0 * self.vcs),
             Some(map) => {
-                let vc = map.vc_for(p.src, p.dst, 0, 0, None, c0);
+                let vc = map.vc_for(0, None, c0);
                 (c0, c0.0 * self.vcs + u32::from(vc))
             }
         }

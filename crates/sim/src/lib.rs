@@ -60,5 +60,5 @@ pub use trace::{parse_trace, write_trace, RecordedTrace, TraceExpectation};
 pub use traffic::{DstPattern, Workload};
 pub use vc::{
     dateline_ring_map, dateline_ring_routes, dateline_torus_map, dateline_torus_routes,
-    ecube_hypercube_map, ecube_mesh_map, VcEngine, VcMap, VcRouteSet, VcSweep,
+    ecube_hypercube_map, ecube_mesh_map, VcMap, VcRouteSet, VcSweep,
 };

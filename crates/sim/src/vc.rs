@@ -12,40 +12,33 @@
 //! share the wire). The flit movement itself — credits, FIFOs,
 //! round-robin output arbitration, faults, retries, duplicate
 //! suppression, telemetry and metrics — lives in the one shared
-//! [`Engine`]; this module contributes only what is genuinely
-//! VC-specific:
+//! [`Engine`](crate::engine::Engine), which routes on destination
+//! tables and splits its channels by the [`VcMap`] installed with
+//! [`Engine::with_vc_map`](crate::engine::Engine::with_vc_map) — the
+//! only virtual-channel state there is. This module contributes only
+//! what is genuinely VC-specific:
 //!
-//! - [`VcMap`], the per-hop VC *discipline*: given a worm's next
-//!   physical channel, which VC does it ride? Three kinds cover the
-//!   classic Dally–Seitz orderings: exact per-hop assignments frozen
-//!   from a [`VcRouteSet`], the dateline scheme for rings and tori
-//!   (promote to VC 1 on crossing the wrap cable, reset on a dimension
-//!   change), and static channel classes for e-cube orderings on
-//!   meshes, hypercubes and trees.
+//! - [`VcMap`], the per-channel VC *discipline*: given a worm's
+//!   current `(channel, vc)` and its next physical channel, which VC
+//!   does it ride? Two kinds cover the classic Dally–Seitz orderings:
+//!   the dateline scheme for rings and tori (promote to VC 1 on
+//!   crossing the wrap cable, reset on a dimension change), and static
+//!   channel classes for e-cube orderings on meshes, hypercubes and
+//!   trees.
 //! - [`VcRouteSet`], all-pairs `(channel, vc)` routes with the
 //!   extended-graph acyclicity check (`is_deadlock_free`): the Dally &
 //!   Seitz theorem says the routing is deadlock-free iff the
-//!   dependency graph over *(channel, vc)* vertices is acyclic.
+//!   dependency graph over *(channel, vc)* vertices is acyclic. The
+//!   hand-written [`dateline_ring_routes`] and [`dateline_torus_routes`]
+//!   are the references the maps are checked against.
 //! - [`VcSweep`], the same extended graph read off destination tables
-//!   one routing forest at a time, for the per-channel maps — no pair
-//!   is traced.
-//! - [`VcEngine`], a thin construction wrapper that projects the
-//!   physical paths of a `VcRouteSet` onto destination tables,
-//!   installs the matching [`VcMap`], and hands everything to the
-//!   shared core. It therefore inherits the fault model, exactly-once
-//!   delivery, healing hooks, live metrics and the sharded parallel
-//!   step for free — none of which the old dedicated VC engine had.
+//!   one routing forest at a time — no pair is traced.
 
-use crate::config::SimConfig;
-use crate::engine::Engine;
-use crate::stats::SimResult;
-use crate::traffic::Workload;
-use fractanet_graph::{AdjList, ChannelId, Network, NodeId};
-use fractanet_route::{DestForest, ForestConsumer, RouteSet, Routes};
+use fractanet_graph::{AdjList, ChannelId, Network};
+use fractanet_route::{DestForest, ForestConsumer, RouteSet};
 use fractanet_topo::mesh::{PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use fractanet_topo::ring::{PORT_CW, PORT_NODE0};
 use fractanet_topo::{Hypercube, Mesh2D, Ring, Topology, Torus2D};
-use std::sync::Arc;
 
 /// One hop of a virtual-channel route: a physical channel plus the
 /// virtual channel to ride on it.
@@ -91,14 +84,6 @@ impl VcRouteSet {
     /// The hop sequence for a pair.
     pub fn path(&self, src: usize, dst: usize) -> &[VcHop] {
         &self.paths[src][dst]
-    }
-
-    /// The physical channel sequences, with the VC annotations dropped
-    /// — what the shared engine routes on.
-    pub fn physical_routes(&self) -> RouteSet {
-        RouteSet::from_pairs(self.len(), |s, d| {
-            self.paths[s][d].iter().map(|&(c, _)| c).collect()
-        })
     }
 
     /// Dally & Seitz on the extended graph: deadlock-free iff the
@@ -248,9 +233,9 @@ pub fn dateline_torus_routes(t: &Torus2D, vcs: u8) -> VcRouteSet {
 /// attach channels (injection and ejection) under a dateline map.
 const DIM_KEEP: u8 = u8::MAX;
 
-/// The per-hop virtual-channel discipline the shared engine consults
-/// on every head allocation and injection: given the worm's endpoints,
-/// its current `(channel, vc)` and the next physical channel, which VC
+/// The per-channel virtual-channel discipline the shared engine
+/// consults on every head allocation and injection: given the worm's
+/// current `(channel, vc)` and the next physical channel, which VC
 /// does the next hop ride? Plain data (`Send + Sync`) so the sharded
 /// decision scans can consult it from worker threads.
 #[derive(Clone, Debug)]
@@ -261,9 +246,6 @@ pub struct VcMap {
 
 #[derive(Clone, Debug)]
 enum VcMapKind {
-    /// Exact assignments frozen from a [`VcRouteSet`]:
-    /// `vc[src][dst][path_pos]`.
-    PerHop { hops: Vec<Vec<Vec<u8>>> },
     /// Dally–Seitz dateline: a worm keeps its VC while it travels
     /// within one dimension, promotes to at least VC 1 when it crosses
     /// a marked (wrap) channel, and resets to VC 0 when the dimension
@@ -278,23 +260,6 @@ enum VcMapKind {
 }
 
 impl VcMap {
-    /// Freezes the exact per-hop VC assignments of a route set.
-    pub fn from_vc_routes(routes: &VcRouteSet) -> Self {
-        let n = routes.len();
-        let mut hops = Vec::with_capacity(n);
-        for s in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for d in 0..n {
-                row.push(routes.path(s, d).iter().map(|&(_, vc)| vc).collect());
-            }
-            hops.push(row);
-        }
-        VcMap {
-            vcs: routes.vcs(),
-            kind: VcMapKind::PerHop { hops },
-        }
-    }
-
     /// A dateline discipline over explicit per-channel wrap marks and
     /// dimension labels (use [`DIM_KEEP`]-semantics via the topology
     /// helpers below unless building something exotic).
@@ -321,21 +286,11 @@ impl VcMap {
         self.vcs
     }
 
-    /// The VC the next hop rides. `next_pos` is the path index of
-    /// `next` (0 for injection), `cur` the physical channel the head
-    /// currently occupies (`None` for injection), `cur_vc` its VC.
-    pub fn vc_for(
-        &self,
-        src: u32,
-        dst: u32,
-        next_pos: u32,
-        cur_vc: u8,
-        cur: Option<ChannelId>,
-        next: ChannelId,
-    ) -> u8 {
+    /// The VC the next hop rides. `cur` is the physical channel the
+    /// head currently occupies (`None` for injection), `cur_vc` its VC.
+    pub fn vc_for(&self, cur_vc: u8, cur: Option<ChannelId>, next: ChannelId) -> u8 {
         let top = self.vcs - 1;
         let vc = match &self.kind {
-            VcMapKind::PerHop { hops } => hops[src as usize][dst as usize][next_pos as usize],
             VcMapKind::Dateline { promote, dim } => {
                 let nd = dim[next.index()];
                 let mut vc = if nd == DIM_KEEP {
@@ -367,9 +322,8 @@ impl VcMap {
             routes
                 .path(s, d)
                 .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    vc = self.vc_for(s as u32, d as u32, i as u32, vc, cur, c);
+                .map(|&c| {
+                    vc = self.vc_for(vc, cur, c);
                     cur = Some(c);
                     (c, vc)
                 })
@@ -396,20 +350,17 @@ pub struct VcSweep<'a> {
 }
 
 impl<'a> VcSweep<'a> {
-    /// An empty build over `net`'s channels under `map`, or `None` for
-    /// a per-hop map: its VCs depend on the pair and the path position,
-    /// so walks toward one destination that meet on a `(channel, vc)`
-    /// need not share what follows.
-    pub fn new(net: &Network, map: &'a VcMap) -> Option<Self> {
-        if let VcMapKind::PerHop { .. } = map.kind {
-            return None;
-        }
+    /// An empty build over `net`'s channels under `map`. A map's VC
+    /// depends only on the current `(channel, vc)` and the next
+    /// channel, so walks toward one destination that meet on a state
+    /// share everything that follows.
+    pub fn new(net: &Network, map: &'a VcMap) -> Self {
         let states = net.channel_count() * map.vcs as usize;
-        Some(VcSweep {
+        VcSweep {
             map,
             graph: AdjList::new(states),
             claimed: vec![u32::MAX; states],
-        })
+        }
     }
 
     /// The extended dependency graph of every destination absorbed so
@@ -424,22 +375,21 @@ impl ForestConsumer for VcSweep<'_> {
         let (d, vcs) = (forest.dst() as u32, self.map.vcs as usize);
         for s in (0..forest.addresses() as u32).filter(|&s| s != d) {
             let (mut a, mut v) = forest.inject(s as usize);
-            let mut x = self.map.vc_for(s, d, 0, 0, None, a);
-            let mut pos = 1;
+            let mut x = self.map.vc_for(0, None, a);
             while let Some(b) = forest.hop(v) {
                 let state = a.index() * vcs + x as usize;
                 if self.claimed[state] == d {
                     break;
                 }
                 self.claimed[state] = d;
-                let y = self.map.vc_for(s, d, pos, x, Some(a), b);
+                let y = self.map.vc_for(x, Some(a), b);
                 // A state turns into `b` on one VC, so its successors
                 // number at most its router's ports.
                 let next = (b.index() * vcs + y as usize) as u32;
                 if !self.graph.succ(state as u32).contains(&next) {
                     self.graph.add_edge(state as u32, next);
                 }
-                (a, v, x, pos) = (b, forest.channel_dst(b), y, pos + 1);
+                (a, v, x) = (b, forest.channel_dst(b), y);
             }
         }
     }
@@ -541,51 +491,29 @@ pub fn ecube_hypercube_map(h: &Hypercube, vcs: u8) -> VcMap {
     VcMap::classes(vcs, class)
 }
 
-/// The virtual-channel wormhole engine: the shared [`Engine`] routing
-/// on the destination tables the physical paths of a [`VcRouteSet`]
-/// project onto, with the matching per-hop [`VcMap`] installed.
-/// Physical links carry one flit per cycle regardless of VC count;
-/// each VC has its own `buffer_depth` FIFO and credit counter.
-/// Everything else — faults, retries, duplicate suppression, healing,
-/// telemetry, metrics, the sharded parallel step — is inherited from
-/// the core unchanged.
-pub struct VcEngine<'a> {
-    inner: Engine<'a>,
-}
-
-impl<'a> VcEngine<'a> {
-    /// Creates the engine. `ends` is the end-node address order the
-    /// routes are indexed by.
-    ///
-    /// # Panics
-    ///
-    /// If the physical paths do not project onto destination tables
-    /// ([`Routes::from_pair_paths`]).
-    pub fn new(net: &'a Network, ends: &[NodeId], routes: &VcRouteSet, cfg: SimConfig) -> Self {
-        let tables = Routes::from_pair_paths(net, ends, &routes.physical_routes())
-            .expect("VC routes' physical paths project onto destination tables");
-        let inner = Engine::new(net, ends, Arc::new(tables), cfg)
-            .with_vc_map(VcMap::from_vc_routes(routes));
-        VcEngine { inner }
-    }
-
-    /// Total input-buffer slots across the network — the hardware cost
-    /// axis of the virtual-channel trade-off.
-    pub fn total_buffer_slots(&self) -> usize {
-        self.inner.total_buffer_slots()
-    }
-
-    /// Runs the workload; the semantics are exactly
-    /// [`crate::engine::Engine::run`].
-    pub fn run(self, workload: Workload) -> SimResult {
-        self.inner.run(workload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
+    use crate::engine::Engine;
     use crate::fault::FaultEvent;
+    use crate::traffic::Workload;
+    use fractanet_route::dor::torus_xy_routes;
+    use fractanet_route::ringroute::ring_clockwise_routes;
+    use std::sync::Arc;
+
+    /// Clockwise ring tables under the dateline map.
+    fn ring_engine(ring: &Ring, vcs: u8, cfg: SimConfig) -> Engine<'_> {
+        let tables = Arc::new(ring_clockwise_routes(ring));
+        Engine::new(ring.net(), ring.end_nodes(), tables, cfg)
+            .with_vc_map(dateline_ring_map(ring, vcs))
+    }
+
+    /// X-then-Y torus tables under the per-dimension dateline map.
+    fn torus_engine(t: &Torus2D, vcs: u8, cfg: SimConfig) -> Engine<'_> {
+        Engine::new(t.net(), t.end_nodes(), Arc::new(torus_xy_routes(t)), cfg)
+            .with_vc_map(dateline_torus_map(t, vcs))
+    }
 
     fn fig1_cfg() -> SimConfig {
         SimConfig {
@@ -605,8 +533,7 @@ mod tests {
             !routes.is_deadlock_free(ring.net()),
             "1 VC keeps the Fig 1 cycle"
         );
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, fig1_cfg())
-            .run(Workload::fig1_ring(4));
+        let res = ring_engine(&ring, 1, fig1_cfg()).run(Workload::fig1_ring(4));
         assert!(res.deadlock.is_some());
     }
 
@@ -618,8 +545,7 @@ mod tests {
             routes.is_deadlock_free(ring.net()),
             "dateline CDG must be acyclic"
         );
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, fig1_cfg())
-            .run(Workload::fig1_ring(4));
+        let res = ring_engine(&ring, 2, fig1_cfg()).run(Workload::fig1_ring(4));
         assert!(res.deadlock.is_none(), "{:?}", res.deadlock);
         assert_eq!(res.delivered, 4);
     }
@@ -628,10 +554,8 @@ mod tests {
     fn buffer_cost_doubles_with_two_vcs() {
         // The paper's objection, quantified.
         let ring = Ring::new(4, 1, 6).unwrap();
-        let one = dateline_ring_routes(&ring, 1);
-        let two = dateline_ring_routes(&ring, 2);
-        let e1 = VcEngine::new(ring.net(), ring.end_nodes(), &one, fig1_cfg());
-        let e2 = VcEngine::new(ring.net(), ring.end_nodes(), &two, fig1_cfg());
+        let e1 = ring_engine(&ring, 1, fig1_cfg());
+        let e2 = ring_engine(&ring, 2, fig1_cfg());
         assert_eq!(e2.total_buffer_slots(), 2 * e1.total_buffer_slots());
     }
 
@@ -647,8 +571,7 @@ mod tests {
             stall_threshold: 2_000,
             ..SimConfig::default()
         };
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg)
-            .run(Workload::all_to_all_burst(6));
+        let res = ring_engine(&ring, 2, cfg).run(Workload::all_to_all_burst(6));
         assert!(res.deadlock.is_none());
         assert_eq!(res.delivered, 30);
     }
@@ -656,7 +579,6 @@ mod tests {
     #[test]
     fn vc_engine_is_deterministic() {
         let ring = Ring::new(5, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let mk = || {
             let cfg = SimConfig {
                 packet_flits: 6,
@@ -664,7 +586,7 @@ mod tests {
                 stall_threshold: 2_000,
                 ..SimConfig::default()
             };
-            VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg).run(Workload::Bernoulli {
+            ring_engine(&ring, 2, cfg).run(Workload::Bernoulli {
                 injection_rate: 0.2,
                 pattern: crate::traffic::DstPattern::Uniform,
                 until_cycle: 2_000,
@@ -716,7 +638,6 @@ mod tests {
     #[test]
     fn torus_all_to_all_completes_on_two_vcs() {
         let t = Torus2D::new(3, 3, 1, 6).unwrap();
-        let routes = dateline_torus_routes(&t, 2);
         let cfg = SimConfig {
             packet_flits: 8,
             buffer_depth: 2,
@@ -724,8 +645,7 @@ mod tests {
             stall_threshold: 2_000,
             ..SimConfig::default()
         };
-        let res =
-            VcEngine::new(t.net(), t.end_nodes(), &routes, cfg).run(Workload::all_to_all_burst(9));
+        let res = torus_engine(&t, 2, cfg).run(Workload::all_to_all_burst(9));
         assert!(res.deadlock.is_none(), "{:?}", res.deadlock);
         assert_eq!(res.delivered, 72);
     }
@@ -737,7 +657,6 @@ mod tests {
         // sharded candidate collection must be bit-identical to the
         // serial scan at every thread count.
         let t = Torus2D::new(6, 6, 1, 6).unwrap();
-        let routes = dateline_torus_routes(&t, 2);
         let run = |threads: usize| {
             let cfg = SimConfig {
                 packet_flits: 8,
@@ -748,7 +667,7 @@ mod tests {
                 ..SimConfig::default()
             }
             .with_threads(threads);
-            VcEngine::new(t.net(), t.end_nodes(), &routes, cfg).run(Workload::Bernoulli {
+            torus_engine(&t, 2, cfg).run(Workload::Bernoulli {
                 injection_rate: 0.3,
                 pattern: crate::traffic::DstPattern::Uniform,
                 until_cycle: 1_000,
@@ -786,12 +705,15 @@ mod tests {
 
     #[test]
     fn dateline_maps_induce_the_route_assignments() {
-        // The generic disciplines must reproduce the frozen per-hop
-        // assignments exactly: annotate(physical routes) == vc routes.
+        // The tables the engine routes on, traced per pair and
+        // annotated by the map it installs, must reproduce the
+        // hand-written references hop for hop: same channels, same VCs.
         let ring = Ring::new(5, 1, 6).unwrap();
         let routes = dateline_ring_routes(&ring, 2);
-        let map = dateline_ring_map(&ring, 2);
-        let induced = map.annotate(&routes.physical_routes());
+        let traced =
+            RouteSet::from_table(ring.net(), ring.end_nodes(), &ring_clockwise_routes(&ring))
+                .unwrap();
+        let induced = dateline_ring_map(&ring, 2).annotate(&traced);
         for s in 0..5 {
             for d in 0..5 {
                 assert_eq!(induced.path(s, d), routes.path(s, d), "ring {s}->{d}");
@@ -799,8 +721,8 @@ mod tests {
         }
         let t = Torus2D::new(4, 3, 1, 6).unwrap();
         let routes = dateline_torus_routes(&t, 2);
-        let map = dateline_torus_map(&t, 2);
-        let induced = map.annotate(&routes.physical_routes());
+        let traced = RouteSet::from_table(t.net(), t.end_nodes(), &torus_xy_routes(&t)).unwrap();
+        let induced = dateline_torus_map(&t, 2).annotate(&traced);
         for s in 0..12 {
             for d in 0..12 {
                 assert_eq!(induced.path(s, d), routes.path(s, d), "torus {s}->{d}");
@@ -864,7 +786,6 @@ mod tests {
         // Under queueing, injection happens after creation, so the
         // network component must be strictly smaller on average.
         let ring = Ring::new(6, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let cfg = SimConfig {
             packet_flits: 8,
             buffer_depth: 2,
@@ -872,8 +793,7 @@ mod tests {
             stall_threshold: 2_000,
             ..SimConfig::default()
         };
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg)
-            .run(Workload::all_to_all_burst(6));
+        let res = ring_engine(&ring, 2, cfg).run(Workload::all_to_all_burst(6));
         assert_eq!(res.delivered, 30);
         assert!(
             res.avg_network_latency < res.avg_latency,
@@ -890,8 +810,11 @@ mod tests {
         // tears the worm down, retries with backoff, and delivers once
         // the outage clears.
         let ring = Ring::new(4, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
-        let hit = routes.path(0, 1)[1].0.link();
+        let hit = ring
+            .net()
+            .channel_out(ring.router(0), PORT_CW)
+            .unwrap()
+            .link();
         let cfg = SimConfig {
             packet_flits: 8,
             buffer_depth: 2,
@@ -900,8 +823,7 @@ mod tests {
             ..SimConfig::default()
         }
         .with_fault(FaultEvent::kill_link(hit, 5).transient(400));
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg)
-            .run(Workload::all_to_all_burst(4));
+        let res = ring_engine(&ring, 2, cfg).run(Workload::all_to_all_burst(4));
         assert!(res.recovery.faults_applied >= 1);
         assert!(res.is_recovered(), "{:?}", res.recovery);
         assert_eq!(res.delivered + res.recovery.abandoned.len(), 12);
@@ -913,7 +835,6 @@ mod tests {
         // Old drift: throughput divided by the total cycle count even
         // when a warm-up window excluded early deliveries.
         let ring = Ring::new(4, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let cfg = SimConfig {
             packet_flits: 8,
             buffer_depth: 2,
@@ -921,8 +842,7 @@ mod tests {
             stall_threshold: 2_000,
             ..SimConfig::default()
         };
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg)
-            .run(Workload::all_to_all_burst(4));
+        let res = ring_engine(&ring, 2, cfg).run(Workload::all_to_all_burst(4));
         let flits = 12.0 * 8.0; // 12 pairs × 8 flits, warmup 0
         let want = flits / res.cycles as f64 / 4.0;
         assert!(
@@ -937,10 +857,8 @@ mod tests {
     fn vc_engine_supports_live_metrics() {
         // Old drift: `metrics` was hardwired to `None`.
         let ring = Ring::new(4, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let cfg = fig1_cfg().with_metrics(fractanet_telemetry::MetricsConfig::sampling(50));
-        let res =
-            VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg).run(Workload::fig1_ring(4));
+        let res = ring_engine(&ring, 2, cfg).run(Workload::fig1_ring(4));
         let m = res.metrics.expect("metrics recorder must run");
         assert_eq!(m.totals.delivered, 4);
     }
@@ -948,7 +866,6 @@ mod tests {
     #[test]
     fn vc_credit_ledger_is_conserved_at_quiescence() {
         let ring = Ring::new(6, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let cfg = SimConfig {
             packet_flits: 8,
             buffer_depth: 2,
@@ -956,8 +873,7 @@ mod tests {
             stall_threshold: 2_000,
             ..SimConfig::default()
         };
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg)
-            .run(Workload::all_to_all_burst(6));
+        let res = ring_engine(&ring, 2, cfg).run(Workload::all_to_all_burst(6));
         assert!(res.credits.consumed > 0);
         assert!(
             res.credits.is_conserved(),

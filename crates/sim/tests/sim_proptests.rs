@@ -3,8 +3,9 @@
 
 use fractanet_graph::LinkId;
 use fractanet_route::fractal::fractal_routes;
+use fractanet_route::ringroute::ring_clockwise_routes;
 use fractanet_route::{RouteSet, Routes};
-use fractanet_sim::vc::{dateline_ring_routes, VcEngine};
+use fractanet_sim::vc::dateline_ring_map;
 use fractanet_sim::{Engine, FaultEvent, RetryPolicy, SimConfig, Workload};
 use fractanet_topo::{Fractahedron, Ring, Topology, Variant};
 use proptest::prelude::*;
@@ -14,6 +15,17 @@ fn tetra() -> (Fractahedron, Arc<Routes>) {
     let f = Fractahedron::new(1, Variant::Fat, false).unwrap();
     let rt = Arc::new(fractal_routes(&f));
     (f, rt)
+}
+
+/// Clockwise tables on a ring under the 2-VC dateline map.
+fn dateline_ring(ring: &Ring, cfg: SimConfig) -> Engine<'_> {
+    Engine::new(
+        ring.net(),
+        ring.end_nodes(),
+        Arc::new(ring_clockwise_routes(ring)),
+        cfg,
+    )
+    .with_vc_map(dateline_ring_map(ring, 2))
 }
 
 proptest! {
@@ -90,7 +102,6 @@ proptest! {
         pkts in prop::collection::vec((0u64..30, 0usize..6, 0usize..6), 1..20),
     ) {
         let ring = Ring::new(6, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let script: Vec<(u64, usize, usize)> =
             pkts.into_iter().filter(|&(_, s, d)| s != d).collect();
         let n = script.len();
@@ -101,7 +112,7 @@ proptest! {
             stall_threshold: 5_000,
             ..SimConfig::default()
         };
-        let res = VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg).run(Workload::Scripted(script));
+        let res = dateline_ring(&ring, cfg).run(Workload::Scripted(script));
         prop_assert!(res.deadlock.is_none(), "{:?}", res.deadlock);
         prop_assert_eq!(res.delivered, n);
     }
@@ -194,7 +205,6 @@ proptest! {
         delay in 0u64..4,
     ) {
         let ring = Ring::new(6, 1, 6).unwrap();
-        let routes = dateline_ring_routes(&ring, 2);
         let script: Vec<(u64, usize, usize)> =
             pkts.into_iter().filter(|&(_, s, d)| s != d).collect();
         if script.is_empty() { return Ok(()); }
@@ -208,7 +218,7 @@ proptest! {
             }
             .with_buffer_depth(depth)
             .with_credit_delay(delay);
-            VcEngine::new(ring.net(), ring.end_nodes(), &routes, cfg).run(Workload::Scripted(script.clone()))
+            dateline_ring(&ring, cfg).run(Workload::Scripted(script.clone()))
         };
         let inf = run(SimConfig::INFINITE_DEPTH, 0);
         let fin = run(depth, delay);

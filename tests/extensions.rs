@@ -8,7 +8,8 @@ use fractanet::graph::bfs;
 use fractanet::metrics::{bisection_estimate, max_link_contention};
 use fractanet::prelude::*;
 use fractanet::route::genfracta::genfracta_routes;
-use fractanet::sim::vc::{dateline_ring_routes, VcEngine};
+use fractanet::route::ringroute::ring_clockwise_routes;
+use fractanet::sim::vc::{dateline_ring_map, dateline_ring_routes};
 use fractanet::sizing::{bill, plan, Requirement};
 use fractanet::topo::{
     ClusterShape, CubeConnectedCycles, GenFractahedron, ShuffleExchange, Torus2D,
@@ -85,23 +86,22 @@ fn virtual_channels_versus_topology_change() {
         ..SimConfig::default()
     };
     // 1 VC: deadlock (static and dynamic agree).
-    let one = dateline_ring_routes(&ring, 1);
-    assert!(!one.is_deadlock_free(ring.net()));
-    let r1 =
-        VcEngine::new(ring.net(), ring.end_nodes(), &one, cfg.clone()).run(Workload::fig1_ring(4));
-    assert!(r1.deadlock.is_some());
+    let tables = std::sync::Arc::new(ring_clockwise_routes(&ring));
+    let engine = |vcs: u8| {
+        Engine::new(ring.net(), ring.end_nodes(), tables.clone(), cfg.clone())
+            .with_vc_map(dateline_ring_map(&ring, vcs))
+    };
+    assert!(!dateline_ring_routes(&ring, 1).is_deadlock_free(ring.net()));
+    let e1 = engine(1);
+    let slots1 = e1.total_buffer_slots();
+    assert!(e1.run(Workload::fig1_ring(4)).deadlock.is_some());
     // 2 VCs: clean, at 2x buffer cost.
-    let two = dateline_ring_routes(&ring, 2);
-    assert!(two.is_deadlock_free(ring.net()));
-    let e2 = VcEngine::new(ring.net(), ring.end_nodes(), &two, cfg.clone());
-    let slots2 = e2.total_buffer_slots();
+    assert!(dateline_ring_routes(&ring, 2).is_deadlock_free(ring.net()));
+    let e2 = engine(2);
+    assert_eq!(e2.total_buffer_slots(), 2 * slots1);
     let r2 = e2.run(Workload::fig1_ring(4));
     assert!(r2.deadlock.is_none());
     assert_eq!(r2.delivered, 4);
-    assert_eq!(
-        slots2,
-        2 * VcEngine::new(ring.net(), ring.end_nodes(), &one, cfg).total_buffer_slots()
-    );
 }
 
 /// Sizing plans agree with the networks they describe and respect the
