@@ -118,7 +118,7 @@ fn run_one(name: &str, sys: &System, count: usize) -> Row {
     }
     let healed = heal(sys.net(), sys.end_nodes(), &fault_set);
     let (heal_coverage, heal_verified) = match &healed {
-        Ok(h) => (h.coverage(), true),
+        Ok(h) => (h.coverage.ratio(), true),
         Err(_) => (0.0, false),
     };
 

@@ -97,7 +97,7 @@ fn main() {
         let healed = fractanet::servernet::heal(f.net(), f.end_nodes(), &faults);
         let (healed_alive, healed_certified) = healed
             .as_ref()
-            .map(|h| (h.coverage(), true))
+            .map(|h| (h.coverage.ratio(), true))
             .unwrap_or((0.0, false));
         println!("  one level-2 diagonal cable cut:");
         println!(

@@ -52,7 +52,7 @@ use crate::disables::{synthesize_greedy, DisableSet, RowRouter, SynthesisError};
 use fractanet_graph::hitting::{greedy_hitting_set, min_hitting_set};
 use fractanet_graph::json::{JsonArray, JsonObject};
 use fractanet_graph::{ChannelId, Network, NodeId};
-use fractanet_route::{DeadMask, RouteSet};
+use fractanet_route::{DeadMask, PairCoverage, RouteSet};
 use std::collections::VecDeque;
 
 /// Component label for masked-out (dead) nodes.
@@ -177,9 +177,7 @@ pub struct ExactSynthesis {
     /// The routing and its certificate.
     pub witness: Witness,
     /// Ordered pairs with a (non-empty) route.
-    pub connected_pairs: usize,
-    /// All ordered pairs.
-    pub total_pairs: usize,
+    pub coverage: PairCoverage,
     /// Size of the greedy synthesis' disable set, for gap reporting
     /// (`usize::MAX` when the greedy synthesis itself failed).
     pub greedy_size: usize,
@@ -234,8 +232,8 @@ impl ExactSynthesis {
         JsonObject::new()
             .field_raw("disables", &darr.build())
             .field_raw("rank", &rarr.build())
-            .field_num("covered_pairs", self.connected_pairs)
-            .field_num("total_pairs", self.total_pairs)
+            .field_num("covered_pairs", self.coverage.connected)
+            .field_num("total_pairs", self.coverage.total)
             .field_bool("proven_minimal", self.proven_minimal)
             .field_num("lower_bound", self.lower_bound)
             .field_num("cycles", self.cycles_seen)
@@ -389,8 +387,6 @@ pub fn synthesize_disables_exact(
     cfg: &ExactConfig,
 ) -> Result<ExactSynthesis, SynthesisError> {
     let comp = components(net, mask);
-    let n = ends.len();
-    let total_pairs = n * n.saturating_sub(1);
     // Severed pairs (different surviving components, or a dead end)
     // stay unrouted; every other pair must route.
     let required = |s: usize, d: usize| {
@@ -430,8 +426,7 @@ pub fn synthesize_disables_exact(
                 disables,
                 rank,
             },
-            connected_pairs: covered,
-            total_pairs,
+            coverage: PairCoverage::of(covered, ends.len()),
             greedy_size,
             lower_bound,
             cycles_seen,
@@ -592,8 +587,7 @@ pub fn decide(
                     disables: DisableSet::new(),
                     rank,
                 },
-                connected_pairs: rep.connected_pairs,
-                total_pairs: rep.total_pairs,
+                coverage: rep.coverage,
                 greedy_size: usize::MAX,
                 lower_bound: 0,
                 cycles_seen: 0,

@@ -1325,13 +1325,13 @@ fn synth_summary(sys: &crate::system::System) -> SynthSummary {
                 text: format!(
                     "  synthesize: {} turn disable(s), {}/{} pairs routed, {claim}; {replay_txt}\n",
                     s.disables(),
-                    s.connected_pairs,
-                    s.total_pairs,
+                    s.coverage.connected,
+                    s.coverage.total,
                 ),
                 json: JsonObject::new()
                     .field_num("disables", s.disables())
-                    .field_num("covered_pairs", s.connected_pairs)
-                    .field_num("total_pairs", s.total_pairs)
+                    .field_num("covered_pairs", s.coverage.connected)
+                    .field_num("total_pairs", s.coverage.total)
                     .field_bool("proven_minimal", s.proven_minimal)
                     .field_bool("replay_ok", replay.is_ok())
                     .field_raw("certificate", &s.certificate_json())

@@ -48,5 +48,5 @@ pub mod treeroute;
 
 pub use forest::{DestForest, Failure, ForestConsumer};
 pub use paths::Paths;
-pub use repair::{repair_tables, DeadMask, IncrementalRepair, TableRepair};
+pub use repair::{repair_tables, DeadMask, IncrementalRepair, PairCoverage, TableRepair};
 pub use table::{PathIter, RouteError, RouteSet, Routes};

@@ -105,32 +105,50 @@ impl DeadMask {
     }
 }
 
+/// How many ordered pairs (`src != dst`) a repaired routing still
+/// connects — the graceful-degradation coverage every repair and heal
+/// reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairCoverage {
+    /// Ordered pairs that still have a path.
+    pub connected: usize,
+    /// All ordered pairs.
+    pub total: usize,
+}
+
+impl PairCoverage {
+    /// `connected` of the `ends · (ends − 1)` ordered pairs among
+    /// `ends` end nodes.
+    pub fn of(connected: usize, ends: usize) -> Self {
+        PairCoverage {
+            connected,
+            total: ends * ends.saturating_sub(1),
+        }
+    }
+
+    /// Fraction of ordered pairs still connected (1.0 = full repair).
+    pub fn ratio(&self) -> f64 {
+        if self.total == 0 {
+            1.0
+        } else {
+            self.connected as f64 / self.total as f64
+        }
+    }
+
+    /// Whether every pair still has a route.
+    pub fn is_full(&self) -> bool {
+        self.connected == self.total
+    }
+}
+
 /// Outcome of a table regeneration.
 #[derive(Clone, Debug)]
 pub struct TableRepair {
     /// The regenerated destination tables. Severed destinations have
     /// missing entries — tracing them reports the hole.
     pub tables: Routes,
-    /// Ordered pairs (`src != dst`) that still have a path.
-    pub connected_pairs: usize,
-    /// All ordered pairs.
-    pub total_pairs: usize,
-}
-
-impl TableRepair {
-    /// Fraction of ordered pairs still connected (1.0 = full repair).
-    pub fn coverage(&self) -> f64 {
-        if self.total_pairs == 0 {
-            1.0
-        } else {
-            self.connected_pairs as f64 / self.total_pairs as f64
-        }
-    }
-
-    /// Whether every pair still has a route.
-    pub fn is_full(&self) -> bool {
-        self.connected_pairs == self.total_pairs
-    }
+    /// Pairs the tables still connect.
+    pub coverage: PairCoverage,
 }
 
 /// Per-node (component, level) order over the surviving subgraph.
@@ -381,11 +399,9 @@ pub(crate) fn updown_tables_for(
 pub fn repair_tables(net: &Network, ends: &[NodeId], mask: &DeadMask) -> TableRepair {
     let order = SurvivorOrder::new(net, mask);
     let (tables, col_connected) = updown_tables_for(net, ends, mask, &order.comp, &order.level);
-    let n = ends.len();
     TableRepair {
         tables,
-        connected_pairs: col_connected.iter().sum(),
-        total_pairs: n * n.saturating_sub(1),
+        coverage: PairCoverage::of(col_connected.iter().sum(), ends.len()),
     }
 }
 
@@ -539,8 +555,7 @@ impl<'a> IncrementalRepair<'a> {
         let st = self.state.as_ref().expect("state just ensured");
         TableRepair {
             tables: st.tables.clone(),
-            connected_pairs: st.col_connected.iter().sum(),
-            total_pairs: n * n.saturating_sub(1),
+            coverage: PairCoverage::of(st.col_connected.iter().sum(), n),
         }
     }
 }
@@ -700,8 +715,8 @@ mod tests {
     fn no_faults_full_coverage() {
         let h = Hypercube::new(3, 1, 6).unwrap();
         let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &DeadMask::new(h.net()));
-        assert!(rep.is_full());
-        assert_eq!(rep.coverage(), 1.0);
+        assert!(rep.coverage.is_full());
+        assert_eq!(rep.coverage.ratio(), 1.0);
         assert!(routes.check_simple().is_ok());
     }
 
@@ -713,7 +728,7 @@ mod tests {
         let mut mask = DeadMask::new(r.net());
         mask.kill_link(first_router_link(r.net()));
         let (rep, routes) = repair_traced(r.net(), r.end_nodes(), &mask);
-        assert!(rep.is_full(), "coverage {}", rep.coverage());
+        assert!(rep.coverage.is_full(), "coverage {}", rep.coverage.ratio());
         check_avoids(r.net(), &mask, &routes);
     }
 
@@ -726,9 +741,9 @@ mod tests {
         let router0 = r.net().channels_from(r.end_nodes()[0]).first().unwrap().1;
         mask.kill_router(router0);
         let (rep, routes) = repair_traced(r.net(), r.end_nodes(), &mask);
-        assert!(!rep.is_full());
+        assert!(!rep.coverage.is_full());
         // 3 surviving ends remain mutually connected: 3 * 2 = 6 of 12.
-        assert_eq!(rep.connected_pairs, 6);
+        assert_eq!(rep.coverage.connected, 6);
         check_avoids(r.net(), &mask, &routes);
         // Severed pairs really are empty.
         assert!(routes.path(0, 1).is_empty());
@@ -747,7 +762,7 @@ mod tests {
             assert_eq!(p, b_routes.path(s, d), "{s}->{d}");
         }
         assert_eq!(a.tables, b.tables);
-        assert!(a.is_full());
+        assert!(a.coverage.is_full());
         check_avoids(f.net(), &mask, &a_routes);
     }
 
@@ -758,7 +773,7 @@ mod tests {
         mask.kill_link(first_router_link(h.net()));
         let order = SurvivorOrder::new(h.net(), &mask);
         let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &mask);
-        assert!(rep.is_full());
+        assert!(rep.coverage.is_full());
         for (s, d, p) in routes.pairs() {
             let interior = &p[1..p.len() - 1];
             let mut descending = false;
@@ -804,7 +819,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(rep.connected_pairs, oracle_connected);
+            assert_eq!(rep.coverage.connected, oracle_connected);
         }
     }
 
@@ -834,7 +849,7 @@ mod tests {
             let patched = inc.repair(&mask);
             let full = repair_tables(h.net(), h.end_nodes(), &mask);
             assert_eq!(patched.tables, full.tables, "after killing {l:?}");
-            assert_eq!(patched.connected_pairs, full.connected_pairs);
+            assert_eq!(patched.coverage, full.coverage);
         }
     }
 

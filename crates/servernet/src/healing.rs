@@ -10,8 +10,8 @@
 //! returned — the caller keeps the old (safe) tables instead.
 //!
 //! When the family-specific repair cannot produce certifiable tables
-//! for a faulted topology, [`heal_mask_with_fallback`] falls back to
-//! the certificate-producing exact synthesizer
+//! for a faulted topology, [`table_healing_repairer`] falls back to
+//! [`synthesize_heal`], the certificate-producing exact synthesizer
 //! ([`fractanet_deadlock::synthesize_disables_exact`]), which routes
 //! the surviving component from scratch with a provably small disable
 //! set — and its output passes the very same certification gates
@@ -26,7 +26,7 @@ use fractanet_deadlock::{
 use fractanet_graph::{LinkId, Network, NodeId};
 use fractanet_lint::{LintReport, Linter, Precomputed};
 use fractanet_route::repair::{repair_tables, DeadMask};
-use fractanet_route::{IncrementalRepair, RouteSet, Routes};
+use fractanet_route::{IncrementalRepair, PairCoverage, RouteSet, Routes};
 use std::sync::Arc;
 
 /// A certified repair: tables verified acyclic, plus coverage. The
@@ -38,29 +38,10 @@ pub struct HealReport {
     /// The verified, installable destination tables — the canonical
     /// form repairs are certified and installed in.
     pub tables: Routes,
-    /// Ordered pairs still connected.
-    pub connected_pairs: usize,
-    /// All ordered pairs.
-    pub total_pairs: usize,
+    /// Pairs the tables still connect.
+    pub coverage: PairCoverage,
     /// Dependencies in the certified CDG (diagnostic).
     pub cdg_dependencies: usize,
-}
-
-impl HealReport {
-    /// Fraction of ordered pairs still routable — the
-    /// graceful-degradation coverage (1.0 = full repair).
-    pub fn coverage(&self) -> f64 {
-        if self.total_pairs == 0 {
-            1.0
-        } else {
-            self.connected_pairs as f64 / self.total_pairs as f64
-        }
-    }
-
-    /// Whether every pair is still routable.
-    pub fn is_full(&self) -> bool {
-        self.connected_pairs == self.total_pairs
-    }
 }
 
 /// Why a heal was not installed.
@@ -124,8 +105,7 @@ pub fn heal_mask(net: &Network, ends: &[NodeId], mask: &DeadMask) -> Result<Heal
     let cdg_dependencies = certify_tables(net, ends, mask, &rep.tables)?;
     Ok(HealReport {
         tables: rep.tables,
-        connected_pairs: rep.connected_pairs,
-        total_pairs: rep.total_pairs,
+        coverage: rep.coverage,
         cdg_dependencies,
     })
 }
@@ -147,32 +127,10 @@ pub struct SynthesizedHeal {
     /// Synthesized routings are per-pair, which tables cannot always
     /// express; `None` means routers cannot install this routing.
     pub tables: Option<Routes>,
-    /// Ordered pairs still connected.
-    pub connected_pairs: usize,
-    /// All ordered pairs.
-    pub total_pairs: usize,
+    /// Pairs the routes still connect.
+    pub coverage: PairCoverage,
     /// Dependencies in the certified CDG (diagnostic).
     pub cdg_dependencies: usize,
-}
-
-impl SynthesizedHeal {
-    /// Fraction of ordered pairs still routable.
-    pub fn coverage(&self) -> f64 {
-        if self.total_pairs == 0 {
-            1.0
-        } else {
-            self.connected_pairs as f64 / self.total_pairs as f64
-        }
-    }
-}
-
-/// How a fallback-capable heal succeeded.
-#[derive(Clone, Debug)]
-pub enum HealOutcome {
-    /// The family repairer covered the fault; its certified tables.
-    Repaired(Box<HealReport>),
-    /// The repairer could not certify; the exact synthesizer could.
-    Synthesized(Box<SynthesizedHeal>),
 }
 
 /// Routes the surviving component from scratch with the exact
@@ -193,24 +151,9 @@ pub fn synthesize_heal(
         routes: synth.witness.routes,
         disables: synth.witness.disables,
         tables,
-        connected_pairs: synth.connected_pairs,
-        total_pairs: synth.total_pairs,
+        coverage: synth.coverage,
         cdg_dependencies,
     })
-}
-
-/// [`heal_mask`], falling back to [`synthesize_heal`] when the family
-/// repairer's tables fail certification. The error of the *synthesis*
-/// path is returned when both fail, since it is the terminal attempt.
-pub fn heal_mask_with_fallback(
-    net: &Network,
-    ends: &[NodeId],
-    mask: &DeadMask,
-) -> Result<HealOutcome, HealError> {
-    match heal_mask(net, ends, mask) {
-        Ok(rep) => Ok(HealOutcome::Repaired(Box::new(rep))),
-        Err(_) => synthesize_heal(net, ends, mask).map(|s| HealOutcome::Synthesized(Box::new(s))),
-    }
 }
 
 /// The certification gate itself, run directly over destination
@@ -322,8 +265,8 @@ mod tests {
         let mut faults = FaultSet::none();
         faults.kill_link(router_link(h.net()));
         let rep = heal(h.net(), h.end_nodes(), &faults).unwrap();
-        assert!(rep.is_full());
-        assert_eq!(rep.coverage(), 1.0);
+        assert!(rep.coverage.is_full());
+        assert_eq!(rep.coverage.ratio(), 1.0);
         assert!(rep.cdg_dependencies > 0);
     }
 
@@ -334,9 +277,9 @@ mod tests {
         let router0 = r.net().channels_from(r.end_nodes()[0]).first().unwrap().1;
         faults.kill_router(router0);
         let rep = heal(r.net(), r.end_nodes(), &faults).unwrap();
-        assert!(!rep.is_full());
-        assert_eq!(rep.connected_pairs, 6);
-        assert!((rep.coverage() - 0.5).abs() < 1e-9);
+        assert!(!rep.coverage.is_full());
+        assert_eq!(rep.coverage.connected, 6);
+        assert!((rep.coverage.ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -347,7 +290,7 @@ mod tests {
         let mut mask = DeadMask::new(h.net());
         mask.kill_link(router_link(h.net()));
         let rep = repair_tables(h.net(), h.end_nodes(), &mask);
-        assert!(rep.is_full());
+        assert!(rep.coverage.is_full());
         let routes = trace_surviving(h.net(), h.end_nodes(), &mask, &rep.tables);
         let holed = RouteSet::from_pairs(routes.len(), |s, d| {
             if (s, d) == (1, 6) {
@@ -441,8 +384,8 @@ mod tests {
         let mut mask = DeadMask::new(r.net());
         mask.kill_link(router_link(r.net()));
         let s = synthesize_heal(r.net(), r.end_nodes(), &mask).unwrap();
-        assert_eq!(s.connected_pairs, s.total_pairs);
-        assert!((s.coverage() - 1.0).abs() < 1e-9);
+        assert!(s.coverage.is_full());
+        assert!((s.coverage.ratio() - 1.0).abs() < 1e-9);
         // The synthesized routes re-certify from scratch.
         assert!(certify_routes(r.net(), r.end_nodes(), &mask, &s.routes).is_ok());
         // A line has an acyclic CDG under shortest-path routing, so
@@ -459,18 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_prefers_family_repair_when_it_certifies() {
-        let h = Hypercube::new(3, 1, 6).unwrap();
-        let mut mask = DeadMask::new(h.net());
-        mask.kill_link(router_link(h.net()));
-        let out = heal_mask_with_fallback(h.net(), h.end_nodes(), &mask).unwrap();
-        let HealOutcome::Repaired(rep) = out else {
-            panic!("up*/down* repair covers a one-link fault on the cube");
-        };
-        assert!(rep.is_full());
-    }
-
-    #[test]
     fn synthesize_heal_covers_partial_survivors() {
         // Kill end node 0's attach router: the synthesizer covers the
         // surviving component and leaves the severed pairs unrouted.
@@ -479,8 +410,8 @@ mod tests {
         let mut mask = DeadMask::new(r.net());
         mask.kill_router(router0);
         let s = synthesize_heal(r.net(), r.end_nodes(), &mask).unwrap();
-        assert_eq!(s.connected_pairs, 6);
-        assert!((s.coverage() - 0.5).abs() < 1e-9);
+        assert_eq!(s.coverage.connected, 6);
+        assert!((s.coverage.ratio() - 0.5).abs() < 1e-9);
         for (sa, da, p) in s.routes.pairs() {
             if sa == 0 || da == 0 {
                 assert!(p.is_empty(), "severed pair ({sa},{da}) got a route");

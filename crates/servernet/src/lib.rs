@@ -37,8 +37,8 @@ pub mod transactions;
 pub use fabric::{DualFabric, FabricId};
 pub use faults::FaultSet;
 pub use healing::{
-    certify_routes, certify_tables, heal, heal_mask, heal_mask_with_fallback, synthesize_heal,
-    table_healing_repairer, HealError, HealOutcome, HealReport, SynthesizedHeal,
+    certify_routes, certify_tables, heal, heal_mask, synthesize_heal, table_healing_repairer,
+    HealError, HealReport, SynthesizedHeal,
 };
 pub use link::LinkSpec;
 pub use packet::{segment_transfer, Packet, PacketError, TransactionKind};

@@ -195,8 +195,8 @@ fn masked_certification_matches_golden_vectors() {
     disables.sort_unstable();
     let mut text = format!(
         "disables {disables:?} connected {} total {} deps {} tables {}\n",
-        heal.connected_pairs,
-        heal.total_pairs,
+        heal.coverage.connected,
+        heal.coverage.total,
         heal.cdg_dependencies,
         heal.tables.is_some()
     );

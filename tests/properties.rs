@@ -216,8 +216,8 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(connected, rep.connected_pairs);
-        prop_assert!(rep.connected_pairs <= rep.total_pairs);
+        prop_assert_eq!(connected, rep.coverage.connected);
+        prop_assert!(rep.coverage.connected <= rep.coverage.total);
 
         // Table-canonical invariant: walking the installed tables
         // reproduces every surviving traced path element for element.
@@ -437,7 +437,7 @@ proptest! {
         let full_mask = DeadMask::from_dead(net, &dead, &[]);
         let inc_rep = inc.repair(&full_mask);
         let full = repair_tables(net, sys.end_nodes(), &full_mask);
-        prop_assert_eq!(inc_rep.connected_pairs, full.connected_pairs);
+        prop_assert_eq!(inc_rep.coverage, full.coverage);
         prop_assert!(inc_rep.tables == full.tables, "incremental diverged from full rebuild");
     }
 
