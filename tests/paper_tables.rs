@@ -249,3 +249,103 @@ fn fig2_hypercube_disables() {
     );
     assert!(skew.max > skew.min);
 }
+
+/// FNV-1a over everything written into it, so multi-megabyte `Debug`
+/// renderings of tables are hashed without being materialized.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Digest of a fractahedron build: every node's kind (and label, when
+/// `labels`) and outgoing channels, every link's endpoints and class,
+/// the end-node ids in address order, and the `Debug` rendering of its
+/// destination tables.
+fn wiring_digest(net: &Network, ends: &[NodeId], routes: &Routes, labels: bool) -> u64 {
+    use std::fmt::Write;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for v in net.nodes() {
+        write!(h, "{:?}{:?}", net.kind(v), net.channels_from(v)).unwrap();
+        if labels {
+            write!(h, "{}", net.label(v)).unwrap();
+        }
+    }
+    for l in net.links() {
+        let info = net.link(l);
+        write!(h, "{:?}{:?}{:?}", info.a, info.b, info.class).unwrap();
+    }
+    write!(h, "{ends:?}{routes:?}").unwrap();
+    h.0
+}
+
+/// Fractahedral builds pinned byte for byte: the paper's thin and fat
+/// fractahedrons at N = 1..3 and the fan-out builds (labels included),
+/// then the §4 cluster shapes of E14, fat and thin at N = 2 (labels
+/// left out). A change to the builder or to depth-first routing that
+/// moves a port, a cable or a table entry fails here; the failure
+/// message prints every digest the run produced.
+#[test]
+fn fractahedron_builds_match_golden_vectors() {
+    use fractanet::route::fractal::fractal_routes;
+    use fractanet::route::genfracta::genfracta_routes;
+    use fractanet::topo::{ClusterShape, GenFractahedron};
+
+    const GOLDEN_PAPER: [(usize, Variant, bool, u64); 9] = [
+        (1, Variant::Thin, false, 0xedf8_0661_463b_1458),
+        (2, Variant::Thin, false, 0x4e5d_6d5c_a410_0fee),
+        (3, Variant::Thin, false, 0xea94_1205_787e_4bc6),
+        (1, Variant::Fat, false, 0xedf8_0661_463b_1458),
+        (2, Variant::Fat, false, 0x1e98_8a3d_9dce_0c98),
+        (3, Variant::Fat, false, 0xca5f_7d60_63d0_5892),
+        (2, Variant::Thin, true, 0x4d92_aa19_1038_ee00),
+        (3, Variant::Thin, true, 0x129f_a466_bd46_e532),
+        (2, Variant::Fat, true, 0xa322_9487_231b_68f3),
+    ];
+    const fn shape(cluster: usize, ports: u8, down: usize, up: usize) -> ClusterShape {
+        ClusterShape {
+            cluster,
+            ports,
+            down,
+            up,
+        }
+    }
+    const GOLDEN_SHAPES: [(ClusterShape, bool, u64); 6] = [
+        (shape(3, 6, 2, 2), true, 0xdcf3_5e08_9ba2_b167),
+        (shape(3, 6, 2, 2), false, 0x3f14_4475_f393_b12a),
+        (shape(4, 8, 3, 2), true, 0xf0a7_cc24_beef_2785),
+        (shape(4, 8, 3, 2), false, 0xd491_0f27_0c08_4699),
+        (shape(5, 8, 2, 2), true, 0xcca1_4768_659b_575b),
+        (shape(5, 8, 2, 2), false, 0x7a0d_cb1a_68a9_5bd6),
+    ];
+
+    let mut got = Vec::new();
+    let mut bad = Vec::new();
+    let mut check = |what: String, digest: u64, want: u64| {
+        if digest != want {
+            bad.push(what.clone());
+        }
+        got.push(format!("{what}: {digest:#018x}"));
+    };
+    for (levels, variant, fanout, want) in GOLDEN_PAPER {
+        let f = Fractahedron::new(levels, variant, fanout).unwrap();
+        let d = wiring_digest(f.net(), f.end_nodes(), &fractal_routes(&f), true);
+        check(format!("{variant:?} N{levels} fanout={fanout}"), d, want);
+    }
+    for (shape, fat, want) in GOLDEN_SHAPES {
+        let g = GenFractahedron::new(shape, 2, fat).unwrap();
+        let d = wiring_digest(g.net(), g.end_nodes(), &genfracta_routes(&g), false);
+        check(format!("{shape:?} fat={fat}"), d, want);
+    }
+    assert!(
+        bad.is_empty(),
+        "digests diverged for {bad:?}; this run produced:\n{}",
+        got.join("\n")
+    );
+}
