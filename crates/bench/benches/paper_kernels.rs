@@ -236,7 +236,7 @@ fn bench_sim(c: &mut Criterion) {
 /// max-flow at the 1024-node scale.
 fn bench_extensions(c: &mut Criterion) {
     use fractanet::sim::vc::dateline_ring_map;
-    use fractanet::topo::{ClusterShape, Fractahedron, GenFractahedron};
+    use fractanet::topo::{ClusterShape, Fractahedron};
 
     c.bench_function("ext_build_generalized_3_6_2_2", |b| {
         let shape = ClusterShape {
@@ -245,7 +245,7 @@ fn bench_extensions(c: &mut Criterion) {
             down: 2,
             up: 2,
         };
-        b.iter(|| GenFractahedron::new(shape, 2, true).unwrap())
+        b.iter(|| Fractahedron::with_shape(shape, 2, Variant::Fat).unwrap())
     });
 
     let ring = Ring::new(4, 1, 6).unwrap();

@@ -8,10 +8,10 @@ use fractanet::deadlock::verify_deadlock_free;
 use fractanet::graph::bfs;
 use fractanet::metrics::{bisection_estimate, max_link_contention, CostSummary};
 use fractanet::prelude::*;
-use fractanet::route::genfracta::genfracta_routes;
+use fractanet::route::fractal::fractal_routes;
 use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet::sim::vc::dateline_ring_map;
-use fractanet::topo::{ClusterShape, GenFractahedron};
+use fractanet::topo::ClusterShape;
 use fractanet_bench::{emit_json, header};
 use serde::Serialize;
 
@@ -74,8 +74,8 @@ fn main() {
         ),
     ];
     for (label, shape) in shapes {
-        let g = GenFractahedron::new(shape, 2, true).unwrap();
-        let routes = genfracta_routes(&g);
+        let g = Fractahedron::with_shape(shape, 2, Variant::Fat).unwrap();
+        let routes = fractal_routes(&g);
         let rs = RouteSet::from_table(g.net(), g.end_nodes(), &routes).unwrap();
         let cont = max_link_contention(g.net(), &rs);
         let bis = bisection_estimate(g.net(), g.end_nodes(), 4);

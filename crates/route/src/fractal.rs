@@ -1,5 +1,5 @@
 //! Depth-first fractahedral routing — the paper's §2.3–2.4 algorithm
-//! and its deadlock-avoidance core.
+//! and its deadlock-avoidance core, for every cluster shape.
 //!
 //! "Routing in multilayer networks is done depth-first by examining
 //! address bits from high-order to low order. At any level, if there is
@@ -9,87 +9,100 @@
 //! inter-tetrahedral links. Those links are used only on the way down."
 //!
 //! Concretely, at a router of level `k` (stack `s`, corner `cr`), for a
-//! destination whose level-1 tetrahedron is `t`:
+//! destination whose attach index has base-`m·d` digits
+//! `a_N … a_2 a_1`:
 //!
-//! * if `t` is **outside** this stack's subtree → ascend. Fat: the
-//!   router's own up port, always ("the routing algorithm always takes
-//!   a local inter-level link rather than going through a neighboring
-//!   inter-level link" — §2.4's loop-elimination rule). Thin: move to
-//!   corner 0 (the tetrahedron's single up connection) first if needed.
-//! * if inside and `k = 1` → deliver: move to the destination corner if
-//!   needed, then out the attach port.
-//! * if inside and `k > 1` → descend: the child digit `c` of the
-//!   destination address selects stack corner `⌊c/2⌋`, down port
-//!   `c mod 2`; move within the (current layer's) tetrahedron to that
-//!   corner if needed.
+//! * if the digits above `a_k` do not name stack `s` → ascend. Fat:
+//!   the router's own up port, always ("the routing algorithm always
+//!   takes a local inter-level link rather than going through a
+//!   neighboring inter-level link" — §2.4's loop-elimination rule);
+//!   with `u > 1` up ports the ascent spreads packets by destination
+//!   over up port `dst mod u`, which keeps one fixed path per pair
+//!   while using every replicated layer. Thin: move to corner 0 (the
+//!   cluster's single up connection) first if needed.
+//! * otherwise → descend (deliver, at level 1): digit `a_k` selects
+//!   corner `⌊a_k/d⌋`, down port `a_k mod d`; move within the (current
+//!   layer's) cluster to that corner if needed.
 //!
-//! Intra-tetrahedron hops happen at most once per tetrahedron and never
-//! chain (the clique is fully connected), which is why the
+//! Intra-cluster hops happen at most once per cluster and never chain
+//! (the clique is fully connected), which is why the
 //! channel-dependency graph stays acyclic even though the fat
 //! fractahedron is full of physical loops — verified in
 //! `fractanet-deadlock`.
 
 use crate::table::Routes;
 use fractanet_graph::PortId;
-use fractanet_topo::fractahedron::PORT_UP;
 use fractanet_topo::{Fractahedron, Topology, Variant};
 
-/// Builds destination tables for a fractahedron (tetrahedron routers
-/// and, when present, fan-out routers).
+/// One destination's digit at one level: the stack that contains it
+/// and the corner and down port that lead toward it.
+#[derive(Clone, Copy)]
+struct Digit {
+    stack: u32,
+    corner: u32,
+    port: PortId,
+}
+
+/// Builds destination tables for a fractahedron (cluster routers and,
+/// when present, fan-out routers).
 pub fn fractal_routes(f: &Fractahedron) -> Routes {
+    let shape = f.shape();
     let n_addr = f.end_nodes().len();
-    // Fan-out router -> attach index, precomputed (dense by NodeId).
-    let mut fanout_attach: Vec<Option<usize>> = vec![None; f.net().node_count()];
+    let children = shape.children();
+    // digits[(k - 1) * n_addr + dst]: every destination resolved once.
+    let mut digits = Vec::with_capacity(f.levels() * n_addr);
+    let mut place: Vec<usize> = (0..n_addr).map(|dst| f.attach_of_addr(dst)).collect();
+    for _ in 0..f.levels() {
+        for p in &mut place {
+            let a = *p % children;
+            *p /= children;
+            digits.push(Digit {
+                stack: *p as u32,
+                corner: (a / shape.down) as u32,
+                port: PortId((a % shape.down) as u8),
+            });
+        }
+    }
+    let ascend: Vec<PortId> = (0..n_addr)
+        .map(|dst| shape.up_port(dst % shape.up))
+        .collect();
+    // Fan-out router -> address of its first CPU (dense by NodeId).
+    let npa = f.nodes_per_attach();
+    let mut fanout_first: Vec<Option<usize>> = vec![None; f.net().node_count()];
     for a in 0.. {
         match f.fanout_router(a) {
-            Some(r) => fanout_attach[r.index()] = Some(a),
+            Some(r) => fanout_first[r.index()] = Some(a * npa),
             None => break,
         }
     }
     Routes::from_fn(f.net(), n_addr, |router, dst| {
-        let t = f.tetra_of_addr(dst);
-        if let Some(pos) = f.pos_of(router) {
-            let (k, s, cr) = (pos.level, pos.stack, pos.corner);
-            if f.stack_of_tetra(t, k) != s {
-                // Ascend.
-                return Some(match f.variant() {
-                    Variant::Fat => PORT_UP,
-                    Variant::Thin => {
-                        if cr == 0 {
-                            PORT_UP
-                        } else {
-                            Fractahedron::intra_port(cr, 0)
-                        }
-                    }
-                });
-            }
-            if k == 1 {
-                // Deliver within this tetrahedron.
-                let c_d = f.corner_of_addr(dst);
-                return Some(if cr == c_d {
-                    PortId(f.port_of_addr(dst) as u8)
-                } else {
-                    Fractahedron::intra_port(cr, c_d)
-                });
-            }
-            // Descend one level.
-            let c = f.child_digit(t, k);
-            let corner = c / 2;
-            Some(if cr == corner {
-                PortId((c % 2) as u8)
+        let Some(pos) = f.pos_of(router) else {
+            // Fan-out router: deliver locally or climb to the cluster
+            // level.
+            let cpu = dst.wrapping_sub(fanout_first[router.index()]?);
+            return Some(if cpu < npa {
+                PortId(cpu as u8)
             } else {
-                Fractahedron::intra_port(cr, corner)
-            })
-        } else {
-            // Fan-out router: deliver locally or climb to the
-            // tetrahedron level.
-            let attach = fanout_attach[router.index()]?;
-            Some(if f.attach_of_addr(dst) == attach {
-                PortId((dst % 2) as u8)
-            } else {
-                PORT_UP
-            })
+                shape.up_port(0)
+            });
+        };
+        let cr = pos.corner;
+        let d = digits[(pos.level - 1) * n_addr + dst];
+        if d.stack as usize != pos.stack {
+            // Ascend.
+            return Some(match f.variant() {
+                Variant::Fat => ascend[dst],
+                Variant::Thin if cr == 0 => shape.up_port(0),
+                Variant::Thin => shape.intra_port(cr, 0),
+            });
         }
+        // Descend one level, or deliver at level 1.
+        let corner = d.corner as usize;
+        Some(if cr == corner {
+            d.port
+        } else {
+            shape.intra_port(cr, corner)
+        })
     })
 }
 
@@ -97,7 +110,8 @@ pub fn fractal_routes(f: &Fractahedron) -> Routes {
 mod tests {
     use super::*;
     use crate::table::RouteSet;
-    use fractanet_graph::bfs;
+    use fractanet_graph::{bfs, AdjList};
+    use fractanet_topo::ClusterShape;
 
     fn routed(f: &Fractahedron) -> RouteSet {
         RouteSet::from_table(f.net(), f.end_nodes(), &fractal_routes(f)).unwrap()
@@ -217,6 +231,99 @@ mod tests {
         for (s, d) in [(0usize, 511usize), (8, 250), (100, 400), (77, 78)] {
             let p = routes.trace(f.net(), f.end_nodes(), s, d).unwrap();
             assert_eq!(f.net().channel_dst(*p.last().unwrap()), f.end_nodes()[d]);
+        }
+    }
+
+    const TRIANGLE: ClusterShape = ClusterShape {
+        cluster: 3,
+        ports: 6,
+        down: 2,
+        up: 2,
+    };
+
+    const EIGHT_PORT: ClusterShape = ClusterShape {
+        cluster: 4,
+        ports: 8,
+        down: 3,
+        up: 2,
+    };
+
+    #[test]
+    fn paper_shape_routes_match_bfs() {
+        let g = Fractahedron::with_shape(ClusterShape::PAPER, 2, Variant::Fat).unwrap();
+        let rs = routed(&g);
+        for (s, d, p) in rs.pairs() {
+            let want =
+                bfs::router_hops(g.net(), g.end_nodes()[s], g.end_nodes()[d]).unwrap() as usize;
+            assert_eq!(p.len() - 1, want, "{s}->{d}");
+        }
+        assert!(
+            (rs.avg_router_hops() - 271.0 / 63.0).abs() < 1e-9,
+            "Table 2's 4.3 reproduced"
+        );
+    }
+
+    #[test]
+    fn triangle_shape_routes_minimal() {
+        for variant in [Variant::Fat, Variant::Thin] {
+            let g = Fractahedron::with_shape(TRIANGLE, 2, variant).unwrap();
+            let rs = routed(&g);
+            for (s, d, p) in rs.pairs() {
+                let want =
+                    bfs::router_hops(g.net(), g.end_nodes()[s], g.end_nodes()[d]).unwrap() as usize;
+                assert_eq!(p.len() - 1, want, "{variant:?} {s}->{d}");
+            }
+            assert!(rs.check_simple().is_ok());
+        }
+    }
+
+    #[test]
+    fn eight_port_shape_routes_and_delivers() {
+        let g = Fractahedron::with_shape(EIGHT_PORT, 2, Variant::Fat).unwrap();
+        let rs = routed(&g);
+        assert_eq!(rs.len(), 144);
+        assert_eq!(rs.max_router_hops(), 5, "3N-1 generalizes");
+        for (s, d, p) in rs.pairs().take(500) {
+            assert_eq!(
+                g.net().channel_dst(*p.last().unwrap()),
+                g.end_nodes()[d],
+                "{s}->{d}"
+            );
+        }
+    }
+
+    #[test]
+    fn fat_ascent_spreads_over_up_ports() {
+        // With u = 2, destinations of different parity take different
+        // up ports from the same router.
+        let g = Fractahedron::with_shape(TRIANGLE, 2, Variant::Fat).unwrap();
+        let routes = fractal_routes(&g);
+        let r = g.router(1, 0, 0, 0);
+        // Destinations outside cluster 0: e.g. 12 (even) and 13 (odd).
+        let even = routes.get(r, 12).unwrap();
+        let odd = routes.get(r, 13).unwrap();
+        assert_ne!(even, odd);
+        assert_eq!(even, TRIANGLE.up_port(0));
+        assert_eq!(odd, TRIANGLE.up_port(1));
+    }
+
+    #[test]
+    fn generalized_routing_is_deadlock_free() {
+        // A local CDG check: `fractanet-deadlock` depends on this
+        // crate, so it cannot be used here.
+        for (shape, variant) in [
+            (TRIANGLE, Variant::Fat),
+            (TRIANGLE, Variant::Thin),
+            (EIGHT_PORT, Variant::Fat),
+        ] {
+            let g = Fractahedron::with_shape(shape, 2, variant).unwrap();
+            let mut cdg = AdjList::new(g.net().channel_count());
+            for (_, _, p) in routed(&g).pairs() {
+                for w in p.windows(2) {
+                    cdg.add_edge(w[0].0, w[1].0);
+                }
+            }
+            assert!(cdg.is_acyclic(), "{shape:?} {variant:?}");
         }
     }
 }

@@ -27,7 +27,8 @@
 //!   deadlock demonstration),
 //!   [`treeroute`] (binary tree / star, plus generic up*/down*),
 //!   [`fattree`] (static up-link partitioning policies, Fig 6),
-//!   [`fractal`] (the paper's depth-first fractahedral routing, §2.3).
+//!   [`fractal`] (the paper's depth-first fractahedral routing, §2.3,
+//!   over any cluster shape, §4).
 //! * [`repair`] — self-healing: fault-avoiding up*/down* regeneration
 //!   over the surviving subgraph, with graceful-degradation coverage.
 
@@ -39,7 +40,6 @@ pub mod dor;
 pub mod fattree;
 pub mod forest;
 pub mod fractal;
-pub mod genfracta;
 pub mod paths;
 pub mod repair;
 pub mod ringroute;

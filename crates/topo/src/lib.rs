@@ -6,7 +6,8 @@
 //!
 //! * the paper's **primary contribution** — fully-connected router
 //!   clusters ([`cluster`], Fig 3), the tetrahedron (Fig 4) and thin /
-//!   fat **fractahedrons** ([`fractahedron`], Figs 5 & 7, Tables 1–2);
+//!   fat **fractahedrons** ([`fractahedron`], Figs 5 & 7, Tables 1–2),
+//!   over the paper's tetrahedra or any other cluster shape (§4);
 //! * the **baselines** of §3 — 2-D meshes with per-router end nodes
 //!   ([`mesh`], §3.1), hypercubes ([`hypercube`], Fig 2 / §3.2), and
 //!   k-ary fat trees with a configurable down/up port split
@@ -28,7 +29,6 @@
 pub mod cluster;
 pub mod fattree;
 pub mod fractahedron;
-pub mod genfracta;
 pub mod hypercube;
 pub mod mesh;
 pub mod ring;
@@ -37,8 +37,7 @@ pub mod tree;
 
 pub use cluster::FullyConnectedCluster;
 pub use fattree::FatTree;
-pub use fractahedron::{Fractahedron, Variant};
-pub use genfracta::{ClusterShape, GenFractahedron, GenPos};
+pub use fractahedron::{ClusterShape, Fractahedron, Variant};
 pub use hypercube::{CubeConnectedCycles, Hypercube};
 pub use mesh::{Mesh2D, Torus2D};
 pub use ring::Ring;

@@ -7,20 +7,18 @@ use fractanet::deadlock::verify_deadlock_free;
 use fractanet::graph::bfs;
 use fractanet::metrics::{bisection_estimate, max_link_contention};
 use fractanet::prelude::*;
-use fractanet::route::genfracta::genfracta_routes;
+use fractanet::route::fractal::fractal_routes;
 use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet::sim::vc::{dateline_ring_map, dateline_ring_routes};
 use fractanet::sizing::{bill, plan, Requirement};
-use fractanet::topo::{
-    ClusterShape, CubeConnectedCycles, GenFractahedron, ShuffleExchange, Torus2D,
-};
+use fractanet::topo::{ClusterShape, CubeConnectedCycles, ShuffleExchange, Torus2D};
 
 /// The generalized builder with the paper's shape reproduces Table 2
 /// end to end (routers, hops, contention, deadlock freedom).
 #[test]
 fn generalized_paper_shape_reproduces_table2() {
-    let g = GenFractahedron::new(ClusterShape::PAPER, 2, true).unwrap();
-    let rs = RouteSet::from_table(g.net(), g.end_nodes(), &genfracta_routes(&g)).unwrap();
+    let g = Fractahedron::with_shape(ClusterShape::PAPER, 2, Variant::Fat).unwrap();
+    let rs = RouteSet::from_table(g.net(), g.end_nodes(), &fractal_routes(&g)).unwrap();
     assert_eq!(g.net().router_count(), 48);
     assert!((rs.avg_router_hops() - 271.0 / 63.0).abs() < 1e-9);
     assert!(verify_deadlock_free(g.net(), &rs).is_ok());
@@ -52,8 +50,8 @@ fn alternative_shapes_keep_the_invariants() {
             up: 2,
         },
     ] {
-        let g = GenFractahedron::new(shape, 2, true).unwrap();
-        let routes = std::sync::Arc::new(genfracta_routes(&g));
+        let g = Fractahedron::with_shape(shape, 2, Variant::Fat).unwrap();
+        let routes = std::sync::Arc::new(fractal_routes(&g));
         let rs = RouteSet::from_table(g.net(), g.end_nodes(), &routes).unwrap();
         assert_eq!(bfs::max_router_hops(g.net()), Some(5), "{shape:?}");
         assert!(verify_deadlock_free(g.net(), &rs).is_ok(), "{shape:?}");

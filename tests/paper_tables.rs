@@ -294,8 +294,7 @@ fn wiring_digest(net: &Network, ends: &[NodeId], routes: &Routes, labels: bool) 
 #[test]
 fn fractahedron_builds_match_golden_vectors() {
     use fractanet::route::fractal::fractal_routes;
-    use fractanet::route::genfracta::genfracta_routes;
-    use fractanet::topo::{ClusterShape, GenFractahedron};
+    use fractanet::topo::ClusterShape;
 
     const GOLDEN_PAPER: [(usize, Variant, bool, u64); 9] = [
         (1, Variant::Thin, false, 0xedf8_0661_463b_1458),
@@ -339,8 +338,9 @@ fn fractahedron_builds_match_golden_vectors() {
         check(format!("{variant:?} N{levels} fanout={fanout}"), d, want);
     }
     for (shape, fat, want) in GOLDEN_SHAPES {
-        let g = GenFractahedron::new(shape, 2, fat).unwrap();
-        let d = wiring_digest(g.net(), g.end_nodes(), &genfracta_routes(&g), false);
+        let variant = if fat { Variant::Fat } else { Variant::Thin };
+        let g = Fractahedron::with_shape(shape, 2, variant).unwrap();
+        let d = wiring_digest(g.net(), g.end_nodes(), &fractal_routes(&g), false);
         check(format!("{shape:?} fat={fat}"), d, want);
     }
     assert!(
