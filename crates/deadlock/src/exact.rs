@@ -52,8 +52,7 @@ use crate::disables::{synthesize_greedy, DisableSet, RowRouter, SynthesisError};
 use fractanet_graph::hitting::{greedy_hitting_set, min_hitting_set};
 use fractanet_graph::json::{JsonArray, JsonObject};
 use fractanet_graph::{ChannelId, Network, NodeId};
-use fractanet_route::{DeadMask, PairCoverage, RouteSet};
-use std::collections::VecDeque;
+use fractanet_route::{survivor_components, DeadMask, PairCoverage, RouteSet};
 
 /// Component label for masked-out (dead) nodes.
 const DEAD: u32 = u32::MAX;
@@ -265,7 +264,7 @@ impl Obstruction {
         ends: &[NodeId],
         mask: Option<&DeadMask>,
     ) -> Result<(), String> {
-        let comp = components(net, mask);
+        let comp = survivor_components(net, mask);
         let labels: Vec<u32> = ends.iter().map(|&e| comp[e.index()]).collect();
         if labels != self.end_components {
             return Err("recorded component labels do not match the network".into());
@@ -291,32 +290,6 @@ impl Obstruction {
         }
         Ok(())
     }
-}
-
-/// Surviving-component label per node (BFS over live channels in node
-/// order, so labels are deterministic). Masked-out nodes get [`DEAD`].
-fn components(net: &Network, mask: Option<&DeadMask>) -> Vec<u32> {
-    let node_ok = |v: NodeId| mask.is_none_or(|m| m.node_ok(v));
-    let ch_ok = |ch: ChannelId| mask.is_none_or(|m| m.channel_ok(net, ch));
-    let mut comp = vec![DEAD; net.node_count()];
-    let mut next = 0u32;
-    for root in net.nodes() {
-        if comp[root.index()] != DEAD || !node_ok(root) {
-            continue;
-        }
-        comp[root.index()] = next;
-        let mut q = VecDeque::from([root]);
-        while let Some(v) = q.pop_front() {
-            for &(ch, w) in net.channels_from(v) {
-                if ch_ok(ch) && node_ok(w) && comp[w.index()] == DEAD {
-                    comp[w.index()] = next;
-                    q.push_back(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
 }
 
 /// The turn (edge) sets of each cycle, for hitting-set solving.
@@ -386,7 +359,7 @@ pub fn synthesize_disables_exact(
     mask: Option<&DeadMask>,
     cfg: &ExactConfig,
 ) -> Result<ExactSynthesis, SynthesisError> {
-    let comp = components(net, mask);
+    let comp = survivor_components(net, mask);
     // Severed pairs (different surviving components, or a dead end)
     // stay unrouted; every other pair must route.
     let required = |s: usize, d: usize| {
@@ -545,7 +518,7 @@ pub fn decide(
     mask: Option<&DeadMask>,
     cfg: &ExactConfig,
 ) -> Decision {
-    let comp = components(net, mask);
+    let comp = survivor_components(net, mask);
     let labels: Vec<u32> = ends.iter().map(|&e| comp[e.index()]).collect();
     let mut sample = Vec::new();
     let mut affected = 0usize;

@@ -31,9 +31,9 @@ use fractanet_deadlock::{
 use fractanet_graph::{ChannelId, Network, NodeId};
 use fractanet_metrics::{max_link_contention, ContentionReport, ContentionSweep};
 use fractanet_route::{
-    DeadMask, DestForest, Failure, ForestConsumer, RouteError, RouteSet, Routes,
+    survivor_components, DeadMask, DestForest, Failure, ForestConsumer, RouteError, RouteSet,
+    Routes,
 };
-use std::collections::VecDeque;
 
 /// How many example pairs / channels a single diagnostic carries
 /// before switching to a count.
@@ -208,33 +208,6 @@ impl<'a> Linter<'a> {
         self.mask.is_none_or(|m| m.channel_ok(self.net, ch))
     }
 
-    /// Connected-component label per node over *surviving* channels
-    /// (`u32::MAX` = dead node), for distinguishing coverage holes
-    /// from genuinely severed pairs.
-    fn components(&self) -> Vec<u32> {
-        const DEAD: u32 = u32::MAX;
-        let n = self.net.node_count();
-        let mut comp = vec![DEAD; n];
-        let mut next = 0u32;
-        for root in self.net.nodes() {
-            if comp[root.index()] != DEAD || !self.node_ok(root) {
-                continue;
-            }
-            comp[root.index()] = next;
-            let mut q = VecDeque::from([root]);
-            while let Some(v) = q.pop_front() {
-                for &(ch, w) in self.net.channels_from(v) {
-                    if self.channel_ok(ch) && self.node_ok(w) && comp[w.index()] == DEAD {
-                        comp[w.index()] = next;
-                        q.push_back(w);
-                    }
-                }
-            }
-            next += 1;
-        }
-        comp
-    }
-
     /// Runs every applicable rule over `routes`.
     pub fn check(&self, routes: &RouteSet) -> LintReport {
         let pre = self.precomputed;
@@ -337,7 +310,7 @@ impl<'a> Linter<'a> {
         PairSweep {
             linter: self,
             routes,
-            comp: self.components(),
+            comp: survivor_components(self.net, self.mask),
             // The tables cannot describe an end node's death: a pair
             // whose own attach channel died is severed, as in the
             // dense view.
@@ -373,7 +346,7 @@ impl<'a> Linter<'a> {
     fn walk_pairs(&self, rs: &RouteSet) -> PairVerdicts {
         let mut findings = PairFindings::default();
         let f = &mut findings;
-        let comp = self.components();
+        let comp = survivor_components(self.net, self.mask);
         let mut bad = Tally::default();
         let mut first_err = None;
         let mut checked = 0usize;

@@ -151,6 +151,16 @@ pub struct TableRepair {
     pub coverage: PairCoverage,
 }
 
+/// Connected-component label per node over the channels `mask` leaves
+/// alive (every channel without a mask); dead nodes read `u32::MAX`.
+/// Components are numbered in the order of their lowest-index live
+/// node, so labels are deterministic. Repair, lint and the exact
+/// certificates all tell severed pairs from routing holes by these
+/// labels.
+pub fn survivor_components(net: &Network, mask: Option<&DeadMask>) -> Vec<u32> {
+    SurvivorOrder::new(net, mask).comp
+}
+
 /// Per-node (component, level) order over the surviving subgraph.
 struct SurvivorOrder {
     comp: Vec<u32>,
@@ -160,15 +170,16 @@ struct SurvivorOrder {
 const UNSEEN: u32 = u32::MAX;
 
 impl SurvivorOrder {
-    fn new(net: &Network, mask: &DeadMask) -> Self {
+    fn new(net: &Network, mask: Option<&DeadMask>) -> Self {
         let n = net.node_count();
         let mut comp = vec![UNSEEN; n];
         let mut level = vec![UNSEEN; n];
         let mut next = 0u32;
         // Components are rooted at their lowest-index live node, which
-        // makes the order (and hence the routes) deterministic.
+        // makes the order (and hence the routes) deterministic. A live
+        // channel implies both its ends are live.
         for root in net.nodes() {
-            if comp[root.index()] != UNSEEN || !mask.node_ok(root) {
+            if comp[root.index()] != UNSEEN || !mask.is_none_or(|m| m.node_ok(root)) {
                 continue;
             }
             comp[root.index()] = next;
@@ -176,7 +187,7 @@ impl SurvivorOrder {
             let mut q = VecDeque::from([root]);
             while let Some(v) = q.pop_front() {
                 for &(ch, w) in net.channels_from(v) {
-                    if mask.channel_ok(net, ch) && comp[w.index()] == UNSEEN {
+                    if comp[w.index()] == UNSEEN && mask.is_none_or(|m| m.channel_ok(net, ch)) {
                         comp[w.index()] = next;
                         level[w.index()] = level[v.index()] + 1;
                         q.push_back(w);
@@ -397,7 +408,7 @@ pub(crate) fn updown_tables_for(
 /// dead. See the [module docs](self) for the discipline and its
 /// deadlock-freedom argument.
 pub fn repair_tables(net: &Network, ends: &[NodeId], mask: &DeadMask) -> TableRepair {
-    let order = SurvivorOrder::new(net, mask);
+    let order = SurvivorOrder::new(net, Some(mask));
     let (tables, col_connected) = updown_tables_for(net, ends, mask, &order.comp, &order.level);
     TableRepair {
         tables,
@@ -512,7 +523,7 @@ impl<'a> IncrementalRepair<'a> {
         let net = self.net;
         let ends = self.ends;
         let n = ends.len();
-        let order = SurvivorOrder::new(net, mask);
+        let order = SurvivorOrder::new(net, Some(mask));
         let reusable = self.state.as_ref().is_some_and(|st| {
             st.comp == order.comp && st.level == order.level && !mask_revives(&st.mask, mask)
         });
@@ -771,7 +782,7 @@ mod tests {
         let h = Hypercube::new(3, 1, 6).unwrap();
         let mut mask = DeadMask::new(h.net());
         mask.kill_link(first_router_link(h.net()));
-        let order = SurvivorOrder::new(h.net(), &mask);
+        let order = SurvivorOrder::new(h.net(), Some(&mask));
         let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &mask);
         assert!(rep.coverage.is_full());
         for (s, d, p) in routes.pairs() {
@@ -799,7 +810,7 @@ mod tests {
                 let r = h.net().channels_from(h.end_nodes()[2]).first().unwrap().1;
                 mask.kill_router(r);
             }
-            let order = SurvivorOrder::new(h.net(), &mask);
+            let order = SurvivorOrder::new(h.net(), Some(&mask));
             let (rep, routes) = repair_traced(h.net(), h.end_nodes(), &mask);
             let ends = h.end_nodes();
             let mut oracle_connected = 0;
@@ -859,7 +870,7 @@ mod tests {
         // patcher must then rebuild only the columns that referenced
         // the dead link instead of all of them.
         let h = Hypercube::new(4, 1, 8).unwrap();
-        let healthy = SurvivorOrder::new(h.net(), &DeadMask::new(h.net()));
+        let healthy = SurvivorOrder::new(h.net(), Some(&DeadMask::new(h.net())));
         let victim = h
             .net()
             .links()
@@ -870,7 +881,7 @@ mod tests {
             .find(|&l| {
                 let mut m = DeadMask::new(h.net());
                 m.kill_link(l);
-                let o = SurvivorOrder::new(h.net(), &m);
+                let o = SurvivorOrder::new(h.net(), Some(&m));
                 o.comp == healthy.comp && o.level == healthy.level
             })
             .expect("a hypercube has order-preserving link kills");
