@@ -244,7 +244,8 @@ impl ExactSynthesis {
 /// Proof that no routing exists for some required pair.
 #[derive(Clone, Debug)]
 pub struct Obstruction {
-    /// Sample of unreachable ordered pairs (at most [`SAMPLE`]).
+    /// The first few unreachable ordered pairs found; `affected`
+    /// counts them all.
     pub pairs: Vec<(usize, usize)>,
     /// Total unreachable ordered pairs.
     pub affected: usize,

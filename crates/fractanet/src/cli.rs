@@ -235,7 +235,8 @@ pub struct RouterOpts {
     /// Credit round-trip delay in cycles (`--credit-delay`).
     pub credit_delay: u64,
     /// Virtual channels per physical channel (`--vcs`); folded into
-    /// the topology spec at parse time via [`apply_vc_flags`].
+    /// the topology spec at parse time, which upgrades a VC-capable
+    /// base to its `:vc<K>` form.
     pub vcs: Option<u8>,
     /// VC ordering discipline (`--vc-discipline dateline|ecube`);
     /// folded into the spec alongside `vcs`.

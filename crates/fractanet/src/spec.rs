@@ -3,7 +3,7 @@
 //! benches.
 //!
 //! A [`TopoSpec`] is a *parsed, validated* description of one paper
-//! topology. Parsing ([`FromStr`]) and rendering ([`Display`]) round
+//! topology. Parsing ([`FromStr`]) and rendering ([`fmt::Display`]) round
 //! trip: `spec.to_string().parse() == Ok(spec)` for every value, so a
 //! spec can travel through argv, config files, and bench IDs without
 //! losing information.

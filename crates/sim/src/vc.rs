@@ -261,8 +261,9 @@ enum VcMapKind {
 
 impl VcMap {
     /// A dateline discipline over explicit per-channel wrap marks and
-    /// dimension labels (use [`DIM_KEEP`]-semantics via the topology
-    /// helpers below unless building something exotic).
+    /// dimension labels; `dim[ch] == u8::MAX` marks an attach channel,
+    /// which keeps the worm's VC. The topology helpers below build
+    /// both vectors unless something exotic is wanted.
     pub fn dateline(vcs: u8, promote: Vec<bool>, dim: Vec<u8>) -> Self {
         assert!(vcs >= 1);
         assert_eq!(promote.len(), dim.len());
