@@ -90,7 +90,7 @@ impl ClusterShape {
              but down {} + up {} requested",
             self.cluster,
             self.ports,
-            self.ports as usize + 1 - self.cluster,
+            (self.ports as usize + 1).saturating_sub(self.cluster),
             self.down,
             self.up
         );
@@ -199,9 +199,14 @@ impl Fractahedron {
     ) -> Result<Self, GraphError> {
         shape.check();
         assert!(levels >= 1, "need at least one level");
+        let top = levels as u32 - 1;
+        let clusters = shape.children().checked_pow(top);
+        let layers = shape.replication().checked_pow(top);
         assert!(
-            shape.children().pow(levels as u32 - 1) * shape.replication().pow(levels as u32 - 1)
-                < 1_000_000,
+            clusters
+                .zip(layers)
+                .and_then(|(c, l)| c.checked_mul(l))
+                .is_some_and(|n| n < 1_000_000),
             "configuration too large"
         );
         Self::build(shape, levels, variant, false)
@@ -804,6 +809,27 @@ mod tests {
             up: 1,
         };
         let _ = Fractahedron::with_shape(shape, 2, Variant::Fat);
+    }
+
+    #[test]
+    #[should_panic(expected = "spare ports")]
+    fn cluster_wider_than_router_rejected() {
+        // Eight routers cannot form a clique of 6-port routers; the
+        // message's spare-port count must not underflow.
+        let shape = ClusterShape {
+            cluster: 8,
+            ports: 6,
+            down: 1,
+            up: 1,
+        };
+        let _ = Fractahedron::with_shape(shape, 1, Variant::Fat);
+    }
+
+    #[test]
+    #[should_panic(expected = "configuration too large")]
+    fn oversized_shape_rejected_without_overflow() {
+        // 6^39 overflows usize; the guard must still refuse the build.
+        let _ = Fractahedron::with_shape(TRIANGLE, 40, Variant::Thin);
     }
 
     #[test]
