@@ -75,15 +75,16 @@ pub fn fractal_routes(f: &Fractahedron) -> Routes {
             None => break,
         }
     }
+    let up0 = shape.up_port(0);
     Routes::from_fn(f.net(), n_addr, |router, dst| {
         let Some(pos) = f.pos_of(router) else {
             // Fan-out router: deliver locally or climb to the cluster
             // level.
-            let cpu = dst.wrapping_sub(fanout_first[router.index()]?);
-            return Some(if cpu < npa {
-                PortId(cpu as u8)
+            let first = fanout_first[router.index()]?;
+            return Some(if (first..first + npa).contains(&dst) {
+                PortId((dst - first) as u8)
             } else {
-                shape.up_port(0)
+                up0
             });
         };
         let cr = pos.corner;
@@ -92,7 +93,7 @@ pub fn fractal_routes(f: &Fractahedron) -> Routes {
             // Ascend.
             return Some(match f.variant() {
                 Variant::Fat => ascend[dst],
-                Variant::Thin if cr == 0 => shape.up_port(0),
+                Variant::Thin if cr == 0 => up0,
                 Variant::Thin => shape.intra_port(cr, 0),
             });
         }
