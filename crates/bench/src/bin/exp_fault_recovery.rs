@@ -144,23 +144,9 @@ fn run_one(name: &str, sys: &System, count: usize) -> Row {
         stall_threshold: 8_000,
         ..SimConfig::default()
     };
-    let x = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_x,
-        heal: true,
-        vc: None,
-    };
+    let x = sys.fabric(cfg_x, true);
     // The Y fabric is an identical, healthy twin of X.
-    let y = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_y,
-        heal: false,
-        vc: None,
-    };
+    let y = sys.fabric(cfg_y, false);
     let workload = Workload::Bernoulli {
         injection_rate: 0.2,
         pattern: DstPattern::Uniform,
@@ -238,22 +224,8 @@ fn run_gray_case(sys: &System, seed: u64) -> FailoverOutcome {
         seed: seed ^ 0xD0A1,
         ..SimConfig::default()
     };
-    let x = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_x,
-        heal: true,
-        vc: None,
-    };
-    let y = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_y,
-        heal: false,
-        vc: None,
-    };
+    let x = sys.fabric(cfg_x, true);
+    let y = sys.fabric(cfg_y, false);
     let workload = Workload::Bernoulli {
         injection_rate: 0.15,
         pattern: DstPattern::Uniform,

@@ -23,12 +23,13 @@
 //! replayable JSON [`Scenario`] — `fractanet chaos --replay` runs it
 //! bit-identically.
 
+use crate::cli::RouterOpts;
 use crate::spec::TopoSpec;
 use crate::System;
 use fractanet_graph::LinkId;
 use fractanet_route::repair::DeadMask;
 use fractanet_servernet::healing::heal_mask;
-use fractanet_servernet::{run_with_failover, FabricSim, FailoverOutcome};
+use fractanet_servernet::{run_with_failover, FailoverOutcome};
 use fractanet_sim::{
     sample_schedule, shrink, write_trace, ChaosSpace, DstPattern, FaultEvent, FaultKind, Invariant,
     MetricsConfig, RetryPolicy, Scenario, SimConfig, Telemetry, Violation, Workload,
@@ -53,13 +54,10 @@ pub struct ChaosOptions {
     /// function of `(spec, opts.seed, case index)`, so the report is
     /// identical at every width; shrinking stays sequential.
     pub threads: usize,
-    /// Per-port input-FIFO depth override for both fabrics
-    /// (`--fifo-depth`; `None` = engine default). Recorded in minted
-    /// scenarios so replays reproduce bit-identically.
-    pub fifo_depth: Option<u32>,
-    /// Credit round-trip delay in cycles for both fabrics
-    /// (`--credit-delay`). Also recorded in minted scenarios.
-    pub credit_delay: u64,
+    /// FIFO-depth and credit-delay knobs for both fabrics
+    /// (`--fifo-depth`, `--credit-delay`). Recorded in minted scenarios
+    /// so replays reproduce bit-identically.
+    pub router: RouterOpts,
 }
 
 impl Default for ChaosOptions {
@@ -70,8 +68,7 @@ impl Default for ChaosOptions {
             quick: false,
             dedup: true,
             threads: 1,
-            fifo_depth: None,
-            credit_delay: 0,
+            router: RouterOpts::default(),
         }
     }
 }
@@ -163,12 +160,35 @@ fn case_retry() -> RetryPolicy {
     }
 }
 
-/// Applies the campaign's router knobs to one fabric's config.
-fn apply_router(cfg: SimConfig, fifo_depth: Option<u32>, credit_delay: u64) -> SimConfig {
-    let cfg = cfg.with_credit_delay(credit_delay);
-    match fifo_depth {
-        Some(d) => cfg.with_buffer_depth(d),
-        None => cfg,
+/// One fabric's engine config for a case: the campaign's scale, retry
+/// policy and router knobs under `seed`.
+fn fabric_config(seed: u64, opts: &ChaosOptions) -> SimConfig {
+    opts.router.apply(SimConfig {
+        max_cycles: scale(opts.quick).cycles * 4,
+        stall_threshold: 500,
+        retry: case_retry(),
+        seed,
+        ..SimConfig::default()
+    })
+}
+
+/// The X fabric's engine config: the schedule, speculative ACK-timeout
+/// retransmission, and duplicate suppression as `opts.dedup` says.
+/// [`run_case`] records telemetry on it; [`incident`] live metrics.
+fn x_config(schedule: &[FaultEvent], engine_seed: u64, opts: &ChaosOptions) -> SimConfig {
+    fabric_config(engine_seed, opts)
+        .with_faults(schedule.to_vec())
+        .with_ack_retransmit(true)
+        .with_dedup(opts.dedup)
+}
+
+/// A case's uniform Bernoulli traffic.
+fn case_workload(quick: bool) -> Workload {
+    let sc = scale(quick);
+    Workload::Bernoulli {
+        injection_rate: sc.load,
+        pattern: DstPattern::Uniform,
+        until_cycle: sc.cycles,
     }
 }
 
@@ -179,60 +199,30 @@ fn run_case(
     sys: &System,
     schedule: &[FaultEvent],
     engine_seed: u64,
-    quick: bool,
-    dedup: bool,
-    fifo_depth: Option<u32>,
-    credit_delay: u64,
+    opts: &ChaosOptions,
 ) -> FailoverOutcome {
-    let sc = scale(quick);
-    let cfg_x = apply_router(
-        SimConfig {
-            max_cycles: sc.cycles * 4,
-            stall_threshold: 500,
-            retry: case_retry(),
-            seed: engine_seed,
-            ..SimConfig::default()
-        },
-        fifo_depth,
-        credit_delay,
+    let cfg_x = x_config(schedule, engine_seed, opts)
+        .with_telemetry(Telemetry::recording().with_event_capacity(1 << 14));
+    let cfg_y = fabric_config(engine_seed ^ 0x5EC0_4DFA, opts);
+    run_with_failover(
+        sys.fabric(cfg_x, true),
+        sys.fabric(cfg_y, false),
+        case_workload(opts.quick),
     )
-    .with_faults(schedule.to_vec())
-    .with_ack_retransmit(true)
-    .with_dedup(dedup)
-    .with_telemetry(Telemetry::recording().with_event_capacity(1 << 14));
-    let cfg_y = apply_router(
-        SimConfig {
-            max_cycles: sc.cycles * 4,
-            stall_threshold: 500,
-            retry: case_retry(),
-            seed: engine_seed ^ 0x5EC0_4DFA,
-            ..SimConfig::default()
+}
+
+/// The options a scenario replays under: its recorded router knobs,
+/// with `quick` and `dedup` from the caller.
+fn replay_options(scenario: &Scenario, quick: bool, dedup: bool) -> ChaosOptions {
+    ChaosOptions {
+        quick,
+        dedup,
+        router: RouterOpts {
+            fifo_depth: scenario.fifo_depth,
+            credit_delay: scenario.credit_delay,
         },
-        fifo_depth,
-        credit_delay,
-    );
-    let workload = Workload::Bernoulli {
-        injection_rate: sc.load,
-        pattern: DstPattern::Uniform,
-        until_cycle: sc.cycles,
-    };
-    let x = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_x,
-        heal: true,
-        vc: sys.vc_map().cloned(),
-    };
-    let y = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_y,
-        heal: false,
-        vc: sys.vc_map().cloned(),
-    };
-    run_with_failover(x, y, workload)
+        ..ChaosOptions::default()
+    }
 }
 
 /// The permanent component kills in a schedule, as a repair mask.
@@ -350,15 +340,7 @@ pub fn run_campaign(spec: &TopoSpec, opts: &ChaosOptions) -> ChaosReport {
     let cases = fractanet_sim::parallel_map(opts.threads, opts.runs, |case| {
         let (schedule_seed, engine_seed) = case_seeds(opts.seed, case);
         let schedule = sample_schedule(&space, schedule_seed, sc.max_events);
-        let out = run_case(
-            &sys,
-            &schedule,
-            engine_seed,
-            opts.quick,
-            opts.dedup,
-            opts.fifo_depth,
-            opts.credit_delay,
-        );
+        let out = run_case(&sys, &schedule, engine_seed, opts);
         let violations = check_invariants(&sys, &schedule, &out);
         (schedule_seed, engine_seed, schedule, violations)
     });
@@ -381,15 +363,7 @@ pub fn run_campaign(spec: &TopoSpec, opts: &ChaosOptions) -> ChaosReport {
         // Shrink against the first violation's invariant.
         let target = violations[0].invariant;
         let minimal = shrink(&schedule, |cand| {
-            let o = run_case(
-                &sys,
-                cand,
-                engine_seed,
-                opts.quick,
-                opts.dedup,
-                opts.fifo_depth,
-                opts.credit_delay,
-            );
+            let o = run_case(&sys, cand, engine_seed, opts);
             check_invariants(&sys, cand, &o)
                 .iter()
                 .any(|w| w.invariant == target)
@@ -400,8 +374,8 @@ pub fn run_campaign(spec: &TopoSpec, opts: &ChaosOptions) -> ChaosReport {
             schedule_seed,
             invariant: target.tag().to_string(),
             faults: minimal,
-            fifo_depth: opts.fifo_depth,
-            credit_delay: opts.credit_delay,
+            fifo_depth: opts.router.fifo_depth,
+            credit_delay: opts.router.credit_delay,
         });
     }
     ChaosReport {
@@ -420,15 +394,8 @@ pub fn run_campaign(spec: &TopoSpec, opts: &ChaosOptions) -> ChaosReport {
 pub fn replay(scenario: &Scenario, quick: bool, dedup: bool) -> Result<Vec<Violation>, String> {
     let spec: TopoSpec = scenario.spec.parse().map_err(|e| format!("{e}"))?;
     let sys = spec.build();
-    let out = run_case(
-        &sys,
-        &scenario.faults,
-        scenario.seed,
-        quick,
-        dedup,
-        scenario.fifo_depth,
-        scenario.credit_delay,
-    );
+    let opts = replay_options(scenario, quick, dedup);
+    let out = run_case(&sys, &scenario.faults, scenario.seed, &opts);
     Ok(check_invariants(&sys, &scenario.faults, &out))
 }
 
@@ -461,28 +428,10 @@ pub fn incident(scenario: &Scenario, quick: bool, dedup: bool) -> Result<Inciden
     let violations = replay(scenario, quick, dedup)?;
     let spec: TopoSpec = scenario.spec.parse().map_err(|e| format!("{e}"))?;
     let sys = spec.build();
-    let sc = scale(quick);
-    let cfg = apply_router(
-        SimConfig {
-            max_cycles: sc.cycles * 4,
-            stall_threshold: 500,
-            retry: case_retry(),
-            seed: scenario.seed,
-            ..SimConfig::default()
-        },
-        scenario.fifo_depth,
-        scenario.credit_delay,
-    )
-    .with_faults(scenario.faults.clone())
-    .with_ack_retransmit(true)
-    .with_dedup(dedup)
-    .with_metrics(MetricsConfig::sampling(100).with_topology(&sys.name()));
-    let workload = Workload::Bernoulli {
-        injection_rate: sc.load,
-        pattern: DstPattern::Uniform,
-        until_cycle: sc.cycles,
-    };
-    let res = sys.simulate(workload, cfg.clone());
+    let opts = replay_options(scenario, quick, dedup);
+    let cfg = x_config(&scenario.faults, scenario.seed, &opts)
+        .with_metrics(MetricsConfig::sampling(100).with_topology(&sys.name()));
+    let res = sys.simulate(case_workload(quick), cfg.clone());
     let report = res.metrics.as_ref().expect("metrics were on");
     let extra: Vec<Anomaly> = violations
         .iter()
@@ -540,7 +489,7 @@ mod tests {
         // The torus's minimal XY tables are cyclic on the physical
         // channel-dependency graph, so this campaign only stays
         // deadlock-free because both fabrics run the spec's dateline
-        // VC discipline (wired through `FabricSim::vc`) — including
+        // VC discipline (wired through `System::fabric`) — including
         // across mid-run heals, since the dateline map is
         // route-agnostic.
         let opts = ChaosOptions {
@@ -561,8 +510,10 @@ mod tests {
             seed: 42,
             quick: true,
             dedup: false,
-            fifo_depth: Some(2),
-            credit_delay: 1,
+            router: RouterOpts {
+                fifo_depth: Some(2),
+                credit_delay: 1,
+            },
             ..ChaosOptions::default()
         };
         let r = run_campaign(&spec("fat-fractahedron:1"), &opts);

@@ -1,7 +1,8 @@
 //! Command-line interface plumbing for the `fractanet` binary.
 //!
 //! Kept as a library module so the parsing and command logic are unit
-//! tested; `src/bin/fractanet.rs` is a thin shell around [`run`].
+//! tested; `src/bin/fractanet.rs` is a thin shell around [`parse`] and
+//! [`execute`].
 //!
 //! ```text
 //! fractanet analyze fat-fractahedron:2
@@ -13,12 +14,12 @@
 
 use crate::chaos::{self, ChaosOptions};
 use crate::sizing::{plan, Requirement};
-use crate::spec::{TopoSpec, VcBase, VcDisc};
+use crate::spec::TopoSpec;
 use crate::System;
 use fractanet_graph::{viz, LinkId, NodeId};
 use fractanet_sim::{
     parse_trace, write_trace, DstPattern, FaultEvent, MetricsConfig, MetricsReport, RetryPolicy,
-    Scenario, SimConfig, Telemetry, Workload,
+    Scenario, SimConfig, SimResult, Telemetry, Workload,
 };
 use fractanet_telemetry::{
     incident_chrome_trace, to_chrome_trace, to_jsonl, to_prometheus, to_text_summary,
@@ -39,46 +40,23 @@ pub enum Command {
     },
     /// Simulate uniform traffic on a topology.
     Simulate {
-        /// What to simulate.
-        spec: TopoSpec,
-        /// Offered load in flits/node/cycle.
-        load: f64,
-        /// Cycle budget.
-        cycles: u64,
-        /// Fault-injection and recovery options.
-        faults: FaultOpts,
+        /// The run.
+        sim: SimRun,
         /// Record telemetry and append the per-channel summary.
         telemetry: bool,
-        /// Worker threads for the sharded engine (`--threads`);
-        /// results are identical at every width.
-        threads: usize,
         /// Live-metrics options (`--metrics-every`, `--metrics-out`,
         /// `--slo-deadline`).
         metrics: MetricsOpts,
-        /// Router knobs (`--fifo-depth`, `--credit-delay`, `--vcs`,
-        /// `--vc-discipline`).
-        router: RouterOpts,
     },
     /// Run a metrics-instrumented simulation and export the live
     /// metrics pipeline's view of it.
     Metrics {
-        /// What to simulate.
-        spec: TopoSpec,
-        /// Offered load in flits/node/cycle.
-        load: f64,
-        /// Cycle budget.
-        cycles: u64,
-        /// Fault-injection and recovery options.
-        faults: FaultOpts,
-        /// Worker threads for the sharded engine.
-        threads: usize,
+        /// The run.
+        sim: SimRun,
         /// Export format (`--format prom|jsonl`).
         format: MetricsFormat,
         /// Sampling cadence / SLO deadline / output path.
         metrics: MetricsOpts,
-        /// Router knobs (`--fifo-depth`, `--credit-delay`, `--vcs`,
-        /// `--vc-discipline`).
-        router: RouterOpts,
     },
     /// Re-run a recorded metrics trace and assert the recorded
     /// outcome.
@@ -91,21 +69,12 @@ pub enum Command {
     },
     /// Simulate with telemetry recording and export the trace.
     Trace {
-        /// What to trace.
-        spec: TopoSpec,
+        /// The run (single-threaded).
+        sim: SimRun,
         /// Export format.
         format: TraceFormat,
         /// File to write instead of stdout.
         out: Option<String>,
-        /// Offered load in flits/node/cycle.
-        load: f64,
-        /// Cycle budget.
-        cycles: u64,
-        /// Fault-injection and recovery options.
-        faults: FaultOpts,
-        /// Router knobs (`--fifo-depth`, `--credit-delay`, `--vcs`,
-        /// `--vc-discipline`).
-        router: RouterOpts,
     },
     /// Plan a fractahedral installation.
     Plan {
@@ -155,8 +124,7 @@ pub enum Command {
         /// (`--trace-out`).
         trace_out: Option<String>,
         /// Router knobs for both fabrics (`--fifo-depth`,
-        /// `--credit-delay`; `--vcs`/`--vc-discipline` fold into
-        /// `spec`).
+        /// `--credit-delay`).
         router: RouterOpts,
     },
     /// Print usage.
@@ -226,7 +194,8 @@ impl MetricsOpts {
 }
 
 /// Router-microarchitecture knobs shared by `simulate`, `metrics`,
-/// `trace`, and `chaos`.
+/// `trace`, and `chaos`. Virtual channels are part of the topology
+/// spec (`<base>:vc<K>[:dateline|:ecube]`), not a router knob.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct RouterOpts {
     /// Per-port input-FIFO depth in flits (`--fifo-depth <n|inf>`;
@@ -234,59 +203,18 @@ pub struct RouterOpts {
     pub fifo_depth: Option<u32>,
     /// Credit round-trip delay in cycles (`--credit-delay`).
     pub credit_delay: u64,
-    /// Virtual channels per physical channel (`--vcs`); folded into
-    /// the topology spec at parse time, which upgrades a VC-capable
-    /// base to its `:vc<K>` form.
-    pub vcs: Option<u8>,
-    /// VC ordering discipline (`--vc-discipline dateline|ecube`);
-    /// folded into the spec alongside `vcs`.
-    pub discipline: Option<VcDisc>,
 }
 
 impl RouterOpts {
     /// Applies the FIFO-depth and credit-delay knobs to an engine
-    /// config (the VC knobs travel through the spec instead).
-    fn apply(&self, cfg: SimConfig) -> SimConfig {
+    /// config.
+    pub(crate) fn apply(&self, cfg: SimConfig) -> SimConfig {
         let cfg = cfg.with_credit_delay(self.credit_delay);
         match self.fifo_depth {
             Some(d) => cfg.with_buffer_depth(d),
             None => cfg,
         }
     }
-}
-
-/// Folds `--vcs` / `--vc-discipline` into the topology spec, upgrading
-/// a VC-capable base to its `:vc<K>[:discipline]` form. The upgraded
-/// spec is round-tripped through the grammar so every validation rule
-/// (VC range, discipline/base compatibility) applies to flag-built
-/// specs exactly as to literal ones.
-fn apply_vc_flags(
-    spec: TopoSpec,
-    vcs: Option<u8>,
-    disc: Option<VcDisc>,
-) -> Result<TopoSpec, CliError> {
-    if vcs.is_none() && disc.is_none() {
-        return Ok(spec);
-    }
-    let (base, cur_vcs, cur_disc) = match spec {
-        TopoSpec::Vc { base, vcs, disc } => (base, Some(vcs), Some(disc)),
-        TopoSpec::Ring { n } => (VcBase::Ring { n }, None, None),
-        TopoSpec::Torus { cols, rows } => (VcBase::Torus { cols, rows }, None, None),
-        TopoSpec::Mesh { cols, rows } => (VcBase::Mesh { cols, rows }, None, None),
-        TopoSpec::Hypercube { dim } => (VcBase::Hypercube { dim }, None, None),
-        other => {
-            return Err(CliError(format!(
-                "--vcs/--vc-discipline apply to ring, torus, mesh, and hypercube \
-                 topologies, not '{other}'"
-            )))
-        }
-    };
-    let upgraded = TopoSpec::Vc {
-        base,
-        vcs: vcs.or(cur_vcs).unwrap_or(2),
-        disc: disc.or(cur_disc).unwrap_or(VcDisc::Auto),
-    };
-    parse_spec(&upgraded.to_string())
 }
 
 /// The incident-bundle path derived from a trace path:
@@ -496,6 +424,70 @@ impl FaultOpts {
     }
 }
 
+/// The run `simulate`, `metrics` and `trace` share: uniform Bernoulli
+/// traffic on one topology under the fault and router flags.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SimRun {
+    /// What to simulate.
+    pub spec: TopoSpec,
+    /// Offered load in flits/node/cycle (`--load`).
+    pub load: f64,
+    /// Cycle budget (`--cycles`).
+    pub cycles: u64,
+    /// Fault-injection and recovery options.
+    pub faults: FaultOpts,
+    /// Router knobs (`--fifo-depth`, `--credit-delay`).
+    pub router: RouterOpts,
+    /// Worker threads for the sharded engine (`--threads`); results
+    /// are identical at every width.
+    pub threads: usize,
+}
+
+/// A finished [`SimRun`]: the system it built, the engine config it
+/// ran, and the result.
+struct Ran {
+    sys: System,
+    cfg: SimConfig,
+    res: SimResult,
+}
+
+impl SimRun {
+    /// Builds the system, resolves the fault flags, and runs the
+    /// traffic — healing when `--heal` is set. This is the CLI's one
+    /// simulation config and workload; each command brings only its
+    /// instrumentation: `telemetry`, and `metrics` given the topology
+    /// name.
+    fn run(
+        &self,
+        telemetry: Telemetry,
+        metrics: impl FnOnce(&str) -> MetricsConfig,
+    ) -> Result<Ran, CliError> {
+        let sys = self.spec.build();
+        let events = self.faults.events(&sys)?;
+        let cfg = self
+            .router
+            .apply(SimConfig {
+                packet_flits: 16,
+                max_cycles: self.cycles,
+                stall_threshold: (self.cycles / 4).max(100),
+                warmup_cycles: self.cycles / 10,
+                retry: self.faults.retry(),
+                telemetry,
+                metrics: metrics(&sys.name()),
+                ..SimConfig::default()
+            })
+            .with_faults(events)
+            .with_threads(self.threads);
+        let workload = Workload::Bernoulli {
+            injection_rate: self.load,
+            pattern: DstPattern::Uniform,
+            until_cycle: self.cycles * 3 / 4,
+        };
+        let res = sys.fabric(cfg.clone(), self.faults.heal).run(workload);
+        Ok(Ran { sys, cfg, res })
+    }
+}
+
 /// CLI errors, with a message suitable for stderr.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CliError(pub String);
@@ -518,7 +510,6 @@ USAGE:
                                         Graphviz on stdout
   fractanet simulate <topology> [--load <f>] [--cycles <n>] [--threads <n>]
                      [--fifo-depth <n|inf>] [--credit-delay <cy>]
-                     [--vcs <k>] [--vc-discipline dateline|ecube]
                      [--kill-link <id>]... [--kill-router <id>]...
                      [--flaky-link <id>:<pm>]... [--corrupt-link <id>:<pm>]...
                      [--brownout <id>:<down>:<up>]...
@@ -549,10 +540,9 @@ USAGE:
                                         install); --fifo-depth/--credit-delay
                                         set the router's per-port input-FIFO
                                         depth and credit round-trip delay
-                                        (inf = the unbounded pre-credit model),
-                                        and --vcs/--vc-discipline fold a
-                                        Dally-Seitz virtual-channel suffix onto
-                                        a ring/torus/mesh/hypercube spec
+                                        (inf = the unbounded pre-credit model).
+                                        Virtual channels come only from the
+                                        topology's :vc<k> suffix
   fractanet metrics <topology> [--format prom|jsonl] [--out <path>]
                     [--load <f>] [--cycles <n>] [--threads <n>]
                     [--metrics-every <cy>] [--slo-deadline <cy>]
@@ -674,18 +664,6 @@ fn fifo_depth_value(v: Option<&String>) -> Result<u32, CliError> {
     }
 }
 
-/// Parses a `--vc-discipline` value.
-fn discipline_value(v: Option<&String>) -> Result<VcDisc, CliError> {
-    match v.map(String::as_str) {
-        Some("dateline") => Ok(VcDisc::Dateline),
-        Some("ecube") => Ok(VcDisc::Ecube),
-        Some(other) => Err(CliError(format!(
-            "unknown VC discipline '{other}' (dateline|ecube)"
-        ))),
-        None => Err(CliError("--vc-discipline needs dateline|ecube".into())),
-    }
-}
-
 /// Parses argv (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
@@ -749,8 +727,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--heal" => faults.heal = true,
                     "--fifo-depth" => router.fifo_depth = Some(fifo_depth_value(it.next())?),
                     "--credit-delay" => router.credit_delay = val!("--credit-delay"),
-                    "--vcs" => router.vcs = Some(val!("--vcs")),
-                    "--vc-discipline" => router.discipline = Some(discipline_value(it.next())?),
                     flag @ ("--flaky-link" | "--corrupt-link") => {
                         let f = split_fields(flag, "<link>:<per-mille>", it.next(), 2)?;
                         if f[1] > 1000 {
@@ -822,44 +798,33 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             let spec =
                 spec.ok_or_else(|| CliError(format!("{cmd} needs a topology\n\n{USAGE}")))?;
-            let spec = apply_vc_flags(spec, router.vcs, router.discipline)?;
             if !(0.0..=1.0).contains(&load) {
                 return Err(CliError(
                     "--load must be within 0..=1 flits/node/cycle".into(),
                 ));
             }
+            let sim = SimRun {
+                spec,
+                load,
+                cycles,
+                faults,
+                router,
+                threads,
+            };
             if tracing {
-                Ok(Command::Trace {
-                    spec,
-                    format,
-                    out,
-                    load,
-                    cycles,
-                    faults,
-                    router,
-                })
+                Ok(Command::Trace { sim, format, out })
             } else if metrics_cmd {
                 metrics.out = out;
                 Ok(Command::Metrics {
-                    spec,
-                    load,
-                    cycles,
-                    faults,
-                    threads,
+                    sim,
                     format: mformat,
                     metrics,
-                    router,
                 })
             } else {
                 Ok(Command::Simulate {
-                    spec,
-                    load,
-                    cycles,
-                    faults,
+                    sim,
                     telemetry,
-                    threads,
                     metrics,
-                    router,
                 })
             }
         }
@@ -918,8 +883,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--threads" => threads = val!("--threads"),
                     "--fifo-depth" => router.fifo_depth = Some(fifo_depth_value(it.next())?),
                     "--credit-delay" => router.credit_delay = val!("--credit-delay"),
-                    "--vcs" => router.vcs = Some(val!("--vcs")),
-                    "--vc-discipline" => router.discipline = Some(discipline_value(it.next())?),
                     "--quick" => quick = true,
                     "--disable-dedup" => dedup = false,
                     "--out" => {
@@ -964,17 +927,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         .into(),
                 ));
             }
-            let spec = match spec {
-                Some(sp) => Some(apply_vc_flags(sp, router.vcs, router.discipline)?),
-                None if router.vcs.is_some() || router.discipline.is_some() => {
-                    return Err(CliError(
-                        "--vcs/--vc-discipline need a topology (the scenario file \
-                         records the spec in --replay mode)"
-                            .into(),
-                    ))
-                }
-                None => None,
-            };
             Ok(Command::Chaos {
                 spec,
                 runs,
@@ -1054,20 +1006,50 @@ pub struct RunOutcome {
 }
 
 /// Executes a command, reporting output *and* exit status. This is the
-/// binary's entry point; [`run`] remains for callers that only want
-/// the text.
+/// binary's entry point.
 pub fn execute(cmd: Command) -> Result<RunOutcome, CliError> {
-    match cmd {
+    let output = match cmd {
         Command::Lint {
             specs,
             json,
             exact,
             synthesize,
-        } => run_lint(&specs, json, exact, synthesize),
-        Command::Chaos { .. } => run_chaos(cmd),
-        Command::Replay { path, threads } => run_replay(&path, threads),
-        other => run(other).map(|output| RunOutcome { output, code: 0 }),
-    }
+        } => return run_lint(&specs, json, exact, synthesize),
+        Command::Chaos { .. } => return run_chaos(cmd),
+        Command::Replay { path, threads } => return run_replay(&path, threads),
+        Command::Help => USAGE.to_string(),
+        Command::Analyze(specs) => specs
+            .iter()
+            .map(|spec| format!("{}\n", spec.build().analyze()))
+            .collect(),
+        Command::Dot { spec, routers_only } => {
+            let sys = spec.build();
+            if routers_only {
+                viz::routers_only_dot(sys.net(), &sys.name())
+            } else {
+                viz::to_dot(
+                    sys.net(),
+                    &viz::DotOptions {
+                        name: sys.name(),
+                        ..viz::DotOptions::default()
+                    },
+                )
+            }
+        }
+        Command::Simulate {
+            sim,
+            telemetry,
+            metrics,
+        } => run_simulate(&sim, telemetry, &metrics)?,
+        Command::Metrics {
+            sim,
+            format,
+            metrics,
+        } => run_metrics(&sim, format, &metrics)?,
+        Command::Trace { sim, format, out } => run_trace(&sim, format, out.as_deref())?,
+        Command::Plan { cpus, bisection } => run_plan(cpus, bisection),
+    };
+    Ok(RunOutcome { output, code: 0 })
 }
 
 /// Re-runs a recorded metrics trace through a fresh engine and checks
@@ -1085,12 +1067,7 @@ fn run_replay(path: &str, threads: Option<usize>) -> Result<RunOutcome, CliError
     if let Some(t) = threads {
         cfg = cfg.with_threads(t);
     }
-    let workload = trace.workload();
-    let res = if trace.heal {
-        sys.simulate_healing(workload, cfg)
-    } else {
-        sys.simulate(workload, cfg)
-    };
+    let res = sys.fabric(cfg, trace.heal).run(trace.workload());
     let mut out = format!(
         "replaying {path} on {}: {} injection(s), {} fault(s), threads {}{}\n",
         trace.spec,
@@ -1200,8 +1177,7 @@ fn run_chaos(cmd: Command) -> Result<RunOutcome, CliError> {
         quick,
         dedup,
         threads,
-        fifo_depth: router.fifo_depth,
-        credit_delay: router.credit_delay,
+        router,
     };
     let report = chaos::run_campaign(&spec, &opts);
     for line in &report.lines {
@@ -1346,285 +1322,173 @@ fn synth_summary(sys: &crate::system::System) -> SynthSummary {
     }
 }
 
-/// Executes a command, writing human output to the returned string.
-pub fn run(cmd: Command) -> Result<String, CliError> {
-    let mut out = String::new();
-    match cmd {
-        Command::Help => out.push_str(USAGE),
-        Command::Lint {
-            specs,
-            json,
-            exact,
-            synthesize,
-        } => return run_lint(&specs, json, exact, synthesize).map(|o| o.output),
-        cmd @ Command::Chaos { .. } => return run_chaos(cmd).map(|o| o.output),
-        Command::Replay { path, threads } => return run_replay(&path, threads).map(|o| o.output),
-        Command::Analyze(specs) => {
-            for spec in specs {
-                let sys = spec.build();
-                out.push_str(&format!("{}\n", sys.analyze()));
-            }
-        }
-        Command::Dot { spec, routers_only } => {
-            let sys = spec.build();
-            let dot = if routers_only {
-                viz::routers_only_dot(sys.net(), &sys.name())
+/// `simulate`: the analysis report, the run's summary lines, and any
+/// live-metrics block and telemetry summary.
+fn run_simulate(sim: &SimRun, telemetry: bool, metrics: &MetricsOpts) -> Result<String, CliError> {
+    let telemetry = if telemetry {
+        Telemetry::recording()
+    } else {
+        Telemetry::off()
+    };
+    let Ran { sys, cfg, res } = sim.run(telemetry, |name| metrics.config(name))?;
+    let mut out = format!("{}\n", sys.analyze());
+    out.push_str(&format!(
+        "simulated {} cycles at load {}: {}/{} packets delivered, \
+         avg latency {:.1} cy, p95 {} cy, throughput {:.3} flits/node/cy\n",
+        res.cycles,
+        sim.load,
+        res.delivered,
+        res.generated,
+        res.avg_latency,
+        res.p95_latency,
+        res.throughput
+    ));
+    match res.deadlock {
+        Some(dl) => out.push_str(&format!(
+            "DEADLOCK at cycle {} ({} packets stuck, {}-channel circular wait)\n",
+            dl.cycle,
+            dl.stuck_packets,
+            dl.cycle_channels.len()
+        )),
+        None => out.push_str("no deadlock\n"),
+    }
+    if res.credits.consumed > 0 {
+        // consumed == returned only once every worm has drained;
+        // a max-cycles cutoff legitimately strands the difference
+        // in occupied FIFO slots.
+        let held = res.credits.consumed - res.credits.returned;
+        out.push_str(&format!(
+            "credits: {} consumed, {} returned ({}), {} transfer stalls\n",
+            res.credits.consumed,
+            res.credits.returned,
+            if res.credits.is_conserved() {
+                "conserved".to_string()
             } else {
-                viz::to_dot(
-                    sys.net(),
-                    &viz::DotOptions {
-                        name: sys.name(),
-                        ..viz::DotOptions::default()
-                    },
-                )
-            };
-            out.push_str(&dot);
-        }
-        Command::Simulate {
-            spec,
-            load,
-            cycles,
-            faults,
-            telemetry,
-            threads,
-            metrics,
-            router,
-        } => {
-            let sys = spec.build();
-            let report = sys.analyze();
-            let events = faults.events(&sys)?;
-            let injecting = !events.is_empty();
-            let cfg = router
-                .apply(SimConfig {
-                    packet_flits: 16,
-                    max_cycles: cycles,
-                    stall_threshold: (cycles / 4).max(100),
-                    warmup_cycles: cycles / 10,
-                    retry: faults.retry(),
-                    telemetry: if telemetry {
-                        Telemetry::recording()
-                    } else {
-                        Telemetry::off()
-                    },
-                    metrics: metrics.config(&sys.name()),
-                    ..SimConfig::default()
-                })
-                .with_faults(events)
-                .with_threads(threads);
-            let workload = Workload::Bernoulli {
-                injection_rate: load,
-                pattern: DstPattern::Uniform,
-                until_cycle: cycles * 3 / 4,
-            };
-            let res = if faults.heal {
-                sys.simulate_healing(workload, cfg.clone())
-            } else {
-                sys.simulate(workload, cfg.clone())
-            };
-            out.push_str(&format!("{report}\n"));
-            out.push_str(&format!(
-                "simulated {} cycles at load {load}: {}/{} packets delivered, \
-                 avg latency {:.1} cy, p95 {} cy, throughput {:.3} flits/node/cy\n",
-                res.cycles,
-                res.delivered,
-                res.generated,
-                res.avg_latency,
-                res.p95_latency,
-                res.throughput
-            ));
-            match res.deadlock {
-                Some(dl) => out.push_str(&format!(
-                    "DEADLOCK at cycle {} ({} packets stuck, {}-channel circular wait)\n",
-                    dl.cycle,
-                    dl.stuck_packets,
-                    dl.cycle_channels.len()
-                )),
-                None => out.push_str("no deadlock\n"),
-            }
-            if res.credits.consumed > 0 {
-                // consumed == returned only once every worm has drained;
-                // a max-cycles cutoff legitimately strands the difference
-                // in occupied FIFO slots.
-                let held = res.credits.consumed - res.credits.returned;
-                out.push_str(&format!(
-                    "credits: {} consumed, {} returned ({}), {} transfer stalls\n",
-                    res.credits.consumed,
-                    res.credits.returned,
-                    if res.credits.is_conserved() {
-                        "conserved".to_string()
-                    } else {
-                        format!("{held} held at cutoff")
-                    },
-                    res.credits.stalls
-                ));
-            }
-            if injecting {
-                let r = &res.recovery;
-                out.push_str(&format!(
-                    "faults: {} applied, {} worms dropped, {} retries, {} abandoned, \
-                     {} repaired tables installed\n",
-                    r.faults_applied,
-                    r.dropped_worms,
-                    r.retries,
-                    r.abandoned.len(),
-                    r.repairs_installed
-                ));
-                match r.time_to_recover {
-                    Some(t) => out.push_str(&format!(
-                        "recovered in {t} cycles; post-fault delivery {:.1}%\n",
-                        100.0 * r.post_fault_delivery_ratio()
-                    )),
-                    None => out.push_str(&format!(
-                        "post-fault delivery {:.1}%\n",
-                        100.0 * r.post_fault_delivery_ratio()
-                    )),
-                }
-            }
-            if let Some(m) = &res.metrics {
-                out.push_str(&metrics_block(m));
-                if let Some(path) = &metrics.out {
-                    let text = write_trace(&spec.to_string(), faults.heal, &cfg, m);
-                    std::fs::write(path, text.as_bytes())
-                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                    out.push_str(&format!(
-                        "wrote metrics trace ({} injection(s), {} sample(s)) to {path}\n",
-                        m.injections.len(),
-                        m.samples.len()
-                    ));
-                    write_incident_bundle(m, path, &mut out)?;
-                }
-            }
-            if let Some(tel) = &res.telemetry {
-                out.push_str(&to_text_summary(tel));
-            }
-        }
-        Command::Metrics {
-            spec,
-            load,
-            cycles,
-            faults,
-            threads,
-            format,
-            metrics,
-            router,
-        } => {
-            let sys = spec.build();
-            let events = faults.events(&sys)?;
-            let cfg = router
-                .apply(SimConfig {
-                    packet_flits: 16,
-                    max_cycles: cycles,
-                    stall_threshold: (cycles / 4).max(100),
-                    warmup_cycles: cycles / 10,
-                    retry: faults.retry(),
-                    metrics: metrics.config_on(&sys.name()),
-                    ..SimConfig::default()
-                })
-                .with_faults(events)
-                .with_threads(threads);
-            let workload = Workload::Bernoulli {
-                injection_rate: load,
-                pattern: DstPattern::Uniform,
-                until_cycle: cycles * 3 / 4,
-            };
-            let res = if faults.heal {
-                sys.simulate_healing(workload, cfg.clone())
-            } else {
-                sys.simulate(workload, cfg.clone())
-            };
-            let m = res
-                .metrics
-                .as_ref()
-                .expect("metrics always records under the metrics command");
-            let rendered = match format {
-                MetricsFormat::Prometheus => to_prometheus(m),
-                MetricsFormat::Jsonl => write_trace(&spec.to_string(), faults.heal, &cfg, m),
-            };
-            match &metrics.out {
-                Some(path) => {
-                    std::fs::write(path, rendered.as_bytes())
-                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                    out.push_str(&format!("wrote {} bytes to {path}\n", rendered.len()));
-                    write_incident_bundle(m, path, &mut out)?;
-                }
-                None => out.push_str(&rendered),
-            }
-        }
-        Command::Trace {
-            spec,
-            format,
-            out: out_path,
-            load,
-            cycles,
-            faults,
-            router,
-        } => {
-            let sys = spec.build();
-            let events = faults.events(&sys)?;
-            let cfg = router
-                .apply(SimConfig {
-                    packet_flits: 16,
-                    max_cycles: cycles,
-                    stall_threshold: (cycles / 4).max(100),
-                    retry: faults.retry(),
-                    ..SimConfig::default()
-                })
-                .with_faults(events)
-                .with_telemetry(Telemetry::recording());
-            let workload = Workload::Bernoulli {
-                injection_rate: load,
-                pattern: DstPattern::Uniform,
-                until_cycle: cycles * 3 / 4,
-            };
-            let res = if faults.heal {
-                sys.simulate_healing(workload, cfg)
-            } else {
-                sys.simulate(workload, cfg)
-            };
-            let tel = res
-                .telemetry
-                .expect("trace always runs with telemetry recording");
-            let rendered = match format {
-                TraceFormat::Jsonl => to_jsonl(&tel),
-                TraceFormat::Chrome => to_chrome_trace(&tel),
-                TraceFormat::Summary => to_text_summary(&tel),
-            };
-            match out_path {
-                Some(path) => {
-                    std::fs::write(&path, rendered.as_bytes())
-                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                    out.push_str(&format!("wrote {} bytes to {path}\n", rendered.len()));
-                }
-                None => out.push_str(&rendered),
-            }
-        }
-        Command::Plan { cpus, bisection } => {
-            let options = plan(Requirement {
-                cpus,
-                min_bisection_links: bisection,
-                fanout: true,
-            });
-            if options.is_empty() {
-                out.push_str("no fractahedral configuration satisfies the requirement\n");
-            }
-            for o in options {
-                out.push_str(&format!(
-                    "{:?} N{}: {} CPUs, {} routers ({} tetra + {} fan-out), {} cables, \
-                     max delay {} hops, bisection {} links\n",
-                    o.variant,
-                    o.levels,
-                    o.capacity,
-                    o.total_routers(),
-                    o.tetra_routers,
-                    o.fanout_routers,
-                    o.cables,
-                    o.max_delay,
-                    o.bisection
-                ));
-            }
+                format!("{held} held at cutoff")
+            },
+            res.credits.stalls
+        ));
+    }
+    if !cfg.faults.is_empty() {
+        let r = &res.recovery;
+        out.push_str(&format!(
+            "faults: {} applied, {} worms dropped, {} retries, {} abandoned, \
+             {} repaired tables installed\n",
+            r.faults_applied,
+            r.dropped_worms,
+            r.retries,
+            r.abandoned.len(),
+            r.repairs_installed
+        ));
+        match r.time_to_recover {
+            Some(t) => out.push_str(&format!(
+                "recovered in {t} cycles; post-fault delivery {:.1}%\n",
+                100.0 * r.post_fault_delivery_ratio()
+            )),
+            None => out.push_str(&format!(
+                "post-fault delivery {:.1}%\n",
+                100.0 * r.post_fault_delivery_ratio()
+            )),
         }
     }
+    if let Some(m) = &res.metrics {
+        out.push_str(&metrics_block(m));
+        if let Some(path) = &metrics.out {
+            let text = write_trace(&sim.spec.to_string(), sim.faults.heal, &cfg, m);
+            std::fs::write(path, text.as_bytes())
+                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+            out.push_str(&format!(
+                "wrote metrics trace ({} injection(s), {} sample(s)) to {path}\n",
+                m.injections.len(),
+                m.samples.len()
+            ));
+            write_incident_bundle(m, path, &mut out)?;
+        }
+    }
+    if let Some(tel) = &res.telemetry {
+        out.push_str(&to_text_summary(tel));
+    }
     Ok(out)
+}
+
+/// Writes `rendered` to `path` with a one-line note, or returns it for
+/// stdout when there is no path.
+fn emit(rendered: String, path: Option<&str>) -> Result<String, CliError> {
+    match path {
+        Some(path) => {
+            std::fs::write(path, rendered.as_bytes())
+                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+            Ok(format!("wrote {} bytes to {path}\n", rendered.len()))
+        }
+        None => Ok(rendered),
+    }
+}
+
+/// `metrics`: the live metrics pipeline's export, as Prometheus text or
+/// the replayable JSONL trace.
+fn run_metrics(
+    sim: &SimRun,
+    format: MetricsFormat,
+    metrics: &MetricsOpts,
+) -> Result<String, CliError> {
+    let Ran { cfg, res, .. } = sim.run(Telemetry::off(), |name| metrics.config_on(name))?;
+    let m = res
+        .metrics
+        .as_ref()
+        .expect("metrics always records under the metrics command");
+    let rendered = match format {
+        MetricsFormat::Prometheus => to_prometheus(m),
+        MetricsFormat::Jsonl => write_trace(&sim.spec.to_string(), sim.faults.heal, &cfg, m),
+    };
+    let mut out = emit(rendered, metrics.out.as_deref())?;
+    if let Some(path) = &metrics.out {
+        write_incident_bundle(m, path, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// `trace`: the flit-event telemetry export.
+fn run_trace(sim: &SimRun, format: TraceFormat, out: Option<&str>) -> Result<String, CliError> {
+    let Ran { res, .. } = sim.run(Telemetry::recording(), |_| MetricsConfig::off())?;
+    let tel = res
+        .telemetry
+        .expect("trace always runs with telemetry recording");
+    let rendered = match format {
+        TraceFormat::Jsonl => to_jsonl(&tel),
+        TraceFormat::Chrome => to_chrome_trace(&tel),
+        TraceFormat::Summary => to_text_summary(&tel),
+    };
+    emit(rendered, out)
+}
+
+/// `plan`: the fractahedral configurations that meet the requirement.
+fn run_plan(cpus: usize, bisection: u64) -> String {
+    let options = plan(Requirement {
+        cpus,
+        min_bisection_links: bisection,
+        fanout: true,
+    });
+    if options.is_empty() {
+        return "no fractahedral configuration satisfies the requirement\n".into();
+    }
+    options
+        .iter()
+        .map(|o| {
+            format!(
+                "{:?} N{}: {} CPUs, {} routers ({} tetra + {} fan-out), {} cables, \
+                 max delay {} hops, bisection {} links\n",
+                o.variant,
+                o.levels,
+                o.capacity,
+                o.total_routers(),
+                o.tetra_routers,
+                o.fanout_routers,
+                o.cables,
+                o.max_delay,
+                o.bisection
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1633,6 +1497,22 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// A fault-free, single-threaded run of `spec`.
+    fn sim(spec: &str, load: f64, cycles: u64) -> SimRun {
+        SimRun {
+            spec: spec.parse().unwrap(),
+            load,
+            cycles,
+            faults: FaultOpts::default(),
+            router: RouterOpts::default(),
+            threads: 1,
+        }
+    }
+
+    fn output(cmd: Command) -> String {
+        execute(cmd).unwrap().output
     }
 
     #[test]
@@ -1653,26 +1533,30 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Simulate {
-                router: Default::default(),
-                spec: "ring:4".parse::<TopoSpec>().unwrap(),
-                load: 0.5,
-                cycles: 1000,
-                faults: FaultOpts::default(),
+                sim: sim("ring:4", 0.5, 1000),
                 telemetry: false,
-                threads: 1,
                 metrics: MetricsOpts::default(),
             }
         );
+        // Defaults: load 0.2 and 20k cycles, as for metrics.
+        for cmd in ["simulate", "metrics"] {
+            let (Command::Simulate { sim, .. } | Command::Metrics { sim, .. }) =
+                parse(&argv(&format!("{cmd} ring:4"))).unwrap()
+            else {
+                panic!("not {cmd}")
+            };
+            assert_eq!((sim.load, sim.cycles), (0.2, 20_000));
+        }
         let cmd = parse(&argv("simulate ring:4 --telemetry")).unwrap();
         let Command::Simulate { telemetry, .. } = cmd else {
             panic!("not simulate: {cmd:?}")
         };
         assert!(telemetry);
         let cmd = parse(&argv("simulate mesh:8x8 --threads 8")).unwrap();
-        let Command::Simulate { threads, .. } = cmd else {
+        let Command::Simulate { sim, .. } = cmd else {
             panic!("not simulate: {cmd:?}")
         };
-        assert_eq!(threads, 8);
+        assert_eq!(sim.threads, 8);
         let cmd = parse(&argv("chaos mesh:3x3 --threads 4")).unwrap();
         let Command::Chaos { threads, .. } = cmd else {
             panic!("not chaos: {cmd:?}")
@@ -1683,57 +1567,42 @@ mod tests {
     #[test]
     fn parse_router_flags() {
         let cmd = parse(&argv(
-            "simulate torus:4x4 --vcs 2 --fifo-depth 2 --credit-delay 3",
+            "simulate torus:4x4:vc2 --fifo-depth 2 --credit-delay 3",
         ))
         .unwrap();
-        let Command::Simulate { spec, router, .. } = cmd else {
+        let Command::Simulate { sim, .. } = cmd else {
             panic!("not simulate: {cmd:?}")
         };
-        // --vcs folds into the spec (the grammar's Auto discipline
-        // resolves to dateline on a torus at build time).
-        assert_eq!(spec.to_string(), "torus:4x4:vc2");
-        assert_eq!(router.fifo_depth, Some(2));
-        assert_eq!(router.credit_delay, 3);
-        // `inf` restores the unbounded pre-credit model; an explicit
-        // discipline lands in the spec suffix.
-        let cmd = parse(&argv(
-            "metrics mesh:4x4 --vcs 2 --vc-discipline ecube --fifo-depth inf",
-        ))
-        .unwrap();
-        let Command::Metrics { spec, router, .. } = cmd else {
+        assert_eq!(sim.spec.to_string(), "torus:4x4:vc2");
+        assert_eq!(sim.router.fifo_depth, Some(2));
+        assert_eq!(sim.router.credit_delay, 3);
+        // `inf` restores the unbounded pre-credit model.
+        let cmd = parse(&argv("metrics mesh:4x4:vc2:ecube --fifo-depth inf")).unwrap();
+        let Command::Metrics { sim, .. } = cmd else {
             panic!("not metrics: {cmd:?}")
         };
-        assert_eq!(spec.to_string(), "mesh:4x4:vc2:ecube");
-        assert_eq!(router.fifo_depth, Some(SimConfig::INFINITE_DEPTH));
-        // --vc-discipline alone upgrades with the default of 2 VCs.
-        let cmd = parse(&argv("chaos ring:6 --vc-discipline dateline --quick")).unwrap();
+        assert_eq!(sim.router.fifo_depth, Some(SimConfig::INFINITE_DEPTH));
+        let cmd = parse(&argv("chaos ring:6:vc2:dateline --quick")).unwrap();
         let Command::Chaos { spec, router, .. } = cmd else {
             panic!("not chaos: {cmd:?}")
         };
         assert_eq!(spec.unwrap().to_string(), "ring:6:vc2:dateline");
         assert_eq!(router.fifo_depth, None);
-        // And a literal VC spec takes flag overrides on top.
-        let cmd = parse(&argv("trace ring:6:vc2 --vcs 4")).unwrap();
-        let Command::Trace { spec, .. } = cmd else {
-            panic!("not trace: {cmd:?}")
-        };
-        assert_eq!(spec.to_string(), "ring:6:vc4");
     }
 
     #[test]
     fn router_flag_errors() {
-        // VC flags demand a VC-capable base...
-        assert!(parse(&argv("simulate fat-fractahedron:1 --vcs 2")).is_err());
-        // ...a known discipline...
-        assert!(parse(&argv("simulate ring:6 --vc-discipline spiral")).is_err());
-        // ...and flag-built combos pass through the grammar's checks
-        // (e-cube classes can't break a torus's wrap cycles).
-        assert!(parse(&argv("simulate torus:4x4 --vcs 2 --vc-discipline ecube")).is_err());
         assert!(parse(&argv("simulate ring:6 --fifo-depth 0")).is_err());
         assert!(parse(&argv("simulate ring:6 --fifo-depth many")).is_err());
         // Replay mode takes its router config from the scenario file.
         assert!(parse(&argv("chaos --replay x.json --fifo-depth 2")).is_err());
-        assert!(parse(&argv("chaos --replay x.json --vcs 2")).is_err());
+        // Virtual channels come only from the spec grammar.
+        for cmd in ["simulate", "metrics", "trace", "chaos"] {
+            for flag in ["--vcs 2", "--vc-discipline dateline"] {
+                let err = parse(&argv(&format!("{cmd} ring:6 {flag}"))).unwrap_err();
+                assert!(err.0.contains("unexpected argument"), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -1741,21 +1610,17 @@ mod tests {
         // End to end through the CLI: a dateline torus with 2-flit
         // FIFOs and a 1-cycle credit loop delivers without deadlock —
         // the configuration the raw torus tables would wedge under.
-        let out = run(Command::Simulate {
-            spec: "torus:3x3:vc2".parse().unwrap(),
-            load: 0.1,
-            cycles: 4_000,
-            faults: FaultOpts::default(),
-            telemetry: false,
-            threads: 1,
-            metrics: MetricsOpts::default(),
-            router: RouterOpts {
-                fifo_depth: Some(2),
-                credit_delay: 1,
-                ..Default::default()
+        let out = output(Command::Simulate {
+            sim: SimRun {
+                router: RouterOpts {
+                    fifo_depth: Some(2),
+                    credit_delay: 1,
+                },
+                ..sim("torus:3x3:vc2", 0.1, 4_000)
             },
-        })
-        .unwrap();
+            telemetry: false,
+            metrics: MetricsOpts::default(),
+        });
         assert!(out.contains("no deadlock"), "{out}");
         assert!(out.contains("+ 2 VCs"), "{out}");
     }
@@ -1769,29 +1634,20 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Trace {
-                router: Default::default(),
-                spec: "fat-fractahedron:2".parse::<TopoSpec>().unwrap(),
+                sim: sim("fat-fractahedron:2", 0.1, 800),
                 format: TraceFormat::Chrome,
                 out: Some("/tmp/t.json".into()),
-                load: 0.1,
-                cycles: 800,
-                faults: FaultOpts::default(),
             }
         );
-        // Defaults: summary to stdout, 5k cycles.
+        // Defaults: summary to stdout, 5k cycles, one thread.
         let cmd = parse(&argv("trace ring:4")).unwrap();
-        let Command::Trace {
-            format,
-            out,
-            cycles,
-            ..
-        } = cmd
-        else {
+        let Command::Trace { sim, format, out } = cmd else {
             panic!("not trace: {cmd:?}")
         };
         assert_eq!(format, TraceFormat::Summary);
         assert_eq!(out, None);
-        assert_eq!(cycles, 5_000);
+        assert_eq!((sim.load, sim.cycles, sim.threads), (0.2, 5_000, 1));
+        assert!(parse(&argv("trace ring:4 --threads 2")).is_err());
         assert!(parse(&argv("trace ring:4 --format xml")).is_err());
         assert!(parse(&argv("trace ring:4 --out")).is_err());
         assert!(parse(&argv("trace")).is_err());
@@ -1808,9 +1664,10 @@ mod tests {
              --backoff-base 8 --jitter-seed 7",
         ))
         .unwrap();
-        let Command::Simulate { faults, .. } = cmd else {
+        let Command::Simulate { sim, .. } = cmd else {
             panic!("not simulate: {cmd:?}")
         };
+        let faults = sim.faults;
         assert_eq!(faults.kill_links, vec![3, 9]);
         assert_eq!(faults.kill_routers, vec![2]);
         assert_eq!(faults.fault_at, 500);
@@ -1830,9 +1687,10 @@ mod tests {
              --fault-at 100 --repair-at 900",
         ))
         .unwrap();
-        let Command::Simulate { faults, .. } = cmd else {
+        let Command::Simulate { sim, .. } = cmd else {
             panic!("not simulate: {cmd:?}")
         };
+        let faults = sim.faults;
         assert_eq!(faults.flaky_links, vec![(3, 50)]);
         assert_eq!(faults.corrupt_links, vec![(7, 120)]);
         assert_eq!(faults.brownouts, vec![(2, 16, 24)]);
@@ -1890,17 +1748,14 @@ mod tests {
             repair_at: Some(1_500),
             ..FaultOpts::default()
         };
-        let out = run(Command::Simulate {
-            router: Default::default(),
-            spec: "fat-fractahedron:1".parse::<TopoSpec>().unwrap(),
-            load: 0.1,
-            cycles: 5_000,
-            faults,
+        let out = output(Command::Simulate {
+            sim: SimRun {
+                faults,
+                ..sim("fat-fractahedron:1", 0.1, 5_000)
+            },
             telemetry: false,
-            threads: 1,
             metrics: MetricsOpts::default(),
-        })
-        .unwrap();
+        });
         assert!(out.contains("faults: 1 applied"), "{out}");
         assert!(out.contains("post-fault delivery"), "{out}");
         // A 1000‰ flaky injection link drops worms; retries redeliver.
@@ -2005,38 +1860,30 @@ mod tests {
 
     #[test]
     fn run_analyze_produces_report_lines() {
-        let out = run(Command::Analyze(vec!["tetrahedron"
+        let out = output(Command::Analyze(vec!["tetrahedron"
             .parse::<TopoSpec>()
-            .unwrap()]))
-        .unwrap();
+            .unwrap()]));
         assert!(out.contains("4 routers"));
         assert!(out.contains("deadlock-free"));
     }
 
     #[test]
     fn run_dot_produces_graphviz() {
-        let out = run(Command::Dot {
+        let out = output(Command::Dot {
             spec: "cluster:2".parse::<TopoSpec>().unwrap(),
             routers_only: true,
-        })
-        .unwrap();
+        });
         assert!(out.starts_with("graph"));
         assert!(out.contains(" -- "));
     }
 
     #[test]
     fn run_simulate_reports_deadlock_on_ring() {
-        let out = run(Command::Simulate {
-            router: Default::default(),
-            spec: "ring:4".parse::<TopoSpec>().unwrap(),
-            load: 0.4,
-            cycles: 4_000,
-            faults: FaultOpts::default(),
+        let out = output(Command::Simulate {
+            sim: sim("ring:4", 0.4, 4_000),
             telemetry: false,
-            threads: 1,
             metrics: MetricsOpts::default(),
-        })
-        .unwrap();
+        });
         // Minimal ring routing is deadlock-prone; at this load the Fig 1
         // pattern eventually forms.
         assert!(out.contains("CAN DEADLOCK"), "{out}");
@@ -2050,17 +1897,14 @@ mod tests {
             heal: true,
             ..FaultOpts::default()
         };
-        let out = run(Command::Simulate {
-            router: Default::default(),
-            spec: "fat-fractahedron:1".parse::<TopoSpec>().unwrap(),
-            load: 0.1,
-            cycles: 6_000,
-            faults,
+        let out = output(Command::Simulate {
+            sim: SimRun {
+                faults,
+                ..sim("fat-fractahedron:1", 0.1, 6_000)
+            },
             telemetry: false,
-            threads: 1,
             metrics: MetricsOpts::default(),
-        })
-        .unwrap();
+        });
         assert!(out.contains("faults: 1 applied"), "{out}");
         assert!(out.contains("post-fault delivery"), "{out}");
     }
@@ -2073,14 +1917,12 @@ mod tests {
                 kill_routers: routers,
                 ..FaultOpts::default()
             };
-            let err = run(Command::Simulate {
-                router: Default::default(),
-                spec: "ring:4".parse::<TopoSpec>().unwrap(),
-                load: 0.1,
-                cycles: 1_000,
-                faults,
+            let err = execute(Command::Simulate {
+                sim: SimRun {
+                    faults,
+                    ..sim("ring:4", 0.1, 1_000)
+                },
                 telemetry: false,
-                threads: 1,
                 metrics: MetricsOpts::default(),
             })
             .unwrap_err();
@@ -2090,16 +1932,11 @@ mod tests {
 
     #[test]
     fn run_trace_chrome_emits_complete_spans() {
-        let out = run(Command::Trace {
-            router: Default::default(),
-            spec: "fat-fractahedron:1".parse::<TopoSpec>().unwrap(),
+        let out = output(Command::Trace {
+            sim: sim("fat-fractahedron:1", 0.1, 1_000),
             format: TraceFormat::Chrome,
             out: None,
-            load: 0.1,
-            cycles: 1_000,
-            faults: FaultOpts::default(),
-        })
-        .unwrap();
+        });
         assert!(out.starts_with("{\"traceEvents\":["), "{out}");
         assert!(out.contains("\"ph\":\"X\""), "{out}");
         assert!(out.contains("\"name\":\"simulation\""), "{out}");
@@ -2110,16 +1947,11 @@ mod tests {
     #[test]
     fn run_trace_jsonl_and_summary() {
         let mk = |format| {
-            run(Command::Trace {
-                router: Default::default(),
-                spec: "tetrahedron".parse::<TopoSpec>().unwrap(),
+            output(Command::Trace {
+                sim: sim("tetrahedron", 0.1, 500),
                 format,
                 out: None,
-                load: 0.1,
-                cycles: 500,
-                faults: FaultOpts::default(),
             })
-            .unwrap()
         };
         let jsonl = mk(TraceFormat::Jsonl);
         assert!(jsonl
@@ -2138,16 +1970,11 @@ mod tests {
     fn run_trace_out_writes_file() {
         let path = std::env::temp_dir().join("fractanet-trace-test.jsonl");
         let path_s = path.to_str().unwrap().to_string();
-        let out = run(Command::Trace {
-            router: Default::default(),
-            spec: "tetrahedron".parse::<TopoSpec>().unwrap(),
+        let out = output(Command::Trace {
+            sim: sim("tetrahedron", 0.1, 500),
             format: TraceFormat::Jsonl,
             out: Some(path_s.clone()),
-            load: 0.1,
-            cycles: 500,
-            faults: FaultOpts::default(),
-        })
-        .unwrap();
+        });
         assert!(out.contains(&path_s), "{out}");
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.starts_with("{\"type\":\"meta\""));
@@ -2157,42 +1984,35 @@ mod tests {
     #[test]
     fn run_simulate_telemetry_appends_summary() {
         let cmd = |telemetry| Command::Simulate {
-            router: Default::default(),
-            spec: "tetrahedron".parse::<TopoSpec>().unwrap(),
-            load: 0.1,
-            cycles: 1_000,
-            faults: FaultOpts::default(),
+            sim: sim("tetrahedron", 0.1, 1_000),
             telemetry,
-            threads: 1,
             metrics: MetricsOpts::default(),
         };
-        let plain = run(cmd(false)).unwrap();
+        let plain = output(cmd(false));
         assert!(!plain.contains("utilization histogram"), "{plain}");
-        let with_tel = run(cmd(true)).unwrap();
+        let with_tel = output(cmd(true));
         assert!(with_tel.contains("utilization histogram"), "{with_tel}");
         assert!(with_tel.contains("simulated"), "{with_tel}");
     }
 
     #[test]
     fn run_plan_lists_options() {
-        let out = run(Command::Plan {
+        let out = output(Command::Plan {
             cpus: 128,
             bisection: 1,
-        })
-        .unwrap();
+        });
         assert!(out.contains("Thin N2"));
         assert!(out.contains("Fat N2"));
-        let none = run(Command::Plan {
+        let none = output(Command::Plan {
             cpus: 128,
             bisection: 100_000,
-        })
-        .unwrap();
+        });
         assert!(none.contains("no fractahedral configuration"));
     }
 
     #[test]
     fn run_help_prints_usage() {
-        assert!(run(Command::Help).unwrap().contains("USAGE"));
+        assert!(output(Command::Help).contains("USAGE"));
     }
 
     #[test]
@@ -2379,11 +2199,9 @@ mod tests {
         ))
         .unwrap();
         let Command::Metrics {
+            sim,
             format,
             metrics,
-            faults,
-            cycles,
-            ..
         } = cmd
         else {
             panic!("not metrics: {cmd:?}")
@@ -2391,8 +2209,8 @@ mod tests {
         assert_eq!(format, MetricsFormat::Jsonl);
         assert_eq!(metrics.out, Some("/tmp/p.jsonl".into()));
         assert_eq!(metrics.every, Some(30));
-        assert_eq!(faults.kill_links, vec![2]);
-        assert_eq!(cycles, 900);
+        assert_eq!(sim.faults.kill_links, vec![2]);
+        assert_eq!(sim.cycles, 900);
         // Flag gating: metrics flags are not trace flags, --telemetry
         // is simulate-only, --format prom is metrics-only.
         assert!(parse(&argv("trace ring:4 --metrics-every 50")).is_err());
@@ -2438,21 +2256,15 @@ mod tests {
         // the trace must replay exactly.
         let path = std::env::temp_dir().join("fractanet-metrics-e16.jsonl");
         let path_s = path.to_str().unwrap().to_string();
-        let out = run(Command::Simulate {
-            router: Default::default(),
-            spec: "ring:4".parse::<TopoSpec>().unwrap(),
-            load: 0.6,
-            cycles: 4_000,
-            faults: FaultOpts::default(),
+        let out = output(Command::Simulate {
+            sim: sim("ring:4", 0.6, 4_000),
             telemetry: false,
-            threads: 1,
             metrics: MetricsOpts {
                 every: Some(100),
                 out: Some(path_s.clone()),
                 deadline: Some(32),
             },
-        })
-        .unwrap();
+        });
         assert!(out.contains("metrics:"), "{out}");
         assert!(out.contains("SLO:"), "{out}");
         assert!(out.contains("anomaly @"), "{out}");
@@ -2483,17 +2295,11 @@ mod tests {
 
     #[test]
     fn metrics_command_exports_prometheus() {
-        let out = run(Command::Metrics {
-            router: Default::default(),
-            spec: "tetrahedron".parse::<TopoSpec>().unwrap(),
-            load: 0.1,
-            cycles: 1_000,
-            faults: FaultOpts::default(),
-            threads: 1,
+        let out = output(Command::Metrics {
+            sim: sim("tetrahedron", 0.1, 1_000),
             format: MetricsFormat::Prometheus,
             metrics: MetricsOpts::default(),
-        })
-        .unwrap();
+        });
         assert!(out.contains("fractanet_generated_total"), "{out}");
         assert!(out.contains("topology=\"clique 4x6p\""), "{out}");
         assert!(out.contains("fractanet_latency_cycles"), "{out}");
@@ -2504,21 +2310,15 @@ mod tests {
     fn replay_detects_a_tampered_trace() {
         let path = std::env::temp_dir().join("fractanet-metrics-tamper.jsonl");
         let path_s = path.to_str().unwrap().to_string();
-        run(Command::Metrics {
-            router: Default::default(),
-            spec: "tetrahedron".parse::<TopoSpec>().unwrap(),
-            load: 0.1,
-            cycles: 1_000,
-            faults: FaultOpts::default(),
-            threads: 1,
+        output(Command::Metrics {
+            sim: sim("tetrahedron", 0.1, 1_000),
             format: MetricsFormat::Jsonl,
             metrics: MetricsOpts {
                 every: Some(100),
                 out: Some(path_s.clone()),
                 deadline: None,
             },
-        })
-        .unwrap();
+        });
         let text = std::fs::read_to_string(&path).unwrap();
         let trace = parse_trace(&text).unwrap();
         let tampered = text.replace(
@@ -2600,16 +2400,5 @@ mod tests {
         std::fs::remove_file(&sc_path).ok();
         std::fs::remove_file(&tr_path).ok();
         std::fs::remove_file(&bundle_path).ok();
-    }
-
-    #[test]
-    fn run_on_lint_matches_execute_output() {
-        let cmd = Command::Lint {
-            specs: vec!["tetrahedron".parse::<TopoSpec>().unwrap()],
-            json: false,
-            exact: false,
-            synthesize: false,
-        };
-        assert_eq!(run(cmd.clone()).unwrap(), execute(cmd).unwrap().output);
     }
 }

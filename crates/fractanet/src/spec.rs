@@ -21,11 +21,16 @@ use crate::System;
 use std::fmt;
 use std::str::FromStr;
 
+/// The most end nodes a spec may describe: a `servernet::Packet`
+/// carries 16-bit source and destination node IDs.
+pub const MAX_END_NODES: usize = 1 << 16;
+
 /// A parsed topology specifier, e.g. `fat-fractahedron:2` or
 /// `mesh:6x6`. See the module docs for the grammar; invalid sizes
 /// (levels outside `1..=5`, hypercubes above dim 8, clusters above 6
 /// routers, rings below 3 routers, fat trees and binary trees their
-/// 6-port routers cannot build) are rejected at parse time.
+/// 6-port routers cannot build, more than [`MAX_END_NODES`] end nodes)
+/// are rejected at parse time, before anything is allocated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopoSpec {
     /// `fat-fractahedron:<levels>` — the paper's Fig 7 network at 2.
@@ -166,147 +171,158 @@ impl FromStr for TopoSpec {
     type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, SpecError> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let bad = || SpecError(format!("bad topology spec '{s}'"));
-        let int = |t: &str| t.parse::<usize>().map_err(|_| bad());
-        // `<base>:vc<K>[:discipline]` — split the VC suffix off and
-        // parse the base spec recursively.
-        if let Some(pos) = parts.iter().position(|p| {
-            p.strip_prefix("vc")
-                .is_some_and(|k| k.parse::<u8>().is_ok())
-        }) {
-            let vcs: u8 = parts[pos][2..].parse().map_err(|_| bad())?;
-            if !(1..=8).contains(&vcs) {
-                return Err(SpecError("vc count must be 1..=8".into()));
-            }
-            let base = match parts[..pos].join(":").parse::<TopoSpec>()? {
-                TopoSpec::Ring { n } => VcBase::Ring { n },
-                TopoSpec::Torus { cols, rows } => VcBase::Torus { cols, rows },
-                TopoSpec::Mesh { cols, rows } => VcBase::Mesh { cols, rows },
-                TopoSpec::Hypercube { dim } => VcBase::Hypercube { dim },
-                _ => {
-                    return Err(SpecError(
-                        "virtual channels apply to ring, torus, mesh, and hypercube specs".into(),
-                    ))
-                }
-            };
-            let disc = match parts[pos + 1..] {
-                [] => VcDisc::Auto,
-                ["dateline"] => VcDisc::Dateline,
-                ["ecube"] => VcDisc::Ecube,
-                _ => return Err(bad()),
-            };
-            let wrap_base = matches!(base, VcBase::Ring { .. } | VcBase::Torus { .. });
-            match disc {
-                VcDisc::Dateline if !wrap_base => {
-                    return Err(SpecError(
-                        "the dateline discipline needs wrap cables (ring or torus)".into(),
-                    ))
-                }
-                VcDisc::Ecube if wrap_base => {
-                    return Err(SpecError(
-                        "e-cube classes can't break wrap cycles; use :dateline".into(),
-                    ))
-                }
-                _ => {}
-            }
-            return Ok(TopoSpec::Vc { base, vcs, disc });
+        let spec = parse_unbounded(s)?;
+        match spec.end_node_count() {
+            Some(n) if n <= MAX_END_NODES => Ok(spec),
+            _ => Err(SpecError(format!(
+                "'{s}' has more than {MAX_END_NODES} end nodes, the 16-bit ServerNet node-ID space"
+            ))),
         }
-        match parts[0] {
-            "fat-fractahedron" if parts.len() == 2 => {
-                let levels = int(parts[1])?;
-                if !(1..=5).contains(&levels) {
-                    return Err(SpecError("levels must be 1..=5".into()));
-                }
-                Ok(TopoSpec::FatFractahedron { levels })
-            }
-            "thin-fractahedron" if parts.len() == 2 || parts.len() == 3 => {
-                let levels = int(parts[1])?;
-                if !(1..=5).contains(&levels) {
-                    return Err(SpecError("levels must be 1..=5".into()));
-                }
-                let fanout = parts.get(2) == Some(&"fanout");
-                if parts.len() == 3 && !fanout {
-                    return Err(bad());
-                }
-                Ok(TopoSpec::ThinFractahedron { levels, fanout })
-            }
-            "mesh" if parts.len() == 2 => {
-                let dims: Vec<&str> = parts[1].split('x').collect();
-                if dims.len() != 2 {
-                    return Err(bad());
-                }
-                let (cols, rows) = (int(dims[0])?, int(dims[1])?);
-                if cols == 0 || rows == 0 {
-                    return Err(SpecError("mesh dimensions must be nonzero".into()));
-                }
-                Ok(TopoSpec::Mesh { cols, rows })
-            }
-            "torus" if parts.len() == 2 => {
-                let dims: Vec<&str> = parts[1].split('x').collect();
-                if dims.len() != 2 {
-                    return Err(bad());
-                }
-                let (cols, rows) = (int(dims[0])?, int(dims[1])?);
-                if cols < 3 || rows < 3 {
-                    return Err(SpecError(
-                        "torus dimensions must be at least 3 (smaller wraps are parallel cables)"
-                            .into(),
-                    ));
-                }
-                Ok(TopoSpec::Torus { cols, rows })
-            }
-            "fattree" if parts.len() == 4 => {
-                let (nodes, down, up) = (int(parts[1])?, int(parts[2])?, int(parts[3])?);
-                if nodes < 2 || down < 2 || up < 1 || down + up > 6 {
-                    return Err(SpecError(
-                        "fat tree needs nodes >= 2, down >= 2, up >= 1 and down + up <= 6".into(),
-                    ));
-                }
-                Ok(TopoSpec::FatTree { nodes, down, up })
-            }
-            "hypercube" if parts.len() == 2 => {
-                let dim = int(parts[1])?;
-                if !(1..=8).contains(&dim) {
-                    return Err(SpecError("hypercube dim must be 1..=8".into()));
-                }
-                Ok(TopoSpec::Hypercube { dim: dim as u32 })
-            }
-            "ring" if parts.len() == 2 => {
-                let n = int(parts[1])?;
-                if n < 3 {
-                    return Err(SpecError("ring needs at least 3 routers".into()));
-                }
-                Ok(TopoSpec::Ring { n })
-            }
-            "tetrahedron" if parts.len() == 1 => Ok(TopoSpec::Tetrahedron),
-            "cluster" if parts.len() == 2 => {
-                let m = int(parts[1])?;
-                if !(1..=6).contains(&m) {
-                    return Err(SpecError(
-                        "cluster size must be 1..=6 on 6-port routers".into(),
-                    ));
-                }
-                Ok(TopoSpec::Cluster { m })
-            }
-            "bintree" if parts.len() == 3 => {
-                let (depth, nodes_per_leaf) = (int(parts[1])?, int(parts[2])?);
-                if !(1..=16).contains(&depth)
-                    || !(1..=5).contains(&nodes_per_leaf)
-                    || (nodes_per_leaf << (depth - 1)) < 2
-                {
-                    return Err(SpecError(
-                        "binary tree needs depth 1..=16, 1..=5 nodes per leaf and >= 2 end nodes"
-                            .into(),
-                    ));
-                }
-                Ok(TopoSpec::BinTree {
-                    depth: depth as u32,
-                    nodes_per_leaf,
-                })
-            }
-            _ => Err(bad()),
+    }
+}
+
+/// Parses a spec and checks every rule but the end-node bound.
+fn parse_unbounded(s: &str) -> Result<TopoSpec, SpecError> {
+    let parts: Vec<&str> = s.split(':').collect();
+    let bad = || SpecError(format!("bad topology spec '{s}'"));
+    let int = |t: &str| t.parse::<usize>().map_err(|_| bad());
+    // `<base>:vc<K>[:discipline]` — split the VC suffix off and
+    // parse the base spec recursively.
+    if let Some(pos) = parts.iter().position(|p| {
+        p.strip_prefix("vc")
+            .is_some_and(|k| k.parse::<u8>().is_ok())
+    }) {
+        let vcs: u8 = parts[pos][2..].parse().map_err(|_| bad())?;
+        if !(1..=8).contains(&vcs) {
+            return Err(SpecError("vc count must be 1..=8".into()));
         }
+        let base = match parts[..pos].join(":").parse::<TopoSpec>()? {
+            TopoSpec::Ring { n } => VcBase::Ring { n },
+            TopoSpec::Torus { cols, rows } => VcBase::Torus { cols, rows },
+            TopoSpec::Mesh { cols, rows } => VcBase::Mesh { cols, rows },
+            TopoSpec::Hypercube { dim } => VcBase::Hypercube { dim },
+            _ => {
+                return Err(SpecError(
+                    "virtual channels apply to ring, torus, mesh, and hypercube specs".into(),
+                ))
+            }
+        };
+        let disc = match parts[pos + 1..] {
+            [] => VcDisc::Auto,
+            ["dateline"] => VcDisc::Dateline,
+            ["ecube"] => VcDisc::Ecube,
+            _ => return Err(bad()),
+        };
+        let wrap_base = matches!(base, VcBase::Ring { .. } | VcBase::Torus { .. });
+        match disc {
+            VcDisc::Dateline if !wrap_base => {
+                return Err(SpecError(
+                    "the dateline discipline needs wrap cables (ring or torus)".into(),
+                ))
+            }
+            VcDisc::Ecube if wrap_base => {
+                return Err(SpecError(
+                    "e-cube classes can't break wrap cycles; use :dateline".into(),
+                ))
+            }
+            _ => {}
+        }
+        return Ok(TopoSpec::Vc { base, vcs, disc });
+    }
+    match parts[0] {
+        "fat-fractahedron" if parts.len() == 2 => {
+            let levels = int(parts[1])?;
+            if !(1..=5).contains(&levels) {
+                return Err(SpecError("levels must be 1..=5".into()));
+            }
+            Ok(TopoSpec::FatFractahedron { levels })
+        }
+        "thin-fractahedron" if parts.len() == 2 || parts.len() == 3 => {
+            let levels = int(parts[1])?;
+            if !(1..=5).contains(&levels) {
+                return Err(SpecError("levels must be 1..=5".into()));
+            }
+            let fanout = parts.get(2) == Some(&"fanout");
+            if parts.len() == 3 && !fanout {
+                return Err(bad());
+            }
+            Ok(TopoSpec::ThinFractahedron { levels, fanout })
+        }
+        "mesh" if parts.len() == 2 => {
+            let dims: Vec<&str> = parts[1].split('x').collect();
+            if dims.len() != 2 {
+                return Err(bad());
+            }
+            let (cols, rows) = (int(dims[0])?, int(dims[1])?);
+            if cols == 0 || rows == 0 {
+                return Err(SpecError("mesh dimensions must be nonzero".into()));
+            }
+            Ok(TopoSpec::Mesh { cols, rows })
+        }
+        "torus" if parts.len() == 2 => {
+            let dims: Vec<&str> = parts[1].split('x').collect();
+            if dims.len() != 2 {
+                return Err(bad());
+            }
+            let (cols, rows) = (int(dims[0])?, int(dims[1])?);
+            if cols < 3 || rows < 3 {
+                return Err(SpecError(
+                    "torus dimensions must be at least 3 (smaller wraps are parallel cables)"
+                        .into(),
+                ));
+            }
+            Ok(TopoSpec::Torus { cols, rows })
+        }
+        "fattree" if parts.len() == 4 => {
+            let (nodes, down, up) = (int(parts[1])?, int(parts[2])?, int(parts[3])?);
+            if nodes < 2 || down < 2 || up < 1 || down + up > 6 {
+                return Err(SpecError(
+                    "fat tree needs nodes >= 2, down >= 2, up >= 1 and down + up <= 6".into(),
+                ));
+            }
+            Ok(TopoSpec::FatTree { nodes, down, up })
+        }
+        "hypercube" if parts.len() == 2 => {
+            let dim = int(parts[1])?;
+            if !(1..=8).contains(&dim) {
+                return Err(SpecError("hypercube dim must be 1..=8".into()));
+            }
+            Ok(TopoSpec::Hypercube { dim: dim as u32 })
+        }
+        "ring" if parts.len() == 2 => {
+            let n = int(parts[1])?;
+            if n < 3 {
+                return Err(SpecError("ring needs at least 3 routers".into()));
+            }
+            Ok(TopoSpec::Ring { n })
+        }
+        "tetrahedron" if parts.len() == 1 => Ok(TopoSpec::Tetrahedron),
+        "cluster" if parts.len() == 2 => {
+            let m = int(parts[1])?;
+            if !(1..=6).contains(&m) {
+                return Err(SpecError(
+                    "cluster size must be 1..=6 on 6-port routers".into(),
+                ));
+            }
+            Ok(TopoSpec::Cluster { m })
+        }
+        "bintree" if parts.len() == 3 => {
+            let (depth, nodes_per_leaf) = (int(parts[1])?, int(parts[2])?);
+            if !(1..=16).contains(&depth)
+                || !(1..=5).contains(&nodes_per_leaf)
+                || (nodes_per_leaf << (depth - 1)) < 2
+            {
+                return Err(SpecError(
+                    "binary tree needs depth 1..=16, 1..=5 nodes per leaf and >= 2 end nodes"
+                        .into(),
+                ));
+            }
+            Ok(TopoSpec::BinTree {
+                depth: depth as u32,
+                nodes_per_leaf,
+            })
+        }
+        _ => Err(bad()),
     }
 }
 
@@ -351,6 +367,36 @@ impl fmt::Display for TopoSpec {
 }
 
 impl TopoSpec {
+    /// End nodes the spec describes, `None` when the count overflows.
+    fn end_node_count(&self) -> Option<usize> {
+        let two_per_router = |cols: usize, rows: usize| cols.checked_mul(rows)?.checked_mul(2);
+        match *self {
+            TopoSpec::FatFractahedron { levels } => Some(crate::sizing::capacity(levels, false)),
+            TopoSpec::ThinFractahedron { levels, fanout } => {
+                Some(crate::sizing::capacity(levels, fanout))
+            }
+            TopoSpec::Mesh { cols, rows } | TopoSpec::Torus { cols, rows } => {
+                two_per_router(cols, rows)
+            }
+            TopoSpec::Vc { base, .. } => match base {
+                VcBase::Ring { n } => Some(n),
+                VcBase::Torus { cols, rows } | VcBase::Mesh { cols, rows } => {
+                    two_per_router(cols, rows)
+                }
+                VcBase::Hypercube { dim } => 1usize.checked_shl(dim),
+            },
+            TopoSpec::FatTree { nodes, .. } => Some(nodes),
+            TopoSpec::Hypercube { dim } => 1usize.checked_shl(dim),
+            TopoSpec::Ring { n } => Some(n),
+            TopoSpec::Tetrahedron => Some(12),
+            TopoSpec::Cluster { m } => Some(m * (7 - m)),
+            TopoSpec::BinTree {
+                depth,
+                nodes_per_leaf,
+            } => nodes_per_leaf.checked_mul(1usize.checked_shl(depth - 1)?),
+        }
+    }
+
     /// Builds the system this spec describes. Size validation happened
     /// at parse time, so this is infallible for parsed specs.
     pub fn build(&self) -> System {
@@ -536,6 +582,52 @@ mod tests {
         };
         assert_eq!((cols, rows), (100, 100));
         assert!("fat-fractahedron:6".parse::<TopoSpec>().is_err());
+    }
+
+    /// Asserts each spec is rejected for its size, with a `SpecError`
+    /// rather than an allocation abort.
+    fn assert_oversized(specs: &[&str]) {
+        for s in specs {
+            let err = s.parse::<TopoSpec>().unwrap_err();
+            assert!(err.0.contains("end nodes"), "{s}: {err}");
+        }
+    }
+
+    #[test]
+    fn mesh_size_is_bounded() {
+        assert_oversized(&[
+            "mesh:99999999x99999999",
+            "mesh:18446744073709551615x18446744073709551615",
+            "mesh:256x129",
+            "mesh:256x129:vc2:ecube",
+        ]);
+        assert!("mesh:256x128".parse::<TopoSpec>().is_ok());
+    }
+
+    #[test]
+    fn torus_size_is_bounded() {
+        assert_oversized(&["torus:99999x99999", "torus:129x256", "torus:129x256:vc2"]);
+        assert!("torus:128x256".parse::<TopoSpec>().is_ok());
+    }
+
+    #[test]
+    fn ring_size_is_bounded() {
+        assert_oversized(&["ring:99999999", "ring:65537", "ring:65537:vc2"]);
+        assert!("ring:65536".parse::<TopoSpec>().is_ok());
+    }
+
+    #[test]
+    fn fattree_size_is_bounded() {
+        assert_oversized(&["fattree:99999999:4:2", "fattree:65537:4:2"]);
+        assert!("fattree:65536:4:2".parse::<TopoSpec>().is_ok());
+    }
+
+    #[test]
+    fn bintree_size_is_bounded() {
+        // 5 << 15 = 163 840 end nodes.
+        assert_oversized(&["bintree:16:5", "bintree:16:3"]);
+        assert!("bintree:16:2".parse::<TopoSpec>().is_ok());
+        assert!("bintree:15:4".parse::<TopoSpec>().is_ok());
     }
 
     #[test]

@@ -13,8 +13,9 @@ use fractanet_route::fractal::fractal_routes;
 use fractanet_route::ringroute::ring_shortest_routes;
 use fractanet_route::treeroute::bintree_routes;
 use fractanet_route::{direct, dor, DestForest, ForestConsumer, Routes};
+use fractanet_servernet::FabricSim;
 use fractanet_sim::{
-    dateline_ring_map, dateline_torus_map, ecube_hypercube_map, ecube_mesh_map, Engine, SimConfig,
+    dateline_ring_map, dateline_torus_map, ecube_hypercube_map, ecube_mesh_map, SimConfig,
     SimResult, VcMap, VcSweep, Workload,
 };
 use fractanet_topo::{
@@ -256,9 +257,7 @@ impl System {
     }
 
     /// The installed VC-assignment map, if any — what
-    /// [`simulate`](System::simulate) attaches to the engine, exposed
-    /// so external harnesses (the dual-fabric chaos runner) can attach
-    /// the same discipline.
+    /// [`fabric`](System::fabric) attaches to every engine it runs.
     pub fn vc_map(&self) -> Option<&VcMap> {
         self.vc.as_ref().map(|v| &v.map)
     }
@@ -497,35 +496,35 @@ impl System {
         )
     }
 
+    /// This system as one fabric under `cfg`: its network, shared
+    /// tables, end nodes and VC map, healing around permanent faults
+    /// when `heal` is set. [`FabricSim::run`] simulates it; the chaos
+    /// campaign runs two of them through the failover driver.
+    pub fn fabric(&self, cfg: SimConfig, heal: bool) -> FabricSim<'_> {
+        FabricSim {
+            net: self.net(),
+            routes: self.shared_routes(),
+            ends: self.end_nodes(),
+            cfg,
+            heal,
+            vc: self.vc_map().cloned(),
+        }
+    }
+
     /// Simulates a workload on this system. The engine forwards
     /// hop-by-hop from the shared tables; no per-packet path is
     /// snapshotted.
     pub fn simulate(&self, workload: Workload, cfg: SimConfig) -> SimResult {
-        let mut eng = Engine::new(self.net(), self.end_nodes(), self.shared_routes(), cfg);
-        if let Some(v) = &self.vc {
-            eng = eng.with_vc_map(v.map.clone());
-        }
-        eng.run(workload)
+        self.fabric(cfg, false).run(workload)
     }
 
     /// Simulates a workload with certified self-healing enabled: on
     /// each permanent fault in `cfg`'s schedule, routing tables are
     /// repaired incrementally around the dead components, verified
     /// deadlock-free (Dally & Seitz), and installed mid-run as a new
-    /// routing epoch.
+    /// routing epoch. Debug builds re-lint every install.
     pub fn simulate_healing(&self, workload: Workload, cfg: SimConfig) -> SimResult {
-        let mut eng = Engine::new(self.net(), self.end_nodes(), self.shared_routes(), cfg)
-            .with_table_repairer(fractanet_servernet::table_healing_repairer(
-                self.net(),
-                self.end_nodes(),
-            ))
-            // The heal path promises certified tables, so debug builds
-            // re-lint every install.
-            .with_lint_on_install();
-        if let Some(v) = &self.vc {
-            eng = eng.with_vc_map(v.map.clone());
-        }
-        eng.run(workload)
+        self.fabric(cfg, true).run(workload)
     }
 }
 

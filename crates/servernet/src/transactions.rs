@@ -195,11 +195,12 @@ impl DedupFilter {
     }
 }
 
-/// One fabric's inputs to the failover driver: a network, its fixed
-/// destination tables, the shared end-node population, and a simulation
+/// One fabric, ready to simulate: a network, its fixed destination
+/// tables, the shared end-node population, and a simulation
 /// configuration whose [`fractanet_sim::RetryPolicy`] supplies the
 /// acknowledgment timeout, the retry bound `K` (`max_retries`), and
-/// the exponential-backoff/jitter parameters.
+/// the exponential-backoff/jitter parameters. [`FabricSim::run`]
+/// simulates it; the failover driver runs two of them.
 pub struct FabricSim<'a> {
     /// The fabric's network.
     pub net: &'a Network,
@@ -263,16 +264,22 @@ impl FailoverOutcome {
     }
 }
 
-fn run_fabric(f: &FabricSim<'_>, workload: Workload) -> SimResult {
-    let mut engine = Engine::new(f.net, f.ends, Arc::clone(&f.routes), f.cfg.clone());
-    if let Some(map) = &f.vc {
-        engine = engine.with_vc_map(map.clone());
-    }
-    if f.heal {
-        engine
-            .with_table_repairer(table_healing_repairer(f.net, f.ends))
-            .run(workload)
-    } else {
+impl FabricSim<'_> {
+    /// Runs `workload` on this fabric. This is the one place an
+    /// [`Engine`] is assembled from tables, an optional VC map and an
+    /// optional healing repairer. A healing engine re-lints every
+    /// installed table in debug builds, since the repairer promises
+    /// certified tables.
+    pub fn run(self, workload: Workload) -> SimResult {
+        let mut engine = Engine::new(self.net, self.ends, self.routes, self.cfg);
+        if let Some(map) = self.vc {
+            engine = engine.with_vc_map(map);
+        }
+        if self.heal {
+            engine = engine
+                .with_table_repairer(table_healing_repairer(self.net, self.ends))
+                .with_lint_on_install();
+        }
         engine.run(workload)
     }
 }
@@ -291,14 +298,14 @@ pub fn run_with_failover(
     y: FabricSim<'_>,
     workload: Workload,
 ) -> FailoverOutcome {
-    let xr = run_fabric(&x, workload);
+    let xr = x.run(workload);
     let failed = xr.recovery.abandoned.clone();
     let failovers = failed.len();
     let (y_res, unrecovered) = if failed.is_empty() {
         (None, Vec::new())
     } else {
         let script = failed.iter().map(|&(s, d)| (0, s, d)).collect();
-        let yr = run_fabric(&y, Workload::Scripted(script));
+        let yr = y.run(Workload::Scripted(script));
         let u = yr.recovery.abandoned.clone();
         (Some(yr), u)
     };

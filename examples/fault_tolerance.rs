@@ -77,26 +77,16 @@ fn main() {
         ..SimConfig::default()
     }
     .with_fault(FaultEvent::kill_link(victim, 3_000));
-    let x = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: cfg_x,
-        heal: true, // regenerate + certify tables around the dead cable
-        vc: None,
-    };
-    let y = FabricSim {
-        net: sys.net(),
-        routes: sys.shared_routes(),
-        ends: sys.end_nodes(),
-        cfg: SimConfig {
+    // X regenerates + certifies tables around the dead cable.
+    let x = sys.fabric(cfg_x, true);
+    let y = sys.fabric(
+        SimConfig {
             packet_flits: 16,
             max_cycles: 24_000,
             ..SimConfig::default()
         },
-        heal: false,
-        vc: None,
-    };
+        false,
+    );
     let workload = Workload::Bernoulli {
         injection_rate: 0.2,
         pattern: DstPattern::Uniform,
