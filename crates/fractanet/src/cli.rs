@@ -1005,53 +1005,6 @@ pub struct RunOutcome {
     pub code: u8,
 }
 
-/// Executes a command, reporting output *and* exit status. This is the
-/// binary's entry point.
-pub fn execute(cmd: Command) -> Result<RunOutcome, CliError> {
-    let output = match cmd {
-        Command::Lint {
-            specs,
-            json,
-            exact,
-            synthesize,
-        } => return run_lint(&specs, json, exact, synthesize),
-        Command::Chaos { .. } => return run_chaos(cmd),
-        Command::Replay { path, threads } => return run_replay(&path, threads),
-        Command::Help => USAGE.to_string(),
-        Command::Analyze(specs) => specs
-            .iter()
-            .map(|spec| format!("{}\n", spec.build().analyze()))
-            .collect(),
-        Command::Dot { spec, routers_only } => {
-            let sys = spec.build();
-            if routers_only {
-                viz::routers_only_dot(sys.net(), &sys.name())
-            } else {
-                viz::to_dot(
-                    sys.net(),
-                    &viz::DotOptions {
-                        name: sys.name(),
-                        ..viz::DotOptions::default()
-                    },
-                )
-            }
-        }
-        Command::Simulate {
-            sim,
-            telemetry,
-            metrics,
-        } => run_simulate(&sim, telemetry, &metrics)?,
-        Command::Metrics {
-            sim,
-            format,
-            metrics,
-        } => run_metrics(&sim, format, &metrics)?,
-        Command::Trace { sim, format, out } => run_trace(&sim, format, out.as_deref())?,
-        Command::Plan { cpus, bisection } => run_plan(cpus, bisection),
-    };
-    Ok(RunOutcome { output, code: 0 })
-}
-
 /// Re-runs a recorded metrics trace through a fresh engine and checks
 /// the recorded finals. The exit code is 1 when any recorded count or
 /// latency quantile fails to reproduce — so CI can gate on "checked-in
@@ -1322,173 +1275,209 @@ fn synth_summary(sys: &crate::system::System) -> SynthSummary {
     }
 }
 
-/// `simulate`: the analysis report, the run's summary lines, and any
-/// live-metrics block and telemetry summary.
-fn run_simulate(sim: &SimRun, telemetry: bool, metrics: &MetricsOpts) -> Result<String, CliError> {
-    let telemetry = if telemetry {
-        Telemetry::recording()
-    } else {
-        Telemetry::off()
-    };
-    let Ran { sys, cfg, res } = sim.run(telemetry, |name| metrics.config(name))?;
-    let mut out = format!("{}\n", sys.analyze());
-    out.push_str(&format!(
-        "simulated {} cycles at load {}: {}/{} packets delivered, \
-         avg latency {:.1} cy, p95 {} cy, throughput {:.3} flits/node/cy\n",
-        res.cycles,
-        sim.load,
-        res.delivered,
-        res.generated,
-        res.avg_latency,
-        res.p95_latency,
-        res.throughput
-    ));
-    match res.deadlock {
-        Some(dl) => out.push_str(&format!(
-            "DEADLOCK at cycle {} ({} packets stuck, {}-channel circular wait)\n",
-            dl.cycle,
-            dl.stuck_packets,
-            dl.cycle_channels.len()
-        )),
-        None => out.push_str("no deadlock\n"),
-    }
-    if res.credits.consumed > 0 {
-        // consumed == returned only once every worm has drained;
-        // a max-cycles cutoff legitimately strands the difference
-        // in occupied FIFO slots.
-        let held = res.credits.consumed - res.credits.returned;
-        out.push_str(&format!(
-            "credits: {} consumed, {} returned ({}), {} transfer stalls\n",
-            res.credits.consumed,
-            res.credits.returned,
-            if res.credits.is_conserved() {
-                "conserved".to_string()
+/// Executes a command, reporting output *and* exit status. This is the
+/// binary's entry point.
+pub fn execute(cmd: Command) -> Result<RunOutcome, CliError> {
+    let mut out = String::new();
+    match cmd {
+        Command::Help => out.push_str(USAGE),
+        Command::Lint {
+            specs,
+            json,
+            exact,
+            synthesize,
+        } => return run_lint(&specs, json, exact, synthesize),
+        cmd @ Command::Chaos { .. } => return run_chaos(cmd),
+        Command::Replay { path, threads } => return run_replay(&path, threads),
+        Command::Analyze(specs) => {
+            for spec in specs {
+                let sys = spec.build();
+                out.push_str(&format!("{}\n", sys.analyze()));
+            }
+        }
+        Command::Dot { spec, routers_only } => {
+            let sys = spec.build();
+            let dot = if routers_only {
+                viz::routers_only_dot(sys.net(), &sys.name())
             } else {
-                format!("{held} held at cutoff")
-            },
-            res.credits.stalls
-        ));
-    }
-    if !cfg.faults.is_empty() {
-        let r = &res.recovery;
-        out.push_str(&format!(
-            "faults: {} applied, {} worms dropped, {} retries, {} abandoned, \
-             {} repaired tables installed\n",
-            r.faults_applied,
-            r.dropped_worms,
-            r.retries,
-            r.abandoned.len(),
-            r.repairs_installed
-        ));
-        match r.time_to_recover {
-            Some(t) => out.push_str(&format!(
-                "recovered in {t} cycles; post-fault delivery {:.1}%\n",
-                100.0 * r.post_fault_delivery_ratio()
-            )),
-            None => out.push_str(&format!(
-                "post-fault delivery {:.1}%\n",
-                100.0 * r.post_fault_delivery_ratio()
-            )),
+                viz::to_dot(
+                    sys.net(),
+                    &viz::DotOptions {
+                        name: sys.name(),
+                        ..viz::DotOptions::default()
+                    },
+                )
+            };
+            out.push_str(&dot);
         }
-    }
-    if let Some(m) = &res.metrics {
-        out.push_str(&metrics_block(m));
-        if let Some(path) = &metrics.out {
-            let text = write_trace(&sim.spec.to_string(), sim.faults.heal, &cfg, m);
-            std::fs::write(path, text.as_bytes())
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        Command::Simulate {
+            sim,
+            telemetry,
+            metrics,
+        } => {
+            let telemetry = if telemetry {
+                Telemetry::recording()
+            } else {
+                Telemetry::off()
+            };
+            let Ran { sys, cfg, res } = sim.run(telemetry, |name| metrics.config(name))?;
+            out.push_str(&format!("{}\n", sys.analyze()));
             out.push_str(&format!(
-                "wrote metrics trace ({} injection(s), {} sample(s)) to {path}\n",
-                m.injections.len(),
-                m.samples.len()
+                "simulated {} cycles at load {}: {}/{} packets delivered, \
+                 avg latency {:.1} cy, p95 {} cy, throughput {:.3} flits/node/cy\n",
+                res.cycles,
+                sim.load,
+                res.delivered,
+                res.generated,
+                res.avg_latency,
+                res.p95_latency,
+                res.throughput
             ));
-            write_incident_bundle(m, path, &mut out)?;
+            match res.deadlock {
+                Some(dl) => out.push_str(&format!(
+                    "DEADLOCK at cycle {} ({} packets stuck, {}-channel circular wait)\n",
+                    dl.cycle,
+                    dl.stuck_packets,
+                    dl.cycle_channels.len()
+                )),
+                None => out.push_str("no deadlock\n"),
+            }
+            if res.credits.consumed > 0 {
+                // consumed == returned only once every worm has drained;
+                // a max-cycles cutoff legitimately strands the difference
+                // in occupied FIFO slots.
+                let held = res.credits.consumed - res.credits.returned;
+                out.push_str(&format!(
+                    "credits: {} consumed, {} returned ({}), {} transfer stalls\n",
+                    res.credits.consumed,
+                    res.credits.returned,
+                    if res.credits.is_conserved() {
+                        "conserved".to_string()
+                    } else {
+                        format!("{held} held at cutoff")
+                    },
+                    res.credits.stalls
+                ));
+            }
+            if !cfg.faults.is_empty() {
+                let r = &res.recovery;
+                out.push_str(&format!(
+                    "faults: {} applied, {} worms dropped, {} retries, {} abandoned, \
+                     {} repaired tables installed\n",
+                    r.faults_applied,
+                    r.dropped_worms,
+                    r.retries,
+                    r.abandoned.len(),
+                    r.repairs_installed
+                ));
+                match r.time_to_recover {
+                    Some(t) => out.push_str(&format!(
+                        "recovered in {t} cycles; post-fault delivery {:.1}%\n",
+                        100.0 * r.post_fault_delivery_ratio()
+                    )),
+                    None => out.push_str(&format!(
+                        "post-fault delivery {:.1}%\n",
+                        100.0 * r.post_fault_delivery_ratio()
+                    )),
+                }
+            }
+            if let Some(m) = &res.metrics {
+                out.push_str(&metrics_block(m));
+                if let Some(path) = &metrics.out {
+                    let text = write_trace(&sim.spec.to_string(), sim.faults.heal, &cfg, m);
+                    std::fs::write(path, text.as_bytes())
+                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                    out.push_str(&format!(
+                        "wrote metrics trace ({} injection(s), {} sample(s)) to {path}\n",
+                        m.injections.len(),
+                        m.samples.len()
+                    ));
+                    write_incident_bundle(m, path, &mut out)?;
+                }
+            }
+            if let Some(tel) = &res.telemetry {
+                out.push_str(&to_text_summary(tel));
+            }
+        }
+        Command::Metrics {
+            sim,
+            format,
+            metrics,
+        } => {
+            let Ran { cfg, res, .. } = sim.run(Telemetry::off(), |name| metrics.config_on(name))?;
+            let m = res
+                .metrics
+                .as_ref()
+                .expect("metrics always records under the metrics command");
+            let rendered = match format {
+                MetricsFormat::Prometheus => to_prometheus(m),
+                MetricsFormat::Jsonl => {
+                    write_trace(&sim.spec.to_string(), sim.faults.heal, &cfg, m)
+                }
+            };
+            match &metrics.out {
+                Some(path) => {
+                    std::fs::write(path, rendered.as_bytes())
+                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                    out.push_str(&format!("wrote {} bytes to {path}\n", rendered.len()));
+                    write_incident_bundle(m, path, &mut out)?;
+                }
+                None => out.push_str(&rendered),
+            }
+        }
+        Command::Trace {
+            sim,
+            format,
+            out: out_path,
+        } => {
+            let Ran { res, .. } = sim.run(Telemetry::recording(), |_| MetricsConfig::off())?;
+            let tel = res
+                .telemetry
+                .expect("trace always runs with telemetry recording");
+            let rendered = match format {
+                TraceFormat::Jsonl => to_jsonl(&tel),
+                TraceFormat::Chrome => to_chrome_trace(&tel),
+                TraceFormat::Summary => to_text_summary(&tel),
+            };
+            match out_path {
+                Some(path) => {
+                    std::fs::write(&path, rendered.as_bytes())
+                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                    out.push_str(&format!("wrote {} bytes to {path}\n", rendered.len()));
+                }
+                None => out.push_str(&rendered),
+            }
+        }
+        Command::Plan { cpus, bisection } => {
+            let options = plan(Requirement {
+                cpus,
+                min_bisection_links: bisection,
+                fanout: true,
+            });
+            if options.is_empty() {
+                out.push_str("no fractahedral configuration satisfies the requirement\n");
+            }
+            for o in options {
+                out.push_str(&format!(
+                    "{:?} N{}: {} CPUs, {} routers ({} tetra + {} fan-out), {} cables, \
+                     max delay {} hops, bisection {} links\n",
+                    o.variant,
+                    o.levels,
+                    o.capacity,
+                    o.total_routers(),
+                    o.tetra_routers,
+                    o.fanout_routers,
+                    o.cables,
+                    o.max_delay,
+                    o.bisection
+                ));
+            }
         }
     }
-    if let Some(tel) = &res.telemetry {
-        out.push_str(&to_text_summary(tel));
-    }
-    Ok(out)
-}
-
-/// Writes `rendered` to `path` with a one-line note, or returns it for
-/// stdout when there is no path.
-fn emit(rendered: String, path: Option<&str>) -> Result<String, CliError> {
-    match path {
-        Some(path) => {
-            std::fs::write(path, rendered.as_bytes())
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-            Ok(format!("wrote {} bytes to {path}\n", rendered.len()))
-        }
-        None => Ok(rendered),
-    }
-}
-
-/// `metrics`: the live metrics pipeline's export, as Prometheus text or
-/// the replayable JSONL trace.
-fn run_metrics(
-    sim: &SimRun,
-    format: MetricsFormat,
-    metrics: &MetricsOpts,
-) -> Result<String, CliError> {
-    let Ran { cfg, res, .. } = sim.run(Telemetry::off(), |name| metrics.config_on(name))?;
-    let m = res
-        .metrics
-        .as_ref()
-        .expect("metrics always records under the metrics command");
-    let rendered = match format {
-        MetricsFormat::Prometheus => to_prometheus(m),
-        MetricsFormat::Jsonl => write_trace(&sim.spec.to_string(), sim.faults.heal, &cfg, m),
-    };
-    let mut out = emit(rendered, metrics.out.as_deref())?;
-    if let Some(path) = &metrics.out {
-        write_incident_bundle(m, path, &mut out)?;
-    }
-    Ok(out)
-}
-
-/// `trace`: the flit-event telemetry export.
-fn run_trace(sim: &SimRun, format: TraceFormat, out: Option<&str>) -> Result<String, CliError> {
-    let Ran { res, .. } = sim.run(Telemetry::recording(), |_| MetricsConfig::off())?;
-    let tel = res
-        .telemetry
-        .expect("trace always runs with telemetry recording");
-    let rendered = match format {
-        TraceFormat::Jsonl => to_jsonl(&tel),
-        TraceFormat::Chrome => to_chrome_trace(&tel),
-        TraceFormat::Summary => to_text_summary(&tel),
-    };
-    emit(rendered, out)
-}
-
-/// `plan`: the fractahedral configurations that meet the requirement.
-fn run_plan(cpus: usize, bisection: u64) -> String {
-    let options = plan(Requirement {
-        cpus,
-        min_bisection_links: bisection,
-        fanout: true,
-    });
-    if options.is_empty() {
-        return "no fractahedral configuration satisfies the requirement\n".into();
-    }
-    options
-        .iter()
-        .map(|o| {
-            format!(
-                "{:?} N{}: {} CPUs, {} routers ({} tetra + {} fan-out), {} cables, \
-                 max delay {} hops, bisection {} links\n",
-                o.variant,
-                o.levels,
-                o.capacity,
-                o.total_routers(),
-                o.tetra_routers,
-                o.fanout_routers,
-                o.cables,
-                o.max_delay,
-                o.bisection
-            )
-        })
-        .collect()
+    Ok(RunOutcome {
+        output: out,
+        code: 0,
+    })
 }
 
 #[cfg(test)]

@@ -171,7 +171,7 @@ impl FromStr for TopoSpec {
     type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, SpecError> {
-        let spec = parse_unbounded(s)?;
+        let spec = Self::parse_unbounded(s)?;
         match spec.end_node_count() {
             Some(n) if n <= MAX_END_NODES => Ok(spec),
             _ => Err(SpecError(format!(
@@ -181,148 +181,150 @@ impl FromStr for TopoSpec {
     }
 }
 
-/// Parses a spec and checks every rule but the end-node bound.
-fn parse_unbounded(s: &str) -> Result<TopoSpec, SpecError> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let bad = || SpecError(format!("bad topology spec '{s}'"));
-    let int = |t: &str| t.parse::<usize>().map_err(|_| bad());
-    // `<base>:vc<K>[:discipline]` — split the VC suffix off and
-    // parse the base spec recursively.
-    if let Some(pos) = parts.iter().position(|p| {
-        p.strip_prefix("vc")
-            .is_some_and(|k| k.parse::<u8>().is_ok())
-    }) {
-        let vcs: u8 = parts[pos][2..].parse().map_err(|_| bad())?;
-        if !(1..=8).contains(&vcs) {
-            return Err(SpecError("vc count must be 1..=8".into()));
+impl TopoSpec {
+    /// Parses a spec and checks every rule but the end-node bound.
+    fn parse_unbounded(s: &str) -> Result<Self, SpecError> {
+        let parts: Vec<&str> = s.split(':').collect();
+        let bad = || SpecError(format!("bad topology spec '{s}'"));
+        let int = |t: &str| t.parse::<usize>().map_err(|_| bad());
+        // `<base>:vc<K>[:discipline]` — split the VC suffix off and
+        // parse the base spec recursively.
+        if let Some(pos) = parts.iter().position(|p| {
+            p.strip_prefix("vc")
+                .is_some_and(|k| k.parse::<u8>().is_ok())
+        }) {
+            let vcs: u8 = parts[pos][2..].parse().map_err(|_| bad())?;
+            if !(1..=8).contains(&vcs) {
+                return Err(SpecError("vc count must be 1..=8".into()));
+            }
+            let base = match parts[..pos].join(":").parse::<TopoSpec>()? {
+                TopoSpec::Ring { n } => VcBase::Ring { n },
+                TopoSpec::Torus { cols, rows } => VcBase::Torus { cols, rows },
+                TopoSpec::Mesh { cols, rows } => VcBase::Mesh { cols, rows },
+                TopoSpec::Hypercube { dim } => VcBase::Hypercube { dim },
+                _ => {
+                    return Err(SpecError(
+                        "virtual channels apply to ring, torus, mesh, and hypercube specs".into(),
+                    ))
+                }
+            };
+            let disc = match parts[pos + 1..] {
+                [] => VcDisc::Auto,
+                ["dateline"] => VcDisc::Dateline,
+                ["ecube"] => VcDisc::Ecube,
+                _ => return Err(bad()),
+            };
+            let wrap_base = matches!(base, VcBase::Ring { .. } | VcBase::Torus { .. });
+            match disc {
+                VcDisc::Dateline if !wrap_base => {
+                    return Err(SpecError(
+                        "the dateline discipline needs wrap cables (ring or torus)".into(),
+                    ))
+                }
+                VcDisc::Ecube if wrap_base => {
+                    return Err(SpecError(
+                        "e-cube classes can't break wrap cycles; use :dateline".into(),
+                    ))
+                }
+                _ => {}
+            }
+            return Ok(TopoSpec::Vc { base, vcs, disc });
         }
-        let base = match parts[..pos].join(":").parse::<TopoSpec>()? {
-            TopoSpec::Ring { n } => VcBase::Ring { n },
-            TopoSpec::Torus { cols, rows } => VcBase::Torus { cols, rows },
-            TopoSpec::Mesh { cols, rows } => VcBase::Mesh { cols, rows },
-            TopoSpec::Hypercube { dim } => VcBase::Hypercube { dim },
-            _ => {
-                return Err(SpecError(
-                    "virtual channels apply to ring, torus, mesh, and hypercube specs".into(),
-                ))
+        match parts[0] {
+            "fat-fractahedron" if parts.len() == 2 => {
+                let levels = int(parts[1])?;
+                if !(1..=5).contains(&levels) {
+                    return Err(SpecError("levels must be 1..=5".into()));
+                }
+                Ok(TopoSpec::FatFractahedron { levels })
             }
-        };
-        let disc = match parts[pos + 1..] {
-            [] => VcDisc::Auto,
-            ["dateline"] => VcDisc::Dateline,
-            ["ecube"] => VcDisc::Ecube,
-            _ => return Err(bad()),
-        };
-        let wrap_base = matches!(base, VcBase::Ring { .. } | VcBase::Torus { .. });
-        match disc {
-            VcDisc::Dateline if !wrap_base => {
-                return Err(SpecError(
-                    "the dateline discipline needs wrap cables (ring or torus)".into(),
-                ))
+            "thin-fractahedron" if parts.len() == 2 || parts.len() == 3 => {
+                let levels = int(parts[1])?;
+                if !(1..=5).contains(&levels) {
+                    return Err(SpecError("levels must be 1..=5".into()));
+                }
+                let fanout = parts.get(2) == Some(&"fanout");
+                if parts.len() == 3 && !fanout {
+                    return Err(bad());
+                }
+                Ok(TopoSpec::ThinFractahedron { levels, fanout })
             }
-            VcDisc::Ecube if wrap_base => {
-                return Err(SpecError(
-                    "e-cube classes can't break wrap cycles; use :dateline".into(),
-                ))
+            "mesh" if parts.len() == 2 => {
+                let dims: Vec<&str> = parts[1].split('x').collect();
+                if dims.len() != 2 {
+                    return Err(bad());
+                }
+                let (cols, rows) = (int(dims[0])?, int(dims[1])?);
+                if cols == 0 || rows == 0 {
+                    return Err(SpecError("mesh dimensions must be nonzero".into()));
+                }
+                Ok(TopoSpec::Mesh { cols, rows })
             }
-            _ => {}
+            "torus" if parts.len() == 2 => {
+                let dims: Vec<&str> = parts[1].split('x').collect();
+                if dims.len() != 2 {
+                    return Err(bad());
+                }
+                let (cols, rows) = (int(dims[0])?, int(dims[1])?);
+                if cols < 3 || rows < 3 {
+                    return Err(SpecError(
+                        "torus dimensions must be at least 3 (smaller wraps are parallel cables)"
+                            .into(),
+                    ));
+                }
+                Ok(TopoSpec::Torus { cols, rows })
+            }
+            "fattree" if parts.len() == 4 => {
+                let (nodes, down, up) = (int(parts[1])?, int(parts[2])?, int(parts[3])?);
+                if nodes < 2 || down < 2 || up < 1 || down + up > 6 {
+                    return Err(SpecError(
+                        "fat tree needs nodes >= 2, down >= 2, up >= 1 and down + up <= 6".into(),
+                    ));
+                }
+                Ok(TopoSpec::FatTree { nodes, down, up })
+            }
+            "hypercube" if parts.len() == 2 => {
+                let dim = int(parts[1])?;
+                if !(1..=8).contains(&dim) {
+                    return Err(SpecError("hypercube dim must be 1..=8".into()));
+                }
+                Ok(TopoSpec::Hypercube { dim: dim as u32 })
+            }
+            "ring" if parts.len() == 2 => {
+                let n = int(parts[1])?;
+                if n < 3 {
+                    return Err(SpecError("ring needs at least 3 routers".into()));
+                }
+                Ok(TopoSpec::Ring { n })
+            }
+            "tetrahedron" if parts.len() == 1 => Ok(TopoSpec::Tetrahedron),
+            "cluster" if parts.len() == 2 => {
+                let m = int(parts[1])?;
+                if !(1..=6).contains(&m) {
+                    return Err(SpecError(
+                        "cluster size must be 1..=6 on 6-port routers".into(),
+                    ));
+                }
+                Ok(TopoSpec::Cluster { m })
+            }
+            "bintree" if parts.len() == 3 => {
+                let (depth, nodes_per_leaf) = (int(parts[1])?, int(parts[2])?);
+                if !(1..=16).contains(&depth)
+                    || !(1..=5).contains(&nodes_per_leaf)
+                    || (nodes_per_leaf << (depth - 1)) < 2
+                {
+                    return Err(SpecError(
+                        "binary tree needs depth 1..=16, 1..=5 nodes per leaf and >= 2 end nodes"
+                            .into(),
+                    ));
+                }
+                Ok(TopoSpec::BinTree {
+                    depth: depth as u32,
+                    nodes_per_leaf,
+                })
+            }
+            _ => Err(bad()),
         }
-        return Ok(TopoSpec::Vc { base, vcs, disc });
-    }
-    match parts[0] {
-        "fat-fractahedron" if parts.len() == 2 => {
-            let levels = int(parts[1])?;
-            if !(1..=5).contains(&levels) {
-                return Err(SpecError("levels must be 1..=5".into()));
-            }
-            Ok(TopoSpec::FatFractahedron { levels })
-        }
-        "thin-fractahedron" if parts.len() == 2 || parts.len() == 3 => {
-            let levels = int(parts[1])?;
-            if !(1..=5).contains(&levels) {
-                return Err(SpecError("levels must be 1..=5".into()));
-            }
-            let fanout = parts.get(2) == Some(&"fanout");
-            if parts.len() == 3 && !fanout {
-                return Err(bad());
-            }
-            Ok(TopoSpec::ThinFractahedron { levels, fanout })
-        }
-        "mesh" if parts.len() == 2 => {
-            let dims: Vec<&str> = parts[1].split('x').collect();
-            if dims.len() != 2 {
-                return Err(bad());
-            }
-            let (cols, rows) = (int(dims[0])?, int(dims[1])?);
-            if cols == 0 || rows == 0 {
-                return Err(SpecError("mesh dimensions must be nonzero".into()));
-            }
-            Ok(TopoSpec::Mesh { cols, rows })
-        }
-        "torus" if parts.len() == 2 => {
-            let dims: Vec<&str> = parts[1].split('x').collect();
-            if dims.len() != 2 {
-                return Err(bad());
-            }
-            let (cols, rows) = (int(dims[0])?, int(dims[1])?);
-            if cols < 3 || rows < 3 {
-                return Err(SpecError(
-                    "torus dimensions must be at least 3 (smaller wraps are parallel cables)"
-                        .into(),
-                ));
-            }
-            Ok(TopoSpec::Torus { cols, rows })
-        }
-        "fattree" if parts.len() == 4 => {
-            let (nodes, down, up) = (int(parts[1])?, int(parts[2])?, int(parts[3])?);
-            if nodes < 2 || down < 2 || up < 1 || down + up > 6 {
-                return Err(SpecError(
-                    "fat tree needs nodes >= 2, down >= 2, up >= 1 and down + up <= 6".into(),
-                ));
-            }
-            Ok(TopoSpec::FatTree { nodes, down, up })
-        }
-        "hypercube" if parts.len() == 2 => {
-            let dim = int(parts[1])?;
-            if !(1..=8).contains(&dim) {
-                return Err(SpecError("hypercube dim must be 1..=8".into()));
-            }
-            Ok(TopoSpec::Hypercube { dim: dim as u32 })
-        }
-        "ring" if parts.len() == 2 => {
-            let n = int(parts[1])?;
-            if n < 3 {
-                return Err(SpecError("ring needs at least 3 routers".into()));
-            }
-            Ok(TopoSpec::Ring { n })
-        }
-        "tetrahedron" if parts.len() == 1 => Ok(TopoSpec::Tetrahedron),
-        "cluster" if parts.len() == 2 => {
-            let m = int(parts[1])?;
-            if !(1..=6).contains(&m) {
-                return Err(SpecError(
-                    "cluster size must be 1..=6 on 6-port routers".into(),
-                ));
-            }
-            Ok(TopoSpec::Cluster { m })
-        }
-        "bintree" if parts.len() == 3 => {
-            let (depth, nodes_per_leaf) = (int(parts[1])?, int(parts[2])?);
-            if !(1..=16).contains(&depth)
-                || !(1..=5).contains(&nodes_per_leaf)
-                || (nodes_per_leaf << (depth - 1)) < 2
-            {
-                return Err(SpecError(
-                    "binary tree needs depth 1..=16, 1..=5 nodes per leaf and >= 2 end nodes"
-                        .into(),
-                ));
-            }
-            Ok(TopoSpec::BinTree {
-                depth: depth as u32,
-                nodes_per_leaf,
-            })
-        }
-        _ => Err(bad()),
     }
 }
 
