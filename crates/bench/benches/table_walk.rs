@@ -67,7 +67,7 @@ fn workload() -> Workload {
 }
 
 fn sim_tables(sys: &System) -> fractanet_sim::SimResult {
-    Engine::new(sys.net(), sys.end_nodes(), sys.shared_routes(), sim_cfg()).run(workload())
+    sys.simulate(workload(), sim_cfg())
 }
 
 /// FNV-1a over the little-endian bytes of every busy count.

@@ -141,7 +141,7 @@ fn run_turn_arm(label: &str, sys: &System) -> Row {
     let net = sys.net();
     let slots = net.channel_count() * DEPTH as usize;
     if verify_deadlock_free_tables(net, sys.end_nodes(), sys.routes()).is_ok() {
-        let res = Engine::new(net, sys.end_nodes(), sys.shared_routes(), sim_cfg()).run(workload());
+        let res = sys.simulate(workload(), sim_cfg());
         let hops = avg_hops(sys);
         return finish(label, "turn-disable (table)", 1, 0, hops, slots, res);
     }
@@ -196,9 +196,11 @@ fn run_vc_classes_arm(label: &str, sys: &System) -> Row {
     let net = sys.net();
     let map = VcMap::classes(VCS, vec![0; net.channel_count()]);
     let slots = net.channel_count() * VCS as usize * DEPTH as usize;
-    let res = Engine::new(net, sys.end_nodes(), sys.shared_routes(), sim_cfg())
-        .with_vc_map(map)
-        .run(workload());
+    let res = FabricSim {
+        vc: Some(map),
+        ..sys.fabric(sim_cfg(), false)
+    }
+    .run(workload());
     let hops = avg_hops(sys);
     finish(label, "vc2:classes (idle spare)", VCS, 0, hops, slots, res)
 }
