@@ -28,5 +28,7 @@ pub use exact::{
     deadlock_free_routing_exists, decide, min_cycle_disables, synthesize_disables_exact,
     CycleDisables, Decision, ExactConfig, ExactSynthesis, Obstruction, Witness,
 };
-pub use verify::{verify_deadlock_free, verify_deadlock_free_tables, DeadlockReport};
+pub use verify::{
+    verify_deadlock_free, verify_deadlock_free_cdg, verify_deadlock_free_tables, DeadlockReport,
+};
 pub use waitgraph::WaitGraph;

@@ -49,7 +49,7 @@ pub fn verify_deadlock_free(
     net: &Network,
     routes: &RouteSet,
 ) -> Result<ChannelDependencyGraph, Box<DeadlockReport>> {
-    report_cycles(net, ChannelDependencyGraph::from_routes(net, routes))
+    verify_deadlock_free_cdg(net, ChannelDependencyGraph::from_routes(net, routes))
 }
 
 /// [`verify_deadlock_free`] over destination tables directly: the CDG
@@ -61,10 +61,14 @@ pub fn verify_deadlock_free_tables(
     ends: &[NodeId],
     routes: &Routes,
 ) -> Result<ChannelDependencyGraph, Box<DeadlockReport>> {
-    report_cycles(net, ChannelDependencyGraph::from_tables(net, ends, routes))
+    verify_deadlock_free_cdg(net, ChannelDependencyGraph::from_tables(net, ends, routes))
 }
 
-fn report_cycles(
+/// Judges a dependency graph the caller has already built — say from
+/// a [`CdgSweep`](crate::CdgSweep) that shared its forest sweep with
+/// other analyses. The verdict and report are those of
+/// [`verify_deadlock_free`] over the routes the graph came from.
+pub fn verify_deadlock_free_cdg(
     net: &Network,
     cdg: ChannelDependencyGraph,
 ) -> Result<ChannelDependencyGraph, Box<DeadlockReport>> {

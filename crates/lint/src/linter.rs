@@ -92,6 +92,15 @@ pub struct PairVerdicts {
     pairs_checked: usize,
 }
 
+impl PairVerdicts {
+    /// Whether no L1, L2 or L4 finding is an error.
+    pub fn is_clean(&self) -> bool {
+        self.diagnostics
+            .iter()
+            .all(|d| d.severity != Severity::Error)
+    }
+}
+
 /// An externally verified virtual-channel ordering (the linter has no
 /// VC model of its own — the caller checks the extended
 /// `(channel, vc)` graph and reports the verdict here).
@@ -341,9 +350,10 @@ impl<'a> Linter<'a> {
             && self.node_ok(self.ends[d])
     }
 
-    /// L1, L2 and L4 in a single pass over every pair of a dense route
-    /// set.
-    fn walk_pairs(&self, rs: &RouteSet) -> PairVerdicts {
+    /// Rules L1, L2 and L4 in a single pass over every pair of a dense
+    /// route set — [`Linter::pair_sweep`] for routes that are not
+    /// destination tables.
+    pub fn walk_pairs(&self, rs: &RouteSet) -> PairVerdicts {
         let mut findings = PairFindings::default();
         let f = &mut findings;
         let comp = survivor_components(self.net, self.mask);

@@ -18,15 +18,14 @@
 //! before anything is installed.
 
 use crate::faults::FaultSet;
-use fractanet_deadlock::DeadlockReport;
 use fractanet_deadlock::{
-    synthesize_disables_exact, verify_deadlock_free, verify_deadlock_free_tables,
-    ChannelDependencyGraph, DisableSet, ExactConfig, SynthesisError,
+    synthesize_disables_exact, verify_deadlock_free, verify_deadlock_free_cdg, CdgSweep,
+    ChannelDependencyGraph, DeadlockReport, DisableSet, ExactConfig, SynthesisError,
 };
 use fractanet_graph::{LinkId, Network, NodeId};
-use fractanet_lint::{LintReport, Linter, Precomputed};
+use fractanet_lint::{LintReport, Linter, PairVerdicts, Precomputed};
 use fractanet_route::repair::{repair_tables, DeadMask};
-use fractanet_route::{IncrementalRepair, PairCoverage, RouteSet, Routes};
+use fractanet_route::{DestForest, IncrementalRepair, PairCoverage, RouteSet, Routes};
 use std::sync::Arc;
 
 /// A certified repair: tables verified acyclic, plus coverage. The
@@ -157,24 +156,26 @@ pub fn synthesize_heal(
 }
 
 /// The certification gate itself, run directly over destination
-/// tables: the Dally & Seitz acyclicity certificate (CDG built from
-/// table walks) plus the full static lint, whose L3 reads that same
-/// CDG, with no dense path matrix materialized. Returns the certified
-/// CDG's dependency count. Public so integrations that regenerate
-/// tables some other way can push them through the same gate
-/// [`heal_mask`] uses.
+/// tables: the Dally & Seitz acyclicity certificate plus the full
+/// static lint, with no dense path matrix materialized. One
+/// [`DestForest::sweep`] builds the dependency graph and the L1, L2
+/// and L4 findings together; a rejection renders the full lint report
+/// from them. Returns the certified CDG's dependency count. Public so
+/// integrations that regenerate tables some other way can push them
+/// through the same gate [`heal_mask`] uses.
 pub fn certify_tables(
     net: &Network,
     ends: &[NodeId],
     mask: &DeadMask,
     tables: &Routes,
 ) -> Result<usize, HealError> {
-    let cdg = verify_deadlock_free_tables(net, ends, tables).map_err(HealError::Cyclic)?;
-    let lint = gate_linter(net, ends, mask, &cdg).check_tables(tables);
-    if !lint.is_clean() {
-        return Err(HealError::Lint(Box::new(lint)));
-    }
-    Ok(cdg.dependency_count())
+    let linter = gate_linter(net, ends, mask);
+    let mut cdg = CdgSweep::new(net);
+    let mut pairs = linter.pair_sweep(tables);
+    DestForest::sweep(net, ends, tables, &mut [&mut cdg, &mut pairs]);
+    let pairs = pairs.finish();
+    let cdg = verify_deadlock_free_cdg(net, cdg.finish()).map_err(HealError::Cyclic)?;
+    gate(linter, &cdg, &pairs, |l| l.check_tables(tables))
 }
 
 /// [`certify_tables`] for a dense candidate [`RouteSet`] produced
@@ -187,29 +188,42 @@ pub fn certify_routes(
     routes: &RouteSet,
 ) -> Result<usize, HealError> {
     let cdg = verify_deadlock_free(net, routes).map_err(HealError::Cyclic)?;
-    let lint = gate_linter(net, ends, mask, &cdg).check(routes);
-    if !lint.is_clean() {
-        return Err(HealError::Lint(Box::new(lint)));
-    }
-    Ok(cdg.dependency_count())
+    let linter = gate_linter(net, ends, mask);
+    let pairs = linter.walk_pairs(routes);
+    gate(linter, &cdg, &pairs, |l| l.check(routes))
 }
 
-/// The gate's static lint over the surviving network, judging L3 on
-/// the dependency graph the gate has just verified.
-fn gate_linter<'a>(
-    net: &'a Network,
-    ends: &'a [NodeId],
-    mask: &'a DeadMask,
-    cdg: &'a ChannelDependencyGraph,
-) -> Linter<'a> {
+/// The gate's static lint over the surviving network. It carries no
+/// contention bound, so rule L5 can only report informationally and
+/// never fails the gate.
+fn gate_linter<'a>(net: &'a Network, ends: &'a [NodeId], mask: &'a DeadMask) -> Linter<'a> {
     Linter::new(net, ends)
         .with_subject("heal")
         .with_mask(mask)
         .without_suggestions()
-        .with_certificate(Precomputed {
+}
+
+/// The gate's lint verdict on a candidate whose dependency graph
+/// `cdg` has been verified acyclic and whose L1, L2 and L4 findings
+/// are `pairs`. On an acyclic graph L3 finds nothing and L5 only
+/// informs (see [`gate_linter`]), so `pairs` alone decide; only a
+/// rejection pays for `report`, the full lint run (L5 contention
+/// included) reading both results back.
+fn gate<'a>(
+    linter: Linter<'a>,
+    cdg: &'a ChannelDependencyGraph,
+    pairs: &'a PairVerdicts,
+    report: impl FnOnce(&Linter<'a>) -> LintReport,
+) -> Result<usize, HealError> {
+    if !pairs.is_clean() {
+        let linter = linter.with_certificate(Precomputed {
             cdg: Some(cdg),
+            pairs: Some(pairs),
             ..Precomputed::default()
-        })
+        });
+        return Err(HealError::Lint(Box::new(report(&linter))));
+    }
+    Ok(cdg.dependency_count())
 }
 
 /// A ready-made repairer hook for
@@ -282,16 +296,28 @@ mod tests {
         assert!((rep.coverage.ratio() - 0.5).abs() < 1e-9);
     }
 
+    /// The gate's rejection: a lint error whose report mentions
+    /// `needle`.
+    fn assert_lint_rejects(verdict: Result<usize, HealError>, needle: &str) {
+        let err = verdict.unwrap_err();
+        let HealError::Lint(report) = err else {
+            panic!("expected lint rejection, got {err}");
+        };
+        assert!(report.to_string().contains(needle), "{report}");
+    }
+
     #[test]
     fn certify_rejects_coverage_hole() {
         // Regression (PR 1 bug class): a repaired table missing a pair
-        // that is still physically connected must not certify.
+        // that is still physically connected must not certify, on
+        // either gate.
         let h = Hypercube::new(3, 1, 6).unwrap();
-        let mut mask = DeadMask::new(h.net());
-        mask.kill_link(router_link(h.net()));
-        let rep = repair_tables(h.net(), h.end_nodes(), &mask);
+        let (net, ends) = (h.net(), h.end_nodes());
+        let mut mask = DeadMask::new(net);
+        mask.kill_link(router_link(net));
+        let rep = repair_tables(net, ends, &mask);
         assert!(rep.coverage.is_full());
-        let routes = trace_surviving(h.net(), h.end_nodes(), &mask, &rep.tables);
+        let routes = trace_surviving(net, ends, &mask, &rep.tables);
         let holed = RouteSet::from_pairs(routes.len(), |s, d| {
             if (s, d) == (1, 6) {
                 Vec::new()
@@ -299,33 +325,26 @@ mod tests {
                 routes.path(s, d).to_vec()
             }
         });
-        let err = certify_routes(h.net(), h.end_nodes(), &mask, &holed).unwrap_err();
-        let HealError::Lint(report) = err else {
-            panic!("expected lint rejection, got {err}");
-        };
-        assert!(report.to_string().contains("coverage hole"), "{report}");
+        assert_lint_rejects(certify_routes(net, ends, &mask, &holed), "coverage hole");
+        let mut holed = rep.tables;
+        holed.clear(net.channels_from(ends[1])[0].1, 6);
+        assert_lint_rejects(certify_tables(net, ends, &mask, &holed), "coverage hole");
     }
 
     #[test]
     fn certify_rejects_dead_channel_in_path() {
         // Regression (PR 1 bug class): installing the *pre-fault*
         // tables after a link dies must not certify — some path still
-        // crosses the dead link.
+        // crosses the dead link — on either gate.
         let h = Hypercube::new(3, 1, 6).unwrap();
-        let stale = RouteSet::from_table(
-            h.net(),
-            h.end_nodes(),
-            &fractanet_route::dor::ecube_routes(&h),
-        )
-        .unwrap();
+        let (net, ends) = (h.net(), h.end_nodes());
+        let tables = fractanet_route::dor::ecube_routes(&h);
+        let stale = RouteSet::from_table(net, ends, &tables).unwrap();
         let victim = stale.path(0, 1)[1].link();
-        let mut mask = DeadMask::new(h.net());
+        let mut mask = DeadMask::new(net);
         mask.kill_link(victim);
-        let err = certify_routes(h.net(), h.end_nodes(), &mask, &stale).unwrap_err();
-        let HealError::Lint(report) = err else {
-            panic!("expected lint rejection, got {err}");
-        };
-        assert!(report.to_string().contains("dead"), "{report}");
+        assert_lint_rejects(certify_routes(net, ends, &mask, &stale), "dead");
+        assert_lint_rejects(certify_tables(net, ends, &mask, &tables), "dead");
     }
 
     /// Fat fractahedron, one inter-router link killed at cycle 20,

@@ -4,12 +4,16 @@
 use fractanet::deadlock::verify_deadlock_free;
 use fractanet::graph::bfs;
 use fractanet::graph::{LinkId, NodeId};
+use fractanet::lint::Precomputed;
 use fractanet::metrics::{bisection_estimate, max_link_contention_paths};
 use fractanet::prelude::*;
 use fractanet::route::repair::trace_surviving;
+use fractanet::route::ringroute::ring_clockwise_routes;
 use fractanet::route::{repair_tables, DeadMask, IncrementalRepair, Paths};
+use fractanet::servernet::{certify_tables, HealError};
 use fractanet::System;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A small grammar of valid system configurations.
 #[derive(Clone, Debug)]
@@ -69,6 +73,62 @@ fn engine_configs() -> impl Strategy<Value = Config> {
         configs(),
         (0usize..VC_SPECS.len()).prop_map(|i| Config::VcSpec(VC_SPECS[i])),
     ]
+}
+
+/// The heal gate as it ran before sharing one forest sweep between
+/// its CDG and its lint: the acyclicity certificate, then the full
+/// masked table lint (L5 contention included) judging that CDG. The
+/// reference [`certify_tables`] must match verdict for verdict and
+/// byte for byte.
+fn reference_gate(
+    net: &Network,
+    ends: &[NodeId],
+    mask: &DeadMask,
+    tables: &Routes,
+) -> Result<usize, HealError> {
+    let cdg = verify_deadlock_free_tables(net, ends, tables).map_err(HealError::Cyclic)?;
+    let lint = Linter::new(net, ends)
+        .with_subject("heal")
+        .with_mask(mask)
+        .without_suggestions()
+        .with_certificate(Precomputed {
+            cdg: Some(&cdg),
+            ..Precomputed::default()
+        })
+        .check_tables(tables);
+    if !lint.is_clean() {
+        return Err(HealError::Lint(Box::new(lint)));
+    }
+    Ok(cdg.dependency_count())
+}
+
+/// Whether [`certify_tables`] and [`reference_gate`] agree on the
+/// dependency count, or on the error variant and its full text.
+fn gate_agrees(
+    net: &Network,
+    ends: &[NodeId],
+    mask: &DeadMask,
+    tables: &Routes,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let got = certify_tables(net, ends, mask, tables);
+    let want = reference_gate(net, ends, mask, tables);
+    match (&got, &want) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{}", what),
+        (Err(a), Err(b)) => {
+            prop_assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "{}: {} vs {}",
+                what,
+                a,
+                b
+            );
+            prop_assert_eq!(a.to_string(), b.to_string(), "{}", what);
+        }
+        _ => prop_assert!(false, "{}: gate {:?} vs reference {:?}", what, got, want),
+    }
+    Ok(())
 }
 
 proptest! {
@@ -439,6 +499,71 @@ proptest! {
         let full = repair_tables(net, sys.end_nodes(), &full_mask);
         prop_assert_eq!(inc_rep.coverage, full.coverage);
         prop_assert!(inc_rep.tables == full.tables, "incremental diverged from full rebuild");
+    }
+
+    /// The heal gate equals its pre-sharing reference on repaired
+    /// tables (after a fault batch that may revive links), on stale
+    /// pre-fault tables under the mask (L2 dead channels), on repaired
+    /// tables with one entry cleared (L1 holes) and on cyclic tables (a
+    /// clockwise ring, a torus).
+    #[test]
+    fn heal_gate_matches_reference(
+        pick in 0usize..5,
+        link_picks in prop::collection::vec(0usize..100_000, 1usize..5),
+        kill_router in any::<bool>(),
+        revive in 0usize..5,
+        entry in 0usize..1_000_000,
+    ) {
+        let sys = match pick {
+            0 => System::fat_fractahedron(1),
+            1 => System::fat_fractahedron(2),
+            2 => System::hypercube(3, 6),
+            3 => System::mesh(4, 4),
+            _ => System::thin_fractahedron(2, true),
+        };
+        let (net, ends) = (sys.net(), sys.end_nodes());
+        let links: Vec<LinkId> = net.links().collect();
+        let routers: Vec<NodeId> = net.routers().collect();
+        let dead: Vec<LinkId> = link_picks.iter().map(|&p| links[p % links.len()]).collect();
+        let dead_routers: Vec<NodeId> = if kill_router {
+            vec![routers[entry % routers.len()]]
+        } else {
+            Vec::new()
+        };
+        // Warm the incremental state on every fault, then drop some:
+        // the second repair sees revived links.
+        let mut inc = IncrementalRepair::new(net, ends);
+        let _ = inc.repair(&DeadMask::from_dead(net, &dead, &dead_routers));
+        let mask = DeadMask::from_dead(net, &dead[revive.min(dead.len())..], &dead_routers);
+        let repaired = inc.repair(&mask).tables;
+        gate_agrees(net, ends, &mask, &repaired, "repaired")?;
+        gate_agrees(net, ends, &mask, sys.routes(), "stale")?;
+
+        let mut holed = repaired.clone();
+        let n = ends.len();
+        let (r, d) = (routers[entry % routers.len()], (entry / routers.len()) % n);
+        holed.clear(r, d);
+        gate_agrees(net, ends, &mask, &holed, "holed")?;
+
+        let ring = Ring::new(6, 1, 6).expect("ring");
+        let ring_mask = DeadMask::from_dead(
+            ring.net(),
+            &[LinkId((link_picks[0] % ring.net().link_count()) as u32)],
+            &[],
+        );
+        let clockwise = ring_clockwise_routes(&ring);
+        for m in [DeadMask::new(ring.net()), ring_mask] {
+            gate_agrees(ring.net(), ring.end_nodes(), &m, &clockwise, "clockwise ring")?;
+        }
+        let torus = System::torus(4, 4);
+        let torus_mask = DeadMask::from_dead(
+            torus.net(),
+            &[LinkId((link_picks[0] % torus.net().link_count()) as u32)],
+            &[],
+        );
+        for m in [DeadMask::new(torus.net()), torus_mask] {
+            gate_agrees(torus.net(), torus.end_nodes(), &m, torus.routes(), "torus")?;
+        }
     }
 
     /// The `INFINITE_DEPTH` sentinel is semantics-free: unbounded
