@@ -33,7 +33,7 @@
 //! when full repair is impossible.
 
 use crate::table::{RouteSet, Routes};
-use fractanet_graph::{ChannelId, LinkId, Network, NodeId};
+use fractanet_graph::{ChannelId, LinkId, Network, NodeId, PortId};
 use std::collections::VecDeque;
 
 /// Which components are dead, in plain index-mask form (so the sim and
@@ -228,6 +228,65 @@ fn ranked_routers(net: &Network, level: &[u32]) -> Vec<NodeId> {
     v
 }
 
+/// The surviving fabric oriented once under a survivor order, for
+/// every column built against it. Lists are indexed by node (only
+/// routers' are read) and keep adjacency order, which the column
+/// builder's tie-breaks read.
+struct Oriented {
+    /// Each router's surviving down channels to routers, as (output
+    /// port, next router).
+    down: Vec<Vec<(PortId, NodeId)>>,
+    /// Each router's surviving up channels to routers, likewise.
+    up: Vec<Vec<(PortId, NodeId)>>,
+    /// The routers with a surviving down channel into each router.
+    down_into: Vec<Vec<NodeId>>,
+    /// Each address's attach router and that router's port back to
+    /// it, when the end node and its attach link survive.
+    attach: Vec<Option<(NodeId, PortId)>>,
+}
+
+impl Oriented {
+    fn new(net: &Network, ends: &[NodeId], mask: &DeadMask, level: &[u32]) -> Self {
+        let live = |ch: ChannelId, w: NodeId| net.is_router(w) && mask.channel_ok(net, ch);
+        let out = |up: bool| {
+            net.nodes()
+                .map(|v| {
+                    net.channels_from(v)
+                        .iter()
+                        .filter(|&&(ch, w)| live(ch, w) && is_up_by(level, net, ch) == up)
+                        .map(|&(ch, w)| (net.channel_src_port(ch), w))
+                        .collect()
+                })
+                .collect()
+        };
+        let down_into = net
+            .nodes()
+            .map(|v| {
+                net.channels_from(v)
+                    .iter()
+                    .map(|&(out, w)| (out.reverse(), w)) // w -> v
+                    .filter(|&(incoming, w)| live(incoming, w) && !is_up_by(level, net, incoming))
+                    .map(|(_, w)| w)
+                    .collect()
+            })
+            .collect();
+        let attach = ends
+            .iter()
+            .map(|&e| {
+                let &(inject, router) = net.channels_from(e).first()?;
+                (mask.node_ok(e) && mask.channel_ok(net, inject))
+                    .then(|| (router, net.channel_src_port(inject.reverse())))
+            })
+            .collect();
+        Oriented {
+            down: out(false),
+            up: out(true),
+            down_into,
+            attach,
+        }
+    }
+}
+
 /// Reusable per-column working memory.
 struct ColumnScratch {
     dist_dn: Vec<u32>,
@@ -246,54 +305,40 @@ impl ColumnScratch {
 }
 
 /// Rebuilds destination `d`'s table column over the surviving
-/// subgraph; returns the number of sources that can reach it.
+/// subgraph `fabric` orients; returns the number of sources that can
+/// reach it.
 ///
 /// Every choice is order-independent (arg-mins over adjacency order,
 /// never BFS discovery order), so a column's entries are a pure
 /// function of the survivor order and the live channel set — the
 /// property [`IncrementalRepair`] relies on to skip untouched columns.
-#[allow(clippy::too_many_arguments)]
 fn build_column(
-    net: &Network,
-    ends: &[NodeId],
-    mask: &DeadMask,
     comp: &[u32],
     level: &[u32],
     by_rank: &[NodeId],
+    fabric: &Oriented,
     d: usize,
     routes: &mut Routes,
     scratch: &mut ColumnScratch,
 ) -> usize {
     routes.clear_column(d);
-    let dst_end = ends[d];
-    if !mask.node_ok(dst_end) {
-        return 0;
-    }
-    let Some(&(eject_rev, dst_router)) = net.channels_from(dst_end).first() else {
+    let Some((dst_router, eject)) = fabric.attach[d] else {
         return 0;
     };
-    let eject = eject_rev.reverse();
-    if !mask.channel_ok(net, eject) || level[dst_router.index()] == UNSEEN {
+    if level[dst_router.index()] == UNSEEN {
         return 0;
     }
 
     // Down distances: reverse BFS from the attach router over
     // surviving down channels (routers only).
     let dist_dn = &mut scratch.dist_dn;
-    for x in dist_dn.iter_mut() {
-        *x = UNSEEN;
-    }
+    dist_dn.fill(UNSEEN);
     dist_dn[dst_router.index()] = 0;
     scratch.q.clear();
     scratch.q.push_back(dst_router);
     while let Some(v) = scratch.q.pop_front() {
-        for &(out, w) in net.channels_from(v) {
-            let incoming = out.reverse(); // w -> v
-            if net.is_router(w)
-                && mask.channel_ok(net, incoming)
-                && !is_up_by(level, net, incoming)
-                && dist_dn[w.index()] == UNSEEN
-            {
+        for &w in &fabric.down_into[v.index()] {
+            if dist_dn[w.index()] == UNSEEN {
                 dist_dn[w.index()] = dist_dn[v.index()] + 1;
                 scratch.q.push_back(w);
             }
@@ -305,9 +350,7 @@ fn build_column(
     // all-down path to the destination) must descend — that keeps the
     // set suffix-closed and every traced path up* then down*.
     let cost = &mut scratch.cost;
-    for x in cost.iter_mut() {
-        *x = UNSEEN;
-    }
+    cost.fill(UNSEEN);
     let dst_comp = comp[dst_router.index()];
     for &v in by_rank {
         if comp[v.index()] != dst_comp {
@@ -316,7 +359,7 @@ fn build_column(
         let vi = v.index();
         if v == dst_router {
             cost[vi] = 0;
-            routes.set(v, d, net.channel_src_port(eject));
+            routes.set(v, d, eject);
             continue;
         }
         if dist_dn[vi] != UNSEEN {
@@ -325,52 +368,35 @@ fn build_column(
             // tie-break). The successor's down distance is one less,
             // so it descends too.
             cost[vi] = dist_dn[vi];
-            for &(ch, w) in net.channels_from(v) {
-                if net.is_router(w)
-                    && mask.channel_ok(net, ch)
-                    && !is_up_by(level, net, ch)
-                    && dist_dn[w.index()] != UNSEEN
-                    && dist_dn[w.index()] + 1 == dist_dn[vi]
-                {
-                    routes.set(v, d, net.channel_src_port(ch));
-                    break;
-                }
+            if let Some(&(port, _)) = fabric.down[v.index()].iter().find(|&&(_, w)| {
+                dist_dn[w.index()] != UNSEEN && dist_dn[w.index()] + 1 == dist_dn[vi]
+            }) {
+                routes.set(v, d, port);
             }
         } else {
             // Climb toward the cheapest descent point; the earliest
             // up channel in adjacency order breaks ties.
-            let mut best: Option<(u32, ChannelId)> = None;
-            for &(ch, w) in net.channels_from(v) {
-                if net.is_router(w)
-                    && mask.channel_ok(net, ch)
-                    && is_up_by(level, net, ch)
-                    && cost[w.index()] != UNSEEN
-                    && best.is_none_or(|(b, _)| cost[w.index()] + 1 < b)
-                {
-                    best = Some((cost[w.index()] + 1, ch));
+            let mut best: Option<(u32, PortId)> = None;
+            for &(port, w) in &fabric.up[v.index()] {
+                let c = cost[w.index()];
+                if c != UNSEEN && best.is_none_or(|(b, _)| c + 1 < b) {
+                    best = Some((c + 1, port));
                 }
             }
-            if let Some((c, ch)) = best {
+            if let Some((c, port)) = best {
                 cost[vi] = c;
-                routes.set(v, d, net.channel_src_port(ch));
+                routes.set(v, d, port);
             }
         }
     }
 
     // Sources that can reach this destination.
-    let mut connected = 0;
-    for (s, &src_end) in ends.iter().enumerate() {
-        if s == d || !mask.node_ok(src_end) {
-            continue;
-        }
-        let Some(&(inject, src_router)) = net.channels_from(src_end).first() else {
-            continue;
-        };
-        if mask.channel_ok(net, inject) && cost[src_router.index()] != UNSEEN {
-            connected += 1;
-        }
-    }
-    connected
+    fabric
+        .attach
+        .iter()
+        .enumerate()
+        .filter(|&(s, a)| s != d && a.is_some_and(|(r, _)| cost[r.index()] != UNSEEN))
+        .count()
 }
 
 /// Builds a full destination-table set over the surviving subgraph
@@ -386,21 +412,11 @@ pub(crate) fn updown_tables_for(
     let n = ends.len();
     let mut routes = Routes::new(net, n);
     let by_rank = ranked_routers(net, level);
+    let fabric = Oriented::new(net, ends, mask, level);
     let mut scratch = ColumnScratch::new(net);
-    let mut col_connected = vec![0usize; n];
-    for (d, c) in col_connected.iter_mut().enumerate() {
-        *c = build_column(
-            net,
-            ends,
-            mask,
-            comp,
-            level,
-            &by_rank,
-            d,
-            &mut routes,
-            &mut scratch,
-        );
-    }
+    let col_connected = (0..n)
+        .map(|d| build_column(comp, level, &by_rank, &fabric, d, &mut routes, &mut scratch))
+        .collect();
     (routes, col_connected)
 }
 
@@ -530,17 +546,16 @@ impl<'a> IncrementalRepair<'a> {
         if reusable {
             let st = self.state.as_mut().expect("checked above");
             st.mask = mask.clone();
+            let fabric = Oriented::new(net, ends, mask, &st.level);
             let mut scratch = ColumnScratch::new(net);
             let mut rebuilt = 0;
             for d in 0..n {
                 if column_dirty(net, mask, &st.tables, d) {
                     st.col_connected[d] = build_column(
-                        net,
-                        ends,
-                        mask,
                         &st.comp,
                         &st.level,
                         &st.by_rank,
+                        &fabric,
                         d,
                         &mut st.tables,
                         &mut scratch,
