@@ -274,12 +274,13 @@ pub struct Engine<'a> {
     pending_retries: BinaryHeap<Reverse<(u64, u32)>>,
     retry_rng: StdRng,
     // Gray-failure machinery: per-link flaky/corrupt probabilities (‰)
-    // toggled by timeline events, a count of active gray faults (the
-    // per-cycle scan is skipped entirely at zero), and a dedicated RNG
-    // stream so gray draws never perturb the other streams.
+    // toggled by timeline events, the ascending links with either one
+    // nonzero (the only links the per-cycle dice visit; none skips the
+    // dice entirely), and a dedicated RNG stream so gray draws never
+    // perturb the other streams.
     flaky_pm: Vec<u16>,
     corrupt_pm: Vec<u16>,
-    gray_active: u32,
+    gray_links: Vec<u32>,
     gray_rng: StdRng,
     /// Armed ACK timers, `(fire_cycle, packet, attempts_when_armed)` —
     /// only populated when `cfg.ack_retransmit` is on.
@@ -391,7 +392,7 @@ impl<'a> Engine<'a> {
             retry_rng,
             flaky_pm: vec![0; net.link_count()],
             corrupt_pm: vec![0; net.link_count()],
-            gray_active: 0,
+            gray_links: Vec::new(),
             gray_rng,
             ack_timers: BinaryHeap::new(),
             repairer: None,
@@ -674,33 +675,13 @@ impl<'a> Engine<'a> {
                     drop_per_mille,
                 } => {
                     gray = true;
-                    let slot = &mut self.flaky_pm[link.index()];
-                    if is_repair {
-                        if *slot != 0 {
-                            self.gray_active = self.gray_active.saturating_sub(1);
-                        }
-                        *slot = 0;
-                    } else {
-                        if *slot == 0 && drop_per_mille > 0 {
-                            self.gray_active += 1;
-                        }
-                        *slot = drop_per_mille;
-                    }
+                    self.flaky_pm[link.index()] = if is_repair { 0 } else { drop_per_mille };
+                    self.sync_gray_link(link);
                 }
                 FaultKind::CorruptLink { link, per_mille } => {
                     gray = true;
-                    let slot = &mut self.corrupt_pm[link.index()];
-                    if is_repair {
-                        if *slot != 0 {
-                            self.gray_active = self.gray_active.saturating_sub(1);
-                        }
-                        *slot = 0;
-                    } else {
-                        if *slot == 0 && per_mille > 0 {
-                            self.gray_active += 1;
-                        }
-                        *slot = per_mille;
-                    }
+                    self.corrupt_pm[link.index()] = if is_repair { 0 } else { per_mille };
+                    self.sync_gray_link(link);
                 }
                 FaultKind::Brownout { .. } => {
                     debug_assert!(false, "brownouts expand to link outages at build time");
@@ -733,45 +714,60 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Re-derives whether `link` belongs in the ascending gray-link
+    /// list after its flaky or corrupt probability changed.
+    fn sync_gray_link(&mut self, link: LinkId) {
+        let gray = self.flaky_pm[link.index()] > 0 || self.corrupt_pm[link.index()] > 0;
+        match (self.gray_links.binary_search(&link.0), gray) {
+            (Err(at), true) => self.gray_links.insert(at, link.0),
+            (Ok(at), false) => {
+                self.gray_links.remove(at);
+            }
+            _ => {}
+        }
+    }
+
     /// Rolls the gray-failure dice for every occupied channel on a
     /// flaky or corrupting link: a flaky hit tears the worm down (the
     /// sender's ACK timeout recovers it), a corrupt hit marks the worm
-    /// so the destination CRC check NACKs it on arrival. Skipped in
-    /// O(1) when no gray fault is active, and drawn from a dedicated
-    /// RNG stream, so runs without gray faults are bit-identical to
-    /// builds without this feature.
+    /// so the destination CRC check NACKs it on arrival. Only the gray
+    /// links' VCs are visited, in ascending order — the live VCs a full
+    /// scan would draw for, in the same order. Skipped in O(1) when no
+    /// link is gray, and drawn from a dedicated RNG stream, so runs
+    /// without gray faults are bit-identical to builds without this
+    /// feature.
     fn apply_gray_failures(&mut self, cycle: u64) {
-        if self.gray_active == 0 {
+        if self.gray_links.is_empty() {
             return;
         }
+        let vcs = self.vcs as u32;
         let mut victims: Vec<u32> = Vec::new();
-        for vid in self.live.iter() {
-            let st = &self.chans[vid as usize];
-            if st.occ == 0 {
-                continue;
-            }
-            let phys = self.phys(vid);
-            let link = phys.link().index();
-            let dpm = self.flaky_pm[link] as u32;
-            let cpm = self.corrupt_pm[link] as u32;
-            if dpm == 0 && cpm == 0 {
-                continue;
-            }
-            let owner = st.owner;
-            if dpm > 0 && self.gray_rng.gen_range(0u32..1000) < dpm {
-                if !victims.contains(&owner) {
-                    victims.push(owner);
+        for &link in &self.gray_links {
+            let dpm = self.flaky_pm[link as usize] as u32;
+            let cpm = self.corrupt_pm[link as usize] as u32;
+            // A link's two channels are 2l and 2l + 1.
+            let first = 2 * link * vcs;
+            for vid in first..first + 2 * vcs {
+                let st = &self.chans[vid as usize];
+                if st.owner == NO_PKT || st.occ == 0 {
+                    continue;
                 }
-                continue;
-            }
-            if cpm > 0
-                && !self.packets[owner as usize].corrupted
-                && self.gray_rng.gen_range(0u32..1000) < cpm
-            {
-                self.packets[owner as usize].corrupted = true;
-                self.rec.corrupted_worms += 1;
-                if let Some(t) = self.tel.as_mut() {
-                    t.corrupted(cycle, owner, phys);
+                let owner = st.owner;
+                if dpm > 0 && self.gray_rng.gen_range(0u32..1000) < dpm {
+                    if !victims.contains(&owner) {
+                        victims.push(owner);
+                    }
+                    continue;
+                }
+                if cpm > 0
+                    && !self.packets[owner as usize].corrupted
+                    && self.gray_rng.gen_range(0u32..1000) < cpm
+                {
+                    self.packets[owner as usize].corrupted = true;
+                    self.rec.corrupted_worms += 1;
+                    if let Some(t) = self.tel.as_mut() {
+                        t.corrupted(cycle, owner, ChannelId(vid / vcs));
+                    }
                 }
             }
         }

@@ -6,7 +6,30 @@
 //! scripted patterns for the paper's own adversarial examples.
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// A Bernoulli trial with success probability `p`, decided exactly as
+/// `Rng::gen_bool(p)` decides it from the same draw, with the float
+/// work done once. `gen_bool` passes iff `(x >> 11) · 2⁻⁵³ < p`; both
+/// sides scaled by 2⁵³ (exact for a power of two) give the integer
+/// compare `(x >> 11) < ⌈p · 2⁵³⌉`.
+#[derive(Clone, Copy, Debug)]
+struct Bernoulli {
+    threshold: u64,
+}
+
+impl Bernoulli {
+    fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+        Bernoulli {
+            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+        }
+    }
+
+    fn sample(self, rng: &mut StdRng) -> bool {
+        (rng.next_u64() >> 11) < self.threshold
+    }
+}
 
 /// How a Bernoulli source picks destinations.
 #[derive(Clone, Debug)]
@@ -145,10 +168,10 @@ impl Workload {
                 if cycle >= *until_cycle {
                     return Vec::new();
                 }
-                let p = (*injection_rate / packet_flits as f64).min(1.0);
+                let trial = Bernoulli::new((*injection_rate / packet_flits as f64).min(1.0));
                 let mut out = Vec::new();
                 for s in 0..n {
-                    if rng.gen_bool(p) {
+                    if trial.sample(rng) {
                         if let Some(d) = pattern.pick(s, n, rng) {
                             out.push((s, d));
                         }
@@ -260,6 +283,35 @@ mod tests {
         }
         assert!(n_hi > 5 * n_lo, "hi = {n_hi}, lo = {n_lo}");
         assert!(lo.finished(2_000));
+    }
+
+    #[test]
+    fn bernoulli_decides_like_gen_bool() {
+        let mut ps = vec![
+            0.0,
+            2f64.powi(-60),
+            0.00125,
+            1.0 / 16.0,
+            1.0 - 2f64.powi(-53),
+            1.0,
+        ];
+        let mut pick = StdRng::seed_from_u64(7);
+        ps.extend((0..64).map(|_| pick.gen_range(0.0..1.0)));
+        let (mut float, mut int) = (rng(), rng());
+        for p in ps {
+            let trial = Bernoulli::new(p);
+            for _ in 0..256 {
+                assert_eq!(float.gen_bool(p), trial.sample(&mut int), "p = {p:e}");
+            }
+        }
+        // p exactly on, just under and just over the very draw it
+        // meets, where a rounding slip would flip the decision.
+        for i in 0..768 {
+            let at = (float.clone().next_u64() >> 11) as f64 * 2f64.powi(-53);
+            let p = [at, at * (1.0 - f64::EPSILON), at + 2f64.powi(-53)][i % 3].min(1.0);
+            let trial = Bernoulli::new(p);
+            assert_eq!(float.gen_bool(p), trial.sample(&mut int), "p = {p:e}");
+        }
     }
 
     #[test]
