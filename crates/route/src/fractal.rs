@@ -76,35 +76,39 @@ pub fn fractal_routes(f: &Fractahedron) -> Routes {
         }
     }
     let up0 = shape.up_port(0);
-    Routes::from_fn(f.net(), n_addr, |router, dst| {
+    let mut routes = Routes::new(f.net(), n_addr);
+    for router in f.net().routers() {
         let Some(pos) = f.pos_of(router) else {
-            // Fan-out router: deliver locally or climb to the cluster
-            // level.
-            let first = fanout_first[router.index()]?;
-            return Some(if (first..first + npa).contains(&dst) {
-                PortId((dst - first) as u8)
-            } else {
-                up0
-            });
+            // Fan-out router: climb to the cluster level, or deliver
+            // to one of its own CPUs.
+            if let Some(first) = fanout_first[router.index()] {
+                routes.fill_row(router, up0);
+                for (port, dst) in (first..first + npa).enumerate() {
+                    routes.set(router, dst, PortId(port as u8));
+                }
+            }
+            continue;
         };
         let cr = pos.corner;
-        let d = digits[(pos.level - 1) * n_addr + dst];
-        if d.stack as usize != pos.stack {
-            // Ascend.
-            return Some(match f.variant() {
-                Variant::Fat => ascend[dst],
-                Variant::Thin if cr == 0 => up0,
-                Variant::Thin => shape.intra_port(cr, 0),
-            });
+        for dst in 0..n_addr {
+            let d = digits[(pos.level - 1) * n_addr + dst];
+            let port = if d.stack as usize != pos.stack {
+                // Ascend.
+                match f.variant() {
+                    Variant::Fat => ascend[dst],
+                    Variant::Thin if cr == 0 => up0,
+                    Variant::Thin => shape.intra_port(cr, 0),
+                }
+            } else if cr == d.corner as usize {
+                // Deliver at level 1, or descend one level.
+                d.port
+            } else {
+                shape.intra_port(cr, d.corner as usize)
+            };
+            routes.set(router, dst, port);
         }
-        // Descend one level, or deliver at level 1.
-        let corner = d.corner as usize;
-        Some(if cr == corner {
-            d.port
-        } else {
-            shape.intra_port(cr, corner)
-        })
-    })
+    }
+    routes
 }
 
 #[cfg(test)]

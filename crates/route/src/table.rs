@@ -194,6 +194,12 @@ impl Routes {
         self.rows[router.index()][dst] = port.0;
     }
 
+    /// Sets every entry of one router's row to `port`.
+    pub(crate) fn fill_row(&mut self, router: NodeId, port: PortId) {
+        debug_assert_ne!(port.0, NO_ENTRY, "port collides with the empty sentinel");
+        self.rows[router.index()].fill(port.0);
+    }
+
     /// Clears one table entry (used by fault-injection experiments).
     pub fn clear(&mut self, router: NodeId, dst: usize) {
         self.rows[router.index()][dst] = NO_ENTRY;
