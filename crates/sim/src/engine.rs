@@ -49,13 +49,21 @@
 //!
 //! ## The cycle
 //!
-//! A cycle visits only live work: VCs with an owner and sources with
-//! a non-empty queue, both kept as bitsets and walked in ascending
-//! index order. The decision scan (`par`) reads start-of-cycle state
-//! and yields plans; the serial commit applies them and is the only
-//! writer of channel state, the activity sets and the caches above.
-//! Debug builds recompute every cache from scratch at the end of each
-//! cycle and assert it matches.
+//! A cycle visits only work that can move: VCs with an owner and
+//! sources with a non-empty queue, both kept as bitsets and walked in
+//! ascending index order, minus the *parked* ones. A worm head blocked
+//! on a downstream VC that another worm owns parks until that VC is
+//! released; a queue head that cannot inject parks until its
+//! injection VC is released or regains a credit, or the head changes.
+//! A parked verdict cannot change before its wake, so skipping it
+//! changes nothing; a parked source still books its credit stall every
+//! cycle. With a telemetry recorder attached nothing parks, so every
+//! blocked head is still logged every cycle. The decision scan (`par`)
+//! reads start-of-cycle state and yields plans, parks included; the
+//! serial commit applies them and is the only writer of channel state,
+//! the activity sets and the caches above. Debug builds recompute
+//! every cache from scratch at the end of each cycle and assert it
+//! matches.
 
 use crate::config::SimConfig;
 use crate::fault::FaultKind;
@@ -81,6 +89,53 @@ const NO_PKT: u32 = u32::MAX;
 
 /// [`ChanState::next`] of a worm whose head ejects from this VC.
 const EJECT: u32 = u32::MAX;
+
+/// No vid or source: [`Engine::parked_on`] of a VC that is not
+/// parked, [`Engine::inj_vid`] of a source without an attach channel,
+/// [`Engine::inj_src`] of a vid no source injects into.
+const NONE: u32 = u32::MAX;
+
+/// Why a queued source's head is parked. A parked head is blocked,
+/// and its verdict cannot change before its injection VC is released
+/// or regains a credit, or the head itself changes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SrcPark {
+    /// Not parked: scanned every cycle while queued.
+    Ready,
+    /// The injection VC is owned by another worm.
+    Owned,
+    /// The injection VC has no credit: a credit stall every cycle.
+    NoCredit,
+}
+
+/// Physical channel index of `vid`, without the division at one VC
+/// per channel.
+#[inline]
+fn phys_index(vid: u32, vcs: u32) -> usize {
+    (if vcs == 1 { vid } else { vid / vcs }) as usize
+}
+
+/// Each source's injection vid — its end node's first attach channel,
+/// on the VC the map seeds a fresh worm with — and its inverse.
+fn injection_map(
+    net: &Network,
+    ends: &[NodeId],
+    vcs: u32,
+    vcmap: Option<&VcMap>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut inj_vid = vec![NONE; ends.len()];
+    let mut inj_src = vec![NONE; net.channel_count() * vcs as usize];
+    for (s, &end) in ends.iter().enumerate() {
+        if let Some(&(c0, _)) = net.channels_from(end).first() {
+            let vc = vcmap.map_or(0, |m| m.vc_for(0, None, c0));
+            let v0 = c0.0 * vcs + u32::from(vc);
+            debug_assert_eq!(inj_src[v0 as usize], NONE, "two sources share vid {v0}");
+            inj_vid[s] = v0;
+            inj_src[v0 as usize] = s as u32;
+        }
+    }
+    (inj_vid, inj_src)
+}
 
 /// Salt XORed into the sim seed for the gray-failure RNG stream, so
 /// enabling flaky/corrupt links never perturbs the workload or jitter
@@ -221,11 +276,30 @@ pub struct Engine<'a> {
     /// Live VCs: those with an owner. A superset of the VCs holding
     /// flits, since a tail departing always empties its VC.
     live: ActiveSet,
+    /// Live VCs the forwarding scan visits: those not parked.
+    ready: ActiveSet,
+    /// Per vid: the downstream vid a parked head waits on — its own
+    /// `next`, owned by another worm — or [`NONE`].
+    parked_on: Vec<u32>,
+    /// Per vid: some VC may be parked on it, so its release scans the
+    /// upstream router's in-VCs for them. Cleared by that scan.
+    waited_on: Vec<bool>,
     packets: Vec<Packet>,
     queues: Vec<VecDeque<u32>>,
     /// Sources whose queue is non-empty; its length is the drain
     /// check's queue term.
     queued: ActiveSet,
+    /// Queued sources the injection scan visits: those not parked.
+    ready_src: ActiveSet,
+    /// Per source: whether and why its queue head is parked.
+    src_park: Vec<SrcPark>,
+    /// Sources parked for want of a credit; each books a credit stall
+    /// every cycle it stays parked.
+    parked_stalls: u64,
+    /// Per source: the vid its packets inject into, or [`NONE`].
+    inj_vid: Vec<u32>,
+    /// Per vid: the source injecting into it, or [`NONE`].
+    inj_src: Vec<u32>,
     /// Per-cycle decision and commit buffers, cleared rather than
     /// reallocated each cycle.
     scratch: par::Scratch,
@@ -353,6 +427,7 @@ impl<'a> Engine<'a> {
         let tel = cfg.telemetry.recorder(nch);
         let met = cfg.metrics.recorder(net, n, cfg.retry.max_retries);
         let depth = cfg.buffer_depth;
+        let (inj_vid, inj_src) = injection_map(net, ends, 1, None);
         Engine {
             net,
             epochs: vec![routes],
@@ -360,9 +435,17 @@ impl<'a> Engine<'a> {
             cfg,
             chans: vec![ChanState::free(); nch],
             live: ActiveSet::new(nch),
+            ready: ActiveSet::new(nch),
+            parked_on: vec![NONE; nch],
+            waited_on: vec![false; nch],
             packets: Vec::new(),
             queues: vec![VecDeque::new(); n],
             queued: ActiveSet::new(n),
+            ready_src: ActiveSet::new(n),
+            src_park: vec![SrcPark::Ready; n],
+            parked_stalls: 0,
+            inj_vid,
+            inj_src,
             scratch: par::Scratch::default(),
             rr: vec![0; nch],
             vcs: 1,
@@ -414,8 +497,13 @@ impl<'a> Engine<'a> {
         let nv = self.net.channel_count() * self.vcs;
         self.chans = vec![ChanState::free(); nv];
         self.live = ActiveSet::new(nv);
+        self.ready = ActiveSet::new(nv);
+        self.parked_on = vec![NONE; nv];
+        self.waited_on = vec![false; nv];
         self.rr = vec![0; nv];
         self.credits = vec![self.cfg.buffer_depth; nv];
+        (self.inj_vid, self.inj_src) =
+            injection_map(self.net, &self.ends, self.vcs as u32, Some(&map));
         self.vcmap = Some(map);
         self
     }
@@ -470,6 +558,7 @@ impl<'a> Engine<'a> {
         self.credits_returned += 1;
         if self.cfg.credit_delay == 0 {
             self.credits[vid as usize] += 1;
+            self.wake_injector(vid);
         } else {
             self.pending_credits
                 .push_back((cycle + 1 + self.cfg.credit_delay, vid));
@@ -486,26 +575,105 @@ impl<'a> Engine<'a> {
             }
             self.pending_credits.pop_front();
             self.credits[vid as usize] += 1;
+            self.wake_injector(vid);
             landed += 1;
         }
         landed
     }
 
-    /// Appends `pid` to source `s`'s queue.
+    /// Appends `pid` to source `s`'s queue. Only a new head is made
+    /// ready: behind an existing head the verdict (and any park) holds.
     fn enqueue(&mut self, s: usize, pid: u32) {
         self.queues[s].push_back(pid);
         self.queued.insert(s as u32);
+        if self.queues[s].len() == 1 {
+            self.ready_src.insert(s as u32);
+        }
     }
 
-    /// Re-derives source `s`'s queued-set membership after pops.
+    /// Re-derives source `s`'s set memberships after its queue changed
+    /// at the head (pops, or a teardown's `retain`), which wakes it.
     fn sync_queued(&mut self, s: usize) {
-        self.queued.set(s as u32, !self.queues[s].is_empty());
+        let member = !self.queues[s].is_empty();
+        self.queued.set(s as u32, member);
+        self.unpark_src(s);
+        self.ready_src.set(s as u32, member);
     }
 
-    /// Frees `vid` of its owner (a tail left, or a teardown).
+    /// Returns source `s` to the injection scan if it is parked.
+    fn unpark_src(&mut self, s: usize) {
+        match self.src_park[s] {
+            SrcPark::Ready => return,
+            SrcPark::NoCredit => self.parked_stalls -= 1,
+            SrcPark::Owned => {}
+        }
+        self.src_park[s] = SrcPark::Ready;
+        self.ready_src.insert(s as u32);
+    }
+
+    /// Wakes every parked source: their route verdicts may have
+    /// changed (a new dead-set generation, or a re-homed epoch).
+    fn unpark_all_sources(&mut self) {
+        for s in 0..self.src_park.len() {
+            self.unpark_src(s);
+        }
+    }
+
+    /// Wakes the source injecting into `vid`, if any: its release or a
+    /// landing credit may unblock that source's head.
+    #[inline]
+    fn wake_injector(&mut self, vid: u32) {
+        let s = self.inj_src[vid as usize];
+        if s != NONE {
+            self.unpark_src(s as usize);
+        }
+    }
+
+    /// Frees `vid` of its owner (a tail left, or a teardown), waking
+    /// the heads parked on it and the source injecting into it.
     fn release_vc(&mut self, vid: u32) {
         self.chans[vid as usize] = ChanState::free();
         self.live.remove(vid);
+        self.ready.remove(vid);
+        self.parked_on[vid as usize] = NONE;
+        if std::mem::take(&mut self.waited_on[vid as usize]) {
+            // A VC parked on `vid` feeds it, so it is an in-VC of the
+            // router `vid` leaves from.
+            let (net, vcs) = (self.net, self.vcs as u32);
+            let router = net.channel_src(ChannelId(vid / vcs));
+            for &(out, _) in net.channels_from(router) {
+                let first = out.reverse().0 * vcs;
+                for w in first..first + vcs {
+                    if self.parked_on[w as usize] == vid {
+                        self.parked_on[w as usize] = NONE;
+                        self.ready.insert(w);
+                    }
+                }
+            }
+        }
+        self.wake_injector(vid);
+    }
+
+    /// Takes live VC `vid`, whose head is blocked on its owned `next`,
+    /// out of the forwarding scan until `next` is released.
+    fn park_vc(&mut self, vid: u32) {
+        let next = self.chans[vid as usize].next;
+        self.parked_on[vid as usize] = next;
+        self.waited_on[next as usize] = true;
+        self.ready.remove(vid);
+    }
+
+    /// Takes queued source `s`, whose head cannot inject, out of the
+    /// injection scan until something it depends on changes.
+    fn park_src(&mut self, s: usize, credit_stall: bool) {
+        debug_assert_eq!(self.src_park[s], SrcPark::Ready);
+        self.src_park[s] = if credit_stall {
+            self.parked_stalls += 1;
+            SrcPark::NoCredit
+        } else {
+            SrcPark::Owned
+        };
+        self.ready_src.remove(s as u32);
     }
 
     /// Whether the packet's route under its epoch is unusable: absent
@@ -779,9 +947,10 @@ impl<'a> Engine<'a> {
 
     /// Derives the per-channel dead mask from link/router fault counts
     /// and starts a new dead-set generation, which voids every route
-    /// verdict stamped under the old one.
+    /// verdict stamped under the old one and so wakes every source.
     fn recompute_dead_channels(&mut self) {
         self.dead_gen += 1;
+        self.unpark_all_sources();
         for idx in 0..self.chan_dead.len() {
             let ch = ChannelId(idx as u32);
             let link_down = self.link_fault_ct[ch.link().index()] > 0;
@@ -908,6 +1077,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        self.unpark_all_sources();
     }
 
     /// The [`with_lint_on_install`](Engine::with_lint_on_install)
@@ -1008,15 +1178,18 @@ impl<'a> Engine<'a> {
 
     /// Pops queue heads whose route is unusable (missing, or through
     /// a dead component) and hands them to the retry machinery
-    /// — they would otherwise block their source queue forever.
+    /// — they would otherwise block their source queue forever. Parked
+    /// sources are skipped: a parked head is mid-injection or stamped
+    /// live under the current dead-set generation.
     fn flush_unroutable_heads(&mut self, cycle: u64) {
         if self.first_fault.is_none() {
             return;
         }
-        let mut at = self.queued.first_from(0);
+        let mut at = self.ready_src.first_from(0);
         while let Some(s) = at {
-            at = self.queued.first_from(s + 1);
+            at = self.ready_src.first_from(s + 1);
             let s = s as usize;
+            let mut popped = false;
             while let Some(&pid) = self.queues[s].front() {
                 let p = &self.packets[pid as usize];
                 if p.sent > 0 {
@@ -1028,9 +1201,12 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 self.queues[s].pop_front();
+                popped = true;
                 self.retire_or_retry(pid, cycle, false);
             }
-            self.sync_queued(s);
+            if popped {
+                self.sync_queued(s);
+            }
         }
     }
 
@@ -1263,6 +1439,9 @@ impl<'a> Engine<'a> {
                     }
                 } else {
                     self.packets[logical as usize].delivered_once = true;
+                    // A copy of this logical packet heading a queue is
+                    // now settled: its source must rescan.
+                    self.unpark_src(src as usize);
                     self.delivered += 1;
                     if created >= self.cfg.warmup_cycles {
                         self.latencies.push(cycle + 1 - created);
@@ -1311,7 +1490,7 @@ impl<'a> Engine<'a> {
             nst.entered += 1;
             nst.occ += 1;
             let depth = nst.occ;
-            self.busy[(nvid / vcs) as usize] += 1;
+            self.busy[phys_index(nvid, vcs)] += 1;
             if let Some(t) = self.tel.as_mut() {
                 t.flit_forwarded(ChannelId(from / vcs));
                 t.observe_depth(ChannelId(nvid / vcs), depth);
@@ -1345,7 +1524,8 @@ impl<'a> Engine<'a> {
                 next,
             };
             self.live.insert(target);
-            self.busy[(target / vcs) as usize] += 1;
+            self.ready.insert(target);
+            self.busy[phys_index(target, vcs)] += 1;
             if let Some(t) = self.tel.as_mut() {
                 t.flit_forwarded(ChannelId(from / vcs));
                 t.head_advanced(cycle, owner, ChannelId(target / vcs));
@@ -1359,10 +1539,7 @@ impl<'a> Engine<'a> {
         for &s in injections.iter() {
             moves += 1;
             let pid = *self.queues[s].front().expect("checked above");
-            let (c0, v0) = {
-                let p = &self.packets[pid as usize];
-                self.scan_view().first_vid(p)
-            };
+            let v0 = self.inj_vid[s];
             let (sent_after, len, src, dst, attempts, original) = {
                 let p = &mut self.packets[pid as usize];
                 p.sent += 1;
@@ -1383,17 +1560,19 @@ impl<'a> Engine<'a> {
                     ..ChanState::free()
                 };
                 self.live.insert(v0);
+                self.ready.insert(v0);
             }
             let st = &mut self.chans[v0 as usize];
             st.entered += 1;
             st.occ += 1;
             let depth = st.occ;
-            self.busy[c0.index()] += 1;
+            let c0 = phys_index(v0, vcs);
+            self.busy[c0] += 1;
             if let Some(t) = self.tel.as_mut() {
                 if sent_after == 1 {
                     t.packet_injected(cycle, pid, src, dst, len);
                 }
-                t.observe_depth(c0, depth);
+                t.observe_depth(ChannelId(c0 as u32), depth);
             }
             if sent_after == len {
                 self.queues[s].pop_front();
@@ -1415,14 +1594,74 @@ impl<'a> Engine<'a> {
 
     /// The debug-build audit of the activity caches, run at the end of
     /// every cycle: each is recomputed from scratch and must equal the
-    /// maintained copy — the live and queued sets, every live VC's
-    /// resolved next hop, and every stamped queue head's verdict.
+    /// maintained copy — the live, queued and ready sets, the parked
+    /// stall count, every live VC's resolved next hop, every stamped
+    /// queue head's verdict, and every park's blocked verdict.
     fn debug_audit_activity(&self) {
         let live = ActiveSet::from_fn(self.chans.len(), |v| self.chans[v].owner != NO_PKT);
         assert_eq!(self.live, live, "live-VC set drifted");
         let queued = ActiveSet::from_fn(self.queues.len(), |s| !self.queues[s].is_empty());
         assert_eq!(self.queued, queued, "queued-source set drifted");
+        let ready = ActiveSet::from_fn(self.chans.len(), |v| {
+            self.chans[v].owner != NO_PKT && self.parked_on[v] == NONE
+        });
+        assert_eq!(self.ready, ready, "ready-VC set is not live minus parked");
+        let ready_src = ActiveSet::from_fn(self.queues.len(), |s| {
+            !self.queues[s].is_empty() && self.src_park[s] == SrcPark::Ready
+        });
+        assert_eq!(
+            self.ready_src, ready_src,
+            "ready sources are not queued minus parked"
+        );
+        let stalls = self.src_park.iter().filter(|&&k| k == SrcPark::NoCredit);
+        assert_eq!(
+            self.parked_stalls,
+            stalls.count() as u64,
+            "parked-stall count drifted"
+        );
         let view = self.scan_view();
+        for (vid, &on) in self.parked_on.iter().enumerate() {
+            if on == NONE {
+                continue;
+            }
+            assert!(self.tel.is_none(), "vid {vid} parked under telemetry");
+            let st = &self.chans[vid];
+            assert!(
+                st.owner != NO_PKT && st.occ > 0,
+                "parked vid {vid} holds no flit"
+            );
+            assert_eq!(st.front(), 0, "parked vid {vid} is not a worm head");
+            assert_eq!(on, st.next, "vid {vid} parked on a VC it does not feed");
+            let owner = self.chans[on as usize].owner;
+            assert!(
+                owner != NO_PKT && owner != st.owner,
+                "vid {vid} parked on a free VC"
+            );
+            assert!(self.waited_on[on as usize], "nothing wakes vid {vid}");
+        }
+        for (s, &park) in self.src_park.iter().enumerate() {
+            if park == SrcPark::Ready {
+                continue;
+            }
+            assert!(self.tel.is_none(), "source {s} parked under telemetry");
+            let pid = self.queues[s][0];
+            let p = &self.packets[pid as usize];
+            if p.sent == 0 {
+                // A head mid-injection is neither re-walked nor popped.
+                assert_eq!(p.live_gen, self.dead_gen, "source {s} parked unstamped");
+                assert!(
+                    !(self.cfg.dedup && self.packets[p.logical as usize].delivered_once),
+                    "source {s} parked on a settled head"
+                );
+            }
+            let (ok, credit_stall) = view.head_verdict(p, self.inj_vid[s]);
+            assert!(!ok, "source {s} parked on a head that can inject");
+            assert_eq!(
+                credit_stall,
+                park == SrcPark::NoCredit,
+                "source {s} stall kind"
+            );
+        }
         for vid in self.live.iter() {
             let st = &self.chans[vid as usize];
             let p = &self.packets[st.owner as usize];

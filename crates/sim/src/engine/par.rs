@@ -1,16 +1,17 @@
 //! The cycle's decision scan and its sharded execution.
 //!
 //! Every cycle splits into a **decision phase** and a **commit
-//! phase**. The decision phase — the forwarding scan over live VCs
-//! and the injection scan over queued sources — is a pure function of
-//! start-of-cycle state, so it shards across scoped worker threads
-//! over contiguous chunks of the live and queued index lists with no
-//! synchronization beyond the fork/join barrier. Scans never touch the
-//! recorder, the RNG streams, or any mutable engine state: they fill
-//! *plans* (moves to make, queue heads to pop, telemetry to emit). The
-//! commit phase then replays those plans on the main thread in
-//! canonical order — shard outputs concatenate in shard order, which
-//! is vid/source order — and hands off to [`Engine::commit_step`].
+//! phase**. The decision phase — the forwarding scan over ready VCs
+//! and the injection scan over ready sources, the work that can move —
+//! is a pure function of start-of-cycle state, so it shards across
+//! scoped worker threads over contiguous chunks of the ready index
+//! lists with no synchronization beyond the fork/join barrier. Scans
+//! never touch the recorder, the RNG streams, or any mutable engine
+//! state: they fill *plans* (moves to make, queue heads to pop, heads
+//! to park, telemetry to emit). The commit phase then replays those
+//! plans on the main thread in canonical order — shard outputs
+//! concatenate in shard order, which is vid/source order — and hands
+//! off to [`Engine::commit_step`].
 //! One shard is the plain serial engine: it scans on the calling
 //! thread and spawns nothing.
 //!
@@ -21,10 +22,10 @@
 //! vectors:
 //!
 //! 1. decisions read only start-of-cycle state — including the
-//!    activity sets, each VC's resolved next hop and the queue heads'
-//!    route-verdict stamps, which only the serial commit and the
-//!    serial replay write — so shard boundaries cannot change any
-//!    verdict;
+//!    activity and ready sets, each VC's resolved next hop and the
+//!    queue heads' route-verdict stamps, which only the serial commit
+//!    and the serial replay write — so shard boundaries cannot change
+//!    any verdict;
 //! 2. retry-jitter draws happen only in the serial replay, in source
 //!    order;
 //! 3. the order-sensitive telemetry ring sees the deferred `blocked`
@@ -38,11 +39,12 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Live items (VCs plus queued sources) a cycle needs before it
-/// forks: below the floor the fork/join and the cross-core commit cost
-/// more than the split scan saves, so the cycle runs on one thread.
-/// At or above it the cycle forks into every requested shard. Release
-/// builds take the value from a measured crossover (DESIGN.md §11).
+/// Ready items (unparked live VCs plus unparked queued sources) a
+/// cycle needs before it forks: below the floor the fork/join and the
+/// cross-core commit cost more than the split scan saves, so the cycle
+/// runs on one thread. At or above it the cycle forks into every
+/// requested shard. Release builds take the value from a crossover
+/// measured in live items, before parking (DESIGN.md §11).
 /// Debug builds fork whenever there is work, so every test at
 /// width > 1 exercises the fork and the merge; shard count never
 /// changes a result.
@@ -60,6 +62,7 @@ pub(super) struct ScanView<'e> {
     pub(super) chans: &'e [ChanState],
     pub(super) packets: &'e [Packet],
     pub(super) queues: &'e [VecDeque<u32>],
+    pub(super) inj_vid: &'e [u32],
     pub(super) chan_dead: &'e [bool],
     pub(super) dead_gen: u32,
     pub(super) credits: &'e [u32],
@@ -70,19 +73,6 @@ pub(super) struct ScanView<'e> {
 }
 
 impl ScanView<'_> {
-    /// The packet's first channel: the source end's first attach
-    /// channel. Only called after
-    /// [`route_dead_or_missing`](ScanView::route_dead_or_missing) has
-    /// cleared the route.
-    #[inline]
-    pub(super) fn first_hop(&self, p: &Packet) -> ChannelId {
-        self.net
-            .channels_from(self.ends[p.src as usize])
-            .first()
-            .expect("routable packet's source has an attach channel")
-            .0
-    }
-
     /// Resolves the next hop for a worm head occupying `ch`, or `None`
     /// when the head ejects: the downstream router's destination
     /// entry in the packet's epoch.
@@ -130,17 +120,19 @@ impl ScanView<'_> {
         }
     }
 
-    /// The first physical hop and its vid for a packet about to inject
-    /// (no current channel, VC 0 discipline seed).
+    /// Queue head `p`'s injection verdict into its injection vid
+    /// `v0`: `(ok, credit_stall)`. A fresh head needs the VC free and a
+    /// credit; a head mid-injection already owns it and needs only the
+    /// credit. A blocked head counts as a credit stall only when the
+    /// credit is all it lacks.
     #[inline]
-    pub(super) fn first_vid(&self, p: &Packet) -> (ChannelId, u32) {
-        let c0 = self.first_hop(p);
-        match self.vcmap {
-            None => (c0, c0.0 * self.vcs),
-            Some(map) => {
-                let vc = map.vc_for(0, None, c0);
-                (c0, c0.0 * self.vcs + u32::from(vc))
-            }
+    pub(super) fn head_verdict(&self, p: &Packet, v0: u32) -> (bool, bool) {
+        let free = self.credits[v0 as usize] > 0;
+        if p.sent == 0 {
+            let unowned = self.chans[v0 as usize].owner == NO_PKT;
+            (unowned && free, unowned && !free)
+        } else {
+            (free, !free)
         }
     }
 
@@ -214,6 +206,9 @@ pub(super) struct ShardOut {
     /// `(physical channel, src, dst)` of every transfer that wants a
     /// channel this cycle; collected only with telemetry on.
     pub(super) contenders: Vec<(u32, u32, u32)>,
+    /// VCs whose head is blocked on a downstream VC another worm owns,
+    /// to park; reported only with telemetry off.
+    parks: Vec<u32>,
     /// Deferred `blocked(owner, wanted, credit_stall)` telemetry, in
     /// vid order; the flag replays the `credit_stalled` counter bump
     /// that precedes the `blocked` record.
@@ -230,6 +225,7 @@ impl ShardOut {
         self.body_moves.clear();
         self.alloc_reqs.clear();
         self.contenders.clear();
+        self.parks.clear();
         self.blocked.clear();
         self.credit_stalls = 0;
         self.sources.clear();
@@ -242,6 +238,7 @@ impl ShardOut {
         self.body_moves.append(&mut later.body_moves);
         self.alloc_reqs.append(&mut later.alloc_reqs);
         self.contenders.append(&mut later.contenders);
+        self.parks.append(&mut later.parks);
         self.credit_stalls += later.credit_stalls;
         self.sources.append(&mut later.sources);
     }
@@ -259,7 +256,6 @@ enum SourceStep {
     Head {
         src: u32,
         pid: u32,
-        first: ChannelId,
         ok: bool,
         credit_stall: bool,
     },
@@ -272,10 +268,10 @@ pub(super) struct Scratch {
     /// One output per shard formed so far; shard 0 always exists after
     /// the first step.
     pub(super) shards: Vec<ShardOut>,
-    /// Live VCs and queued sources as index lists, filled only when a
-    /// cycle shards so each worker can take a contiguous chunk.
-    live: Vec<u32>,
-    queued: Vec<u32>,
+    /// Ready VCs and sources as index lists, filled only when a cycle
+    /// shards so each worker can take a contiguous chunk.
+    ready: Vec<u32>,
+    ready_src: Vec<u32>,
     /// `(target vid, from vid)` arbitration winners.
     pub(super) grants: Vec<(u32, u32)>,
     /// Sources whose head injects a flit this cycle.
@@ -290,7 +286,7 @@ pub(crate) fn chunk(n: usize, shards: usize, i: usize) -> Range<usize> {
 }
 
 /// Shards actually formed for `threads` requested workers over `work`
-/// live items (live VCs plus queued sources): one below
+/// ready items (ready VCs plus ready sources): one below
 /// [`FORK_MIN_WORK`], otherwise `threads`, but never more shards than
 /// items and never below one.
 pub(crate) fn effective_shards(threads: usize, work: usize) -> usize {
@@ -301,10 +297,11 @@ pub(crate) fn effective_shards(threads: usize, work: usize) -> usize {
     }
 }
 
-/// The forwarding scan over live VCs `vids` (ascending): each VC
+/// The forwarding scan over ready VCs `vids` (ascending): each VC
 /// holding flits moves its buffer head toward the downstream VC
 /// resolved when the worm's head entered, so the packet is read only
-/// for telemetry.
+/// for telemetry. A head blocked on a VC another worm owns is reported
+/// for parking when no recorder wants its per-cycle `blocked` record.
 fn scan_channels(view: &ScanView<'_>, vids: impl Iterator<Item = u32>, out: &mut ShardOut) {
     for vid in vids {
         let st = &view.chans[vid as usize];
@@ -316,22 +313,25 @@ fn scan_channels(view: &ScanView<'_>, vids: impl Iterator<Item = u32>, out: &mut
             continue;
         }
         let nvid = st.next;
-        let next = ChannelId(nvid / view.vcs);
+        let wanted = || ChannelId(nvid / view.vcs);
         if view.tel_on {
             let p = &view.packets[st.owner as usize];
-            out.contenders.push((next.0, p.src, p.dst));
+            out.contenders.push((wanted().0, p.src, p.dst));
         }
         let nst = &view.chans[nvid as usize];
         let credit = view.credits[nvid as usize] > 0;
         if st.front() == 0 {
             if nst.owner == NO_PKT && credit {
                 out.alloc_reqs.push((nvid, vid));
+            } else if nst.owner != NO_PKT && !view.tel_on {
+                // Blocked until `nvid`'s worm releases it.
+                out.parks.push(vid);
             } else {
                 // A free VC without credits is a credit stall.
                 let stall = nst.owner == NO_PKT;
                 out.credit_stalls += u64::from(stall);
                 if view.tel_on {
-                    out.blocked.push((st.owner, next, stall));
+                    out.blocked.push((st.owner, wanted(), stall));
                 }
             }
         } else {
@@ -341,15 +341,15 @@ fn scan_channels(view: &ScanView<'_>, vids: impl Iterator<Item = u32>, out: &mut
             } else {
                 out.credit_stalls += 1;
                 if view.tel_on {
-                    out.blocked.push((st.owner, next, true));
+                    out.blocked.push((st.owner, wanted(), true));
                 }
             }
         }
     }
 }
 
-/// The injection scan over queued sources `srcs` (ascending), side
-/// effects (pops, retry bookings, verdict stamps) recorded as a plan
+/// The injection scan over ready sources `srcs` (ascending), side
+/// effects (pops, retry bookings, verdict stamps, parks) recorded as a plan
 /// instead of performed. A head not yet injecting must be routable: a
 /// stamp from the current dead-set generation proves it, otherwise
 /// the route is walked. Within a cycle no decision of one source
@@ -384,18 +384,10 @@ fn scan_sources(view: &ScanView<'_>, srcs: impl Iterator<Item = u32>, out: &mut 
                     continue;
                 }
             }
-            let (first, v0) = view.first_vid(p);
-            let st = &view.chans[v0 as usize];
-            let free = view.credits[v0 as usize] > 0;
-            let (ok, credit_stall) = if p.sent == 0 {
-                (st.owner == NO_PKT && free, st.owner == NO_PKT && !free)
-            } else {
-                (free, !free)
-            };
+            let (ok, credit_stall) = view.head_verdict(p, view.inj_vid[src as usize]);
             out.sources.push(SourceStep::Head {
                 src,
                 pid,
-                first,
                 ok,
                 credit_stall,
             });
@@ -414,6 +406,7 @@ impl Engine<'_> {
             chans: &self.chans,
             packets: &self.packets,
             queues: &self.queues,
+            inj_vid: &self.inj_vid,
             chan_dead: &self.chan_dead,
             dead_gen: self.dead_gen,
             credits: &self.credits,
@@ -424,13 +417,17 @@ impl Engine<'_> {
         }
     }
 
-    /// One cycle: the decision scans over live VCs and queued sources
-    /// — on this thread, or forked across shards when there is enough
-    /// live work — then the plans replayed serially in canonical order
-    /// and committed. Bit-identical at every `threads` value.
+    /// One cycle: the decision scans over ready VCs and sources — on
+    /// this thread, or forked across shards when there is enough ready
+    /// work — then the plans replayed serially in canonical order,
+    /// parks applied, and committed. Bit-identical at every `threads`
+    /// value, and to an engine that parks nothing.
     pub(super) fn step(&mut self, cycle: u64) -> usize {
         let mut sc = std::mem::take(&mut self.scratch);
-        let shards = effective_shards(self.cfg.threads, self.live.len() + self.queued.len());
+        // Sources parked before this cycle's scan stall on credits this
+        // cycle exactly as they did when they parked.
+        let parked_stalls = self.parked_stalls;
+        let shards = effective_shards(self.cfg.threads, self.ready.len() + self.ready_src.len());
         if sc.shards.len() < shards {
             sc.shards.resize_with(shards, ShardOut::default);
         }
@@ -440,24 +437,24 @@ impl Engine<'_> {
         let view = self.scan_view();
         if shards == 1 {
             let out = &mut sc.shards[0];
-            scan_channels(&view, self.live.iter(), out);
-            scan_sources(&view, self.queued.iter(), out);
+            scan_channels(&view, self.ready.iter(), out);
+            scan_sources(&view, self.ready_src.iter(), out);
         } else {
             let Scratch {
                 shards: outs,
-                live,
-                queued,
+                ready,
+                ready_src,
                 ..
             } = &mut sc;
-            live.clear();
-            live.extend(self.live.iter());
-            queued.clear();
-            queued.extend(self.queued.iter());
-            let (live, queued, view) = (&live[..], &queued[..], &view);
+            ready.clear();
+            ready.extend(self.ready.iter());
+            ready_src.clear();
+            ready_src.extend(self.ready_src.iter());
+            let (ready, ready_src, view) = (&ready[..], &ready_src[..], &view);
             let scan = move |i: usize, out: &mut ShardOut| {
-                let vids = &live[chunk(live.len(), shards, i)];
+                let vids = &ready[chunk(ready.len(), shards, i)];
                 scan_channels(view, vids.iter().copied(), out);
-                let srcs = &queued[chunk(queued.len(), shards, i)];
+                let srcs = &ready_src[chunk(ready_src.len(), shards, i)];
                 scan_sources(view, srcs.iter().copied(), out);
             };
             // Shard 0 runs on this thread while the others fork.
@@ -490,10 +487,16 @@ impl Engine<'_> {
             }
         }
 
+        // Parks take effect before anything in this cycle's commit can
+        // release what they wait on, so no wake is missed.
+        let out = &mut sc.shards[0];
+        for &vid in &out.parks {
+            self.park_vc(vid);
+        }
+
         // Injection replay in source order: queue pops, retry bookings
         // (the decision phase's only RNG draws), verdict stamps, and
-        // head verdicts.
-        let out = &mut sc.shards[0];
+        // head verdicts — a blocked head parks unless a recorder logs it.
         sc.injections.clear();
         for step in &out.sources {
             match *step {
@@ -512,7 +515,6 @@ impl Engine<'_> {
                 SourceStep::Head {
                     src,
                     pid,
-                    first,
                     ok,
                     credit_stall,
                 } => {
@@ -520,25 +522,28 @@ impl Engine<'_> {
                     if p.sent == 0 {
                         p.live_gen = self.dead_gen;
                     }
+                    let first = || ChannelId(self.inj_vid[src as usize] / self.vcs as u32);
                     if self.tel.is_some() {
-                        out.contenders.push((first.0, p.src, p.dst));
+                        out.contenders.push((first().0, p.src, p.dst));
                     }
                     if ok {
                         sc.injections.push(src as usize);
-                    } else {
-                        if credit_stall {
-                            out.credit_stalls += 1;
-                            if let Some(t) = self.tel.as_mut() {
-                                t.credit_stalled(first);
+                        continue;
+                    }
+                    out.credit_stalls += u64::from(credit_stall);
+                    match self.tel.as_mut() {
+                        Some(t) => {
+                            if credit_stall {
+                                t.credit_stalled(first());
                             }
+                            t.blocked(cycle, pid, first());
                         }
-                        if let Some(t) = self.tel.as_mut() {
-                            t.blocked(cycle, pid, first);
-                        }
+                        None => self.park_src(src as usize, credit_stall),
                     }
                 }
             }
         }
+        out.credit_stalls += parked_stalls;
 
         let moves = self.commit_step(cycle, &mut sc);
         self.scratch = sc;

@@ -411,6 +411,83 @@ proptest! {
         }
     }
 
+    /// Parking is invisible: with telemetry off the engine parks
+    /// blocked worm heads and sources and skips them until what they
+    /// wait on changes; with a recorder attached it parks nothing and
+    /// rescans them every cycle. Both runs, at widths 1 and 2, must be
+    /// bit-identical once the telemetry report is detached — over the
+    /// engine grammar, FIFO depths, credit delays, random
+    /// kill/brownout/flaky/corrupt schedules, healing, speculative
+    /// retransmission, and loads up to saturation.
+    #[test]
+    fn parked_and_unparked_engines_agree(
+        cfg in engine_configs(),
+        seed in 0u64..1000,
+        heal in any::<bool>(),
+        retransmit in any::<bool>(),
+        depth_pick in 0usize..3,
+        delay_pick in 0usize..3,
+        rate_pick in 0usize..3,
+        schedule in prop::collection::vec((0usize..100_000, 0u8..5), 0usize..3),
+    ) {
+        let sys = cfg.build();
+        let links: Vec<LinkId> = sys.net().links().collect();
+        let mut sim_cfg = SimConfig {
+            packet_flits: 6,
+            buffer_depth: [2, 4, SimConfig::INFINITE_DEPTH][depth_pick],
+            credit_delay: [0u64, 1, 3][delay_pick],
+            max_cycles: 2_500,
+            stall_threshold: 1_200,
+            seed,
+            // A short ACK timeout makes speculative copies race their
+            // originals, so queued copies settle while parked.
+            ack_retransmit: retransmit,
+            retry: RetryPolicy {
+                ack_timeout: 24,
+                ..RetryPolicy::default()
+            },
+            ..SimConfig::default()
+        };
+        for (i, &(pick, kind)) in schedule.iter().enumerate() {
+            let l = links[pick % links.len()];
+            let at = 100 + 150 * i as u64;
+            sim_cfg = sim_cfg.with_fault(match kind {
+                0 => FaultEvent::kill_link(l, at),
+                1 => FaultEvent::kill_link(l, at).transient(at + 500),
+                2 => FaultEvent::brownout(l, 40, 60, at).transient(at + 700),
+                3 => FaultEvent::flaky_link(l, 250, at).transient(at + 400),
+                _ => FaultEvent::corrupt_link(l, 250, at).transient(at + 400),
+            });
+        }
+        let wl = Workload::Bernoulli {
+            injection_rate: [0.05, 0.2, 0.6][rate_pick],
+            pattern: DstPattern::Uniform,
+            until_cycle: 1_000,
+        };
+        let run = |threads: usize, telemetry: Telemetry| {
+            let c = sim_cfg.clone().with_threads(threads).with_telemetry(telemetry);
+            let mut r = if heal {
+                sys.simulate_healing(wl.clone(), c)
+            } else {
+                sys.simulate(wl.clone(), c)
+            };
+            r.telemetry = None;
+            format!("{r:?}")
+        };
+        let parked = run(1, Telemetry::off());
+        for (threads, telemetry) in [
+            (2usize, Telemetry::off()),
+            (1, Telemetry::recording()),
+            (2, Telemetry::recording()),
+        ] {
+            prop_assert_eq!(
+                &parked, &run(threads, telemetry),
+                "{:?} seed {} heal {} threads {} telemetry {:?}",
+                cfg, seed, heal, threads, telemetry
+            );
+        }
+    }
+
     /// The live-metrics pipeline is inert: turning sampling on changes
     /// nothing about a run except the attached report, at every shard
     /// width. A metrics-on run at 1/2/4/8 threads is bit-identical to
@@ -719,4 +796,46 @@ proptest! {
             fin.credits.consumed, fin.credits.returned
         );
     }
+}
+
+/// A source parked behind a speculative copy wakes when the copy's
+/// original is delivered: the settled copy is popped on the very next
+/// scan, as an engine that parks nothing pops it. A pinned case of
+/// [`parked_and_unparked_engines_agree`]: on mesh:3x3 with short ACK
+/// timeouts and saturating load, a copy settles while its source is
+/// parked, and the debug audit rejects a parked settled head.
+#[test]
+fn parked_source_wakes_when_its_copy_settles() {
+    let sys = "mesh:3x3".parse::<TopoSpec>().expect("spec").build();
+    let run = |telemetry: Telemetry| {
+        let cfg = SimConfig {
+            packet_flits: 6,
+            buffer_depth: 4,
+            credit_delay: 1,
+            max_cycles: 2_500,
+            stall_threshold: 1_200,
+            seed: 3,
+            ack_retransmit: true,
+            retry: RetryPolicy {
+                ack_timeout: 24,
+                ..RetryPolicy::default()
+            },
+            telemetry,
+            ..SimConfig::default()
+        };
+        let wl = Workload::Bernoulli {
+            injection_rate: 0.6,
+            pattern: DstPattern::Uniform,
+            until_cycle: 1_000,
+        };
+        let mut r = sys.simulate(wl, cfg);
+        r.telemetry = None;
+        r
+    };
+    let parked = run(Telemetry::off());
+    assert!(parked.recovery.retries > 0, "no speculative copy raced");
+    assert_eq!(
+        format!("{parked:?}"),
+        format!("{:?}", run(Telemetry::recording()))
+    );
 }
