@@ -122,9 +122,10 @@ pub struct SynthesizedHeal {
     pub disables: DisableSet,
     /// The destination-table projection of `routes`, present only when
     /// the tables reproduce every route exactly
-    /// ([`Routes::from_pair_paths`]) **and** pass [`certify_tables`].
-    /// Synthesized routings are per-pair, which tables cannot always
-    /// express; `None` means routers cannot install this routing.
+    /// ([`Routes::from_pair_paths`]), so they carry the certificate of
+    /// `routes` itself. Synthesized routings are per-pair, which tables
+    /// cannot always express; `None` means routers cannot install this
+    /// routing.
     pub tables: Option<Routes>,
     /// Pairs the routes still connect.
     pub coverage: PairCoverage,
@@ -133,8 +134,8 @@ pub struct SynthesizedHeal {
 }
 
 /// Routes the surviving component from scratch with the exact
-/// synthesizer and pushes the result through [`certify_routes`] (and,
-/// when the routes project onto coherent tables, [`certify_tables`]).
+/// synthesizer and pushes the result through [`certify_routes`], once:
+/// the table projection is faithful, so it is the same routing.
 /// Never returns an uncertified routing.
 pub fn synthesize_heal(
     net: &Network,
@@ -144,8 +145,7 @@ pub fn synthesize_heal(
     let synth = synthesize_disables_exact(net, ends, Some(mask), &ExactConfig::default())
         .map_err(HealError::Synthesis)?;
     let cdg_dependencies = certify_routes(net, ends, mask, &synth.witness.routes)?;
-    let tables = Routes::from_pair_paths(net, ends, &synth.witness.routes)
-        .filter(|t| certify_tables(net, ends, mask, t).is_ok());
+    let tables = Routes::from_pair_paths(net, ends, &synth.witness.routes);
     Ok(SynthesizedHeal {
         routes: synth.witness.routes,
         disables: synth.witness.disables,
