@@ -178,15 +178,16 @@ fn bench_forest_certify(c: &mut Criterion) {
     c.bench_function("forest_sweep_fat_fractahedron_3", |b| {
         b.iter(|| {
             let linter = Linter::new(net, ends).with_discipline(Discipline::fractahedral(&f));
-            let mut cdg = CdgSweep::new(net);
-            let mut hops = HopSweep::new(ends.len());
-            let mut contention = ContentionSweep::new(net, ends.len());
-            let mut pairs = linter.pair_sweep(&routes);
-            DestForest::sweep(
+            let (cdg, hops, contention, pairs) = DestForest::sweep(
                 net,
                 ends,
                 &routes,
-                &mut [&mut cdg, &mut hops, &mut contention, &mut pairs],
+                (
+                    CdgSweep::new(net),
+                    HopSweep::new(ends.len()),
+                    ContentionSweep::new(net, ends.len()),
+                    linter.pair_sweep(&routes),
+                ),
             );
             (
                 cdg.finish().dependency_count(),

@@ -55,9 +55,7 @@ impl ChannelDependencyGraph {
     /// Pairs whose trace fails (holes, loops) contribute no
     /// dependencies; the linter reports those separately.
     pub fn from_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
-        let mut sweep = CdgSweep::new(net);
-        DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
-        sweep.finish()
+        DestForest::sweep(net, ends, routes, CdgSweep::new(net)).finish()
     }
 
     fn indexed(graph: AdjList, mut witnesses: Vec<(u32, u32, usize, usize)>) -> Self {
@@ -136,7 +134,8 @@ impl ChannelDependencyGraph {
 /// edges in the same order, same witnesses — because each dependency
 /// is keyed by its first occurrence in s-major pair order and edges
 /// are inserted sorted by that key. Pairs whose route fails add
-/// nothing, exactly as a failed trace.
+/// nothing, exactly as a failed trace. Shards merge by the elementwise
+/// minimum of their keys, which is the key of the whole sweep.
 pub struct CdgSweep<'a> {
     net: &'a Network,
     /// Dependency slots per channel: a dependency a → b turns at the
@@ -208,6 +207,16 @@ impl ForestConsumer for CdgSweep<'_> {
                 self.claimed[v.index()] = d;
                 (a, v, pos) = (b, forest.channel_dst(b), pos + 1);
             }
+        }
+    }
+
+    fn fork(&self) -> Self {
+        CdgSweep::new(self.net)
+    }
+
+    fn merge(&mut self, later: Self) {
+        for (key, other) in self.first.iter_mut().zip(later.first) {
+            *key = (*key).min(other);
         }
     }
 }

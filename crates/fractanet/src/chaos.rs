@@ -334,10 +334,11 @@ pub fn run_campaign(spec: &TopoSpec, opts: &ChaosOptions) -> ChaosReport {
     let sc = scale(opts.quick);
     let space = chaos_space(&sys, sc.cycles);
     // Cases are independent seeded runs, so they dispatch across the
-    // shared worker pool; the merge below (and any shrinking) walks
-    // them sequentially in case order, so the report is identical to
-    // the single-thread path at every width.
-    let cases = fractanet_sim::parallel_map(opts.threads, opts.runs, |case| {
+    // workspace's worker pool, where each case's own forest sweeps run
+    // at pool width 1; the merge below (and any shrinking) walks them
+    // sequentially in case order, so the report is identical to the
+    // single-thread path at every width.
+    let cases = fractanet_graph::pool::parallel_map(opts.threads, opts.runs, |case| {
         let (schedule_seed, engine_seed) = case_seeds(opts.seed, case);
         let schedule = sample_schedule(&space, schedule_seed, sc.max_events);
         let out = run_case(&sys, &schedule, engine_seed, opts);

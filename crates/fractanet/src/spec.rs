@@ -25,12 +25,19 @@ use std::str::FromStr;
 /// carries 16-bit source and destination node IDs.
 pub const MAX_END_NODES: usize = 1 << 16;
 
+/// The most destination-table bytes a spec may need: one byte per
+/// router per end node, the O(routers · N) size of its `Routes`.
+/// `mesh:100x100` needs 200 000 000 and `fat-fractahedron:4`
+/// 15 728 640; a 65 536-router ring would need 4 GiB.
+pub const MAX_TABLE_BYTES: usize = 1 << 28;
+
 /// A parsed topology specifier, e.g. `fat-fractahedron:2` or
 /// `mesh:6x6`. See the module docs for the grammar; invalid sizes
 /// (levels outside `1..=5`, hypercubes above dim 8, clusters above 6
 /// routers, rings below 3 routers, fat trees and binary trees their
-/// 6-port routers cannot build, more than [`MAX_END_NODES`] end nodes)
-/// are rejected at parse time, before anything is allocated.
+/// 6-port routers cannot build, more than [`MAX_END_NODES`] end nodes,
+/// destination tables over [`MAX_TABLE_BYTES`]) are rejected at parse
+/// time, before anything is allocated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopoSpec {
     /// `fat-fractahedron:<levels>` — the paper's Fig 7 network at 2.
@@ -172,10 +179,21 @@ impl FromStr for TopoSpec {
 
     fn from_str(s: &str) -> Result<Self, SpecError> {
         let spec = Self::parse_unbounded(s)?;
-        match spec.end_node_count() {
-            Some(n) if n <= MAX_END_NODES => Ok(spec),
-            _ => Err(SpecError(format!(
+        let ends = match spec.end_node_count() {
+            Some(n) if n <= MAX_END_NODES => n,
+            _ => {
+                return Err(SpecError(format!(
                 "'{s}' has more than {MAX_END_NODES} end nodes, the 16-bit ServerNet node-ID space"
+            )))
+            }
+        };
+        let routers = spec.router_count();
+        match routers.checked_mul(ends) {
+            Some(bytes) if bytes <= MAX_TABLE_BYTES => Ok(spec),
+            bytes => Err(SpecError(format!(
+                "'{s}' needs {} bytes of destination tables ({routers} routers x {ends} end \
+                 nodes), over the {MAX_TABLE_BYTES}-byte budget",
+                bytes.map_or_else(|| "more than usize::MAX".to_string(), |b| b.to_string())
             ))),
         }
     }
@@ -399,6 +417,45 @@ impl TopoSpec {
         }
     }
 
+    /// Routers the spec's system has, in closed form (saturating: an
+    /// overflowing count is over any table budget anyway). Called only
+    /// once the end-node count is bounded.
+    fn router_count(&self) -> usize {
+        match *self {
+            TopoSpec::FatFractahedron { levels } => {
+                crate::sizing::bill(fractanet_topo::Variant::Fat, levels, false).total_routers()
+            }
+            TopoSpec::ThinFractahedron { levels, fanout } => {
+                crate::sizing::bill(fractanet_topo::Variant::Thin, levels, fanout).total_routers()
+            }
+            TopoSpec::Mesh { cols, rows } | TopoSpec::Torus { cols, rows } => cols * rows,
+            TopoSpec::Vc { base, .. } => match base {
+                VcBase::Ring { n } => n,
+                VcBase::Torus { cols, rows } | VcBase::Mesh { cols, rows } => cols * rows,
+                VcBase::Hypercube { dim } => 1 << dim,
+            },
+            TopoSpec::FatTree { nodes, down, up } => {
+                // One virtual router per `span` leaves at each level,
+                // each replicated up^(level - 1) times.
+                let (mut routers, mut span, mut replicas) = (0usize, down, 1usize);
+                loop {
+                    let level = nodes.div_ceil(span).saturating_mul(replicas);
+                    routers = routers.saturating_add(level);
+                    if span >= nodes {
+                        return routers;
+                    }
+                    span = span.saturating_mul(down);
+                    replicas = replicas.saturating_mul(up);
+                }
+            }
+            TopoSpec::Hypercube { dim } => 1 << dim,
+            TopoSpec::Ring { n } => n,
+            TopoSpec::Tetrahedron => 4,
+            TopoSpec::Cluster { m } => m,
+            TopoSpec::BinTree { depth, .. } => (1 << depth) - 1,
+        }
+    }
+
     /// Builds the system this spec describes. Size validation happened
     /// at parse time, so this is infallible for parsed specs.
     pub fn build(&self) -> System {
@@ -569,10 +626,16 @@ mod tests {
         // The sharded engine's target scales: specs must parse and
         // round-trip, and the closed-form sizing must agree with the
         // recursion — without building the (huge) systems here.
-        for s in ["fat-fractahedron:4", "fat-fractahedron:5", "mesh:100x100"] {
+        for s in [
+            "fat-fractahedron:4",
+            "mesh:100x100",
+            "mesh:100x100:vc2:ecube",
+        ] {
             let spec: TopoSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(spec.to_string(), s, "round trip");
         }
+        // 31 744 routers x 32 768 end nodes: over the table budget.
+        assert_tables_oversized(&["fat-fractahedron:5"]);
         for (levels, ends) in [(4usize, 4096usize), (5, 32768)] {
             assert_eq!(crate::sizing::capacity(levels, false), ends);
             let bill = crate::sizing::bill(fractanet_topo::Variant::Fat, levels, false);
@@ -595,6 +658,57 @@ mod tests {
         }
     }
 
+    /// Asserts each spec is rejected for the size of its destination
+    /// tables, with an error that names that size.
+    fn assert_tables_oversized(specs: &[&str]) {
+        for s in specs {
+            let err = s.parse::<TopoSpec>().unwrap_err();
+            assert!(err.0.contains("bytes of destination tables"), "{s}: {err}");
+        }
+    }
+
+    #[test]
+    fn table_budget_names_the_size() {
+        let err = "ring:65536".parse::<TopoSpec>().unwrap_err();
+        assert_eq!(
+            err.0,
+            "'ring:65536' needs 4294967296 bytes of destination tables (65536 routers x 65536 \
+             end nodes), over the 268435456-byte budget"
+        );
+        // Exactly at the budget: 16 384 routers x 16 384 end nodes.
+        assert!("ring:16384".parse::<TopoSpec>().is_ok());
+        assert_tables_oversized(&["ring:16385", "ring:16385:vc2"]);
+    }
+
+    #[test]
+    fn router_counts_match_the_built_systems() {
+        for s in [
+            "fat-fractahedron:1",
+            "fat-fractahedron:2",
+            "thin-fractahedron:2",
+            "thin-fractahedron:1:fanout",
+            "mesh:3x4",
+            "torus:4x3",
+            "ring:6:vc2",
+            "torus:3x4:vc2",
+            "mesh:2x3:vc2:ecube",
+            "hypercube:3:vc2",
+            "fattree:16:4:2",
+            "fattree:37:3:2",
+            "fattree:64:2:1",
+            "fattree:2:2:1",
+            "hypercube:4",
+            "ring:5",
+            "tetrahedron",
+            "cluster:3",
+            "bintree:3:2",
+        ] {
+            let spec: TopoSpec = s.parse().unwrap();
+            let built = spec.build().net().routers().count();
+            assert_eq!(spec.router_count(), built, "{s}");
+        }
+    }
+
     #[test]
     fn mesh_size_is_bounded() {
         assert_oversized(&[
@@ -603,33 +717,38 @@ mod tests {
             "mesh:256x129",
             "mesh:256x129:vc2:ecube",
         ]);
-        assert!("mesh:256x128".parse::<TopoSpec>().is_ok());
+        // Within the node-ID space, but 2 GiB of tables.
+        assert_tables_oversized(&["mesh:256x128", "mesh:108x108"]);
+        assert!("mesh:108x107".parse::<TopoSpec>().is_ok());
     }
 
     #[test]
     fn torus_size_is_bounded() {
         assert_oversized(&["torus:99999x99999", "torus:129x256", "torus:129x256:vc2"]);
-        assert!("torus:128x256".parse::<TopoSpec>().is_ok());
+        assert_tables_oversized(&["torus:128x256", "torus:128x256:vc2"]);
+        assert!("torus:100x100:vc2".parse::<TopoSpec>().is_ok());
     }
 
     #[test]
     fn ring_size_is_bounded() {
         assert_oversized(&["ring:99999999", "ring:65537", "ring:65537:vc2"]);
-        assert!("ring:65536".parse::<TopoSpec>().is_ok());
+        assert_tables_oversized(&["ring:65536"]);
     }
 
     #[test]
     fn fattree_size_is_bounded() {
         assert_oversized(&["fattree:99999999:4:2", "fattree:65537:4:2"]);
-        assert!("fattree:65536:4:2".parse::<TopoSpec>().is_ok());
+        // 32 640 routers x 65 536 end nodes.
+        assert_tables_oversized(&["fattree:65536:4:2"]);
+        assert!("fattree:16384:4:2".parse::<TopoSpec>().is_ok());
     }
 
     #[test]
     fn bintree_size_is_bounded() {
         // 5 << 15 = 163 840 end nodes.
         assert_oversized(&["bintree:16:5", "bintree:16:3"]);
-        assert!("bintree:16:2".parse::<TopoSpec>().is_ok());
-        assert!("bintree:15:4".parse::<TopoSpec>().is_ok());
+        assert_tables_oversized(&["bintree:16:2", "bintree:15:4", "bintree:15:2"]);
+        assert!("bintree:14:2".parse::<TopoSpec>().is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use fractanet_route::fattree::{fattree_routes, UpPolicy};
 use fractanet_route::fractal::fractal_routes;
 use fractanet_route::ringroute::ring_shortest_routes;
 use fractanet_route::treeroute::bintree_routes;
-use fractanet_route::{direct, dor, DestForest, ForestConsumer, Routes};
+use fractanet_route::{direct, dor, DestForest, Routes};
 use fractanet_servernet::FabricSim;
 use fractanet_sim::{
     dateline_ring_map, dateline_torus_map, ecube_hypercube_map, ecube_mesh_map, SimConfig,
@@ -332,15 +332,18 @@ impl System {
         self.certificate.get_or_init(|| {
             let (net, ends) = (self.net(), self.end_nodes());
             let linter = self.linter();
-            let mut cdg = CdgSweep::new(net);
-            let mut hops = HopSweep::new(ends.len());
-            let mut contention = ContentionSweep::new(net, ends.len());
-            let mut pairs = linter.pair_sweep(&self.routes);
-            let mut vc = self.vc.as_ref().map(|v| VcSweep::new(net, &v.map));
-            let mut consumers: Vec<&mut dyn ForestConsumer> =
-                vec![&mut cdg, &mut hops, &mut contention, &mut pairs];
-            consumers.extend(vc.as_mut().map(|v| v as &mut dyn ForestConsumer));
-            DestForest::sweep(net, ends, &self.routes, &mut consumers);
+            let (cdg, hops, contention, pairs, vc) = DestForest::sweep(
+                net,
+                ends,
+                &self.routes,
+                (
+                    CdgSweep::new(net),
+                    HopSweep::new(ends.len()),
+                    ContentionSweep::new(net, ends.len()),
+                    linter.pair_sweep(&self.routes),
+                    self.vc.as_ref().map(|v| VcSweep::new(net, &v.map)),
+                ),
+            );
             Certificate {
                 cdg: cdg.finish(),
                 hops: hops.finish(),

@@ -72,9 +72,7 @@ fn check(
         }));
     }
 
-    let mut sweep = VcSweep::new(net, map);
-    DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
-    let graph = sweep.finish();
+    let graph = DestForest::sweep(net, ends, routes, VcSweep::new(net, map)).finish();
     prop_assert_eq!(graph.len(), net.channel_count() * vcs as usize);
     let got = edges(&graph);
     prop_assert_eq!(graph.edge_count(), got.len(), "a dependency recorded twice");

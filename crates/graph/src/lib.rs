@@ -25,6 +25,9 @@
 //! * A small union-find for connectivity checks ([`dsu`]).
 //! * Exact minimum hitting set via branch and bound, for the deadlock
 //!   layer's provably minimal turn-disable synthesis ([`hitting`]).
+//! * The one deterministic worker pool and its width rule ([`pool`]),
+//!   shared by the destination-forest sweep, load sweeps and chaos
+//!   campaigns.
 //!
 //! The crate is dependency-free: the structures the paper needs (ports,
 //! duplex link pairs, channel identities) are small and bespoke, so a
@@ -44,6 +47,7 @@ pub mod ids;
 pub mod json;
 pub mod matching;
 pub mod network;
+pub mod pool;
 pub mod viz;
 
 pub use adjlist::AdjList;

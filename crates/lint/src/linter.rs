@@ -250,25 +250,17 @@ impl<'a> Linter<'a> {
     /// dense view encodes it as an empty path).
     pub fn check_tables(&self, routes: &Routes) -> LintReport {
         let (net, ends, pre) = (self.net, self.ends, self.precomputed);
-        let mut pairs = pre.pairs.is_none().then(|| self.pair_sweep(routes));
-        let mut cdg = pre.cdg.is_none().then(|| CdgSweep::new(net));
-        let mut contention = pre
-            .contention
-            .is_none()
-            .then(|| ContentionSweep::new(net, ends.len()));
-        let mut consumers: Vec<&mut dyn ForestConsumer> = Vec::new();
-        if let Some(c) = &mut pairs {
-            consumers.push(c);
+        let mut consumers = (
+            pre.pairs.is_none().then(|| self.pair_sweep(routes)),
+            pre.cdg.is_none().then(|| CdgSweep::new(net)),
+            pre.contention
+                .is_none()
+                .then(|| ContentionSweep::new(net, ends.len())),
+        );
+        if consumers.0.is_some() || consumers.1.is_some() || consumers.2.is_some() {
+            consumers = DestForest::sweep(net, ends, routes, consumers);
         }
-        if let Some(c) = &mut cdg {
-            consumers.push(c);
-        }
-        if let Some(c) = &mut contention {
-            consumers.push(c);
-        }
-        if !consumers.is_empty() {
-            DestForest::sweep(net, ends, routes, &mut consumers);
-        }
+        let (pairs, cdg, contention) = consumers;
         self.report(
             given_or(pre.pairs, &pairs.map(PairSweep::finish)),
             given_or(pre.cdg, &cdg.map(CdgSweep::finish)),
@@ -743,7 +735,9 @@ const NEVER_SEEN: (usize, usize) = (usize::MAX, usize::MAX);
 /// of L2 only loops and dead channels can fire. Samples keep the
 /// smallest pairs, which is the source-major order of the pair walk;
 /// the one loop route and the one discipline violation a message
-/// spells out are traced again by [`PairSweep::finish`].
+/// spells out are traced again by [`PairSweep::finish`]. Shards merge
+/// by summing counts, keeping the smallest samples of both and the
+/// smaller first dead pair of each channel.
 pub struct PairSweep<'l, 'a> {
     linter: &'l Linter<'a>,
     routes: &'l Routes,
@@ -814,6 +808,30 @@ impl ForestConsumer for PairSweep<'_, '_> {
             }
         }
     }
+
+    fn fork(&self) -> Self {
+        PairSweep {
+            linter: self.linter,
+            routes: self.routes,
+            comp: self.comp.clone(),
+            eject_ok: self.eject_ok.clone(),
+            dead_first_seen: vec![NEVER_SEEN; self.dead_first_seen.len()],
+            dead_on_route: vec![None; self.dead_on_route.len()],
+            verdict: vec![Verdict::default(); self.verdict.len()],
+            bad: Tally::default(),
+            checked: 0,
+            findings: PairFindings::default(),
+        }
+    }
+
+    fn merge(&mut self, later: Self) {
+        for (seen, other) in self.dead_first_seen.iter_mut().zip(later.dead_first_seen) {
+            *seen = (*seen).min(other);
+        }
+        self.bad.merge(later.bad);
+        self.checked += later.checked;
+        self.findings.merge(later.findings);
+    }
 }
 
 impl PairSweep<'_, '_> {
@@ -867,6 +885,19 @@ struct Tally {
 impl Tally {
     fn push(&mut self, pair: (usize, usize)) {
         self.total += 1;
+        self.keep(pair);
+    }
+
+    /// Folds in a tally over other pairs.
+    fn merge(&mut self, other: Tally) {
+        self.total += other.total;
+        for pair in other.sample {
+            self.keep(pair);
+        }
+    }
+
+    /// Samples `pair` if it is among the [`SAMPLE`] smallest.
+    fn keep(&mut self, pair: (usize, usize)) {
         let at = self.sample.partition_point(|&p| p < pair);
         if at < SAMPLE {
             self.sample.truncate(SAMPLE - 1);
@@ -898,6 +929,21 @@ struct PairFindings {
 }
 
 impl PairFindings {
+    /// Folds in the tallies of a later forest-sweep shard; the details
+    /// a sweep leaves empty (dead channels, loop detail, discipline)
+    /// are filled in after the merge by [`PairSweep::finish`].
+    fn merge(&mut self, later: PairFindings) {
+        self.holes.merge(later.holes);
+        self.severed.merge(later.severed);
+        self.wrong_source.merge(later.wrong_source);
+        self.misdelivered.merge(later.misdelivered);
+        self.discontinuous.merge(later.discontinuous);
+        self.dead.merge(later.dead);
+        self.repeated.merge(later.repeated);
+        self.through_end.merge(later.through_end);
+        self.loops.merge(later.loops);
+    }
+
     /// A live pair with no route: a coverage hole when its ends share
     /// a surviving component, else severed by faults.
     fn unrouted(&mut self, comp: &[u32], ends: &[NodeId], s: usize, d: usize) {

@@ -57,15 +57,16 @@ fn check_shared_sweep(
     if exact {
         linter = linter.with_exact(ExactConfig::default());
     }
-    let mut cdg = CdgSweep::new(net);
-    let mut hops = HopSweep::new(n);
-    let mut contention = ContentionSweep::new(net, n);
-    let mut pairs = linter.pair_sweep(routes);
-    DestForest::sweep(
+    let (cdg, hops, contention, pairs) = DestForest::sweep(
         net,
         ends,
         routes,
-        &mut [&mut cdg, &mut hops, &mut contention, &mut pairs],
+        (
+            CdgSweep::new(net),
+            HopSweep::new(n),
+            ContentionSweep::new(net, n),
+            linter.pair_sweep(routes),
+        ),
     );
     let (cdg, hops, contention, pairs) = (
         cdg.finish(),

@@ -82,9 +82,7 @@ pub fn max_link_contention_paths(net: &Network, paths: Paths<'_>) -> ContentionR
                 .collect(),
         ),
         Paths::Tables { net, ends, routes } => {
-            let mut sweep = ContentionSweep::new(net, ends.len());
-            DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
-            sweep.finish()
+            DestForest::sweep(net, ends, routes, ContentionSweep::new(net, ends.len())).finish()
         }
     }
 }
@@ -111,6 +109,14 @@ impl ContentionSweep {
 impl ForestConsumer for ContentionSweep {
     fn absorb(&mut self, forest: &DestForest<'_>) {
         self.0.absorb(forest);
+    }
+
+    fn fork(&self) -> Self {
+        ContentionSweep(self.0.fork())
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.0.merge(later.0);
     }
 }
 

@@ -14,7 +14,10 @@
 //! `v`. Each subtree's end set is hash-consed bottom-up into an id, so
 //! two destinations share an id on `c` only when their subtrees behind
 //! `c` hold the same ends — the key is exact, never probabilistic
-//! (DESIGN.md §13).
+//! (DESIGN.md §13). A shard of a sharded sweep interns into its own
+//! [`EndSets`]; merging re-interns the later shard's sets into the
+//! earlier one's by structure, so every id and every group comes out
+//! as one serial sweep would have made it.
 
 use fractanet_graph::flow::FlowNetwork;
 use fractanet_graph::{Network, NodeId};
@@ -110,9 +113,7 @@ impl Groups {
     /// one hash-consing step per routed router and per routed source.
     /// Pairs whose route fails to trace contribute no flows.
     pub(crate) fn from_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Self {
-        let mut groups = Groups::new(net, ends.len());
-        DestForest::sweep(net, ends, routes, &mut [&mut groups]);
-        groups
+        DestForest::sweep(net, ends, routes, Groups::new(net, ends.len()))
     }
 
     /// Maximum matching of every channel (0 for idle channels).
@@ -166,7 +167,7 @@ impl ForestConsumer for Groups {
         for s in (0..forest.addresses()).filter(|&s| s != d) {
             let (ch, first) = forest.inject(s);
             if forest.depth(first).is_some() {
-                add(&mut self.per_channel[ch.index()], s as u32);
+                add(&mut self.per_channel[ch.index()], s as u32, 1);
                 set[first.index()] = sets.union(set[first.index()], s as u32);
             }
         }
@@ -176,21 +177,42 @@ impl ForestConsumer for Groups {
             let Some(ch) = forest.hop(v) else { continue };
             let id = set[v.index()];
             if id != EMPTY {
-                add(&mut self.per_channel[ch.index()], id);
+                add(&mut self.per_channel[ch.index()], id, 1);
                 let next = forest.channel_dst(ch).index();
                 set[next] = sets.union(set[next], id);
             }
         }
     }
+
+    fn fork(&self) -> Self {
+        Groups {
+            per_channel: vec![Vec::new(); self.per_channel.len()],
+            sets: EndSets::new(self.sets.n as usize),
+            subtree: vec![EMPTY; self.subtree.len()],
+        }
+    }
+
+    /// The later shard's groups, in its order of first appearance,
+    /// join each channel's list after this shard's: a group whose set
+    /// this shard already holds adds its destinations there, as the
+    /// serial sweep's `add` would have.
+    fn merge(&mut self, later: Self) {
+        let ids = self.sets.reintern(&later.sets);
+        for (groups, more) in self.per_channel.iter_mut().zip(later.per_channel) {
+            for (id, dests) in more {
+                add(groups, ids.get(id), dests);
+            }
+        }
+    }
 }
 
-/// Counts one more destination in the twin group `id` of a channel.
-/// Consecutive destinations usually share a group, and a channel
-/// rarely has more than two.
-fn add(groups: &mut Vec<(u32, u32)>, id: u32) {
+/// Counts `dests` more destinations in the twin group `id` of a
+/// channel. Consecutive destinations usually share a group, and a
+/// channel rarely has more than two.
+fn add(groups: &mut Vec<(u32, u32)>, id: u32, dests: u32) {
     match groups.iter_mut().find(|g| g.0 == id) {
-        Some(g) => g.1 += 1,
-        None => groups.push((id, 1)),
+        Some(g) => g.1 += dests,
+        None => groups.push((id, dests)),
     }
 }
 
@@ -238,6 +260,23 @@ impl EndSets {
         id
     }
 
+    /// Interns every union of `other` (built over the same addresses)
+    /// here, in `other`'s creation order, and returns where each of
+    /// its ids landed. Each union is re-made from its two mapped
+    /// parts, so a set folded the same way gets the id it has here, or
+    /// the next fresh one in the order a serial sweep would make it.
+    fn reintern(&mut self, other: &EndSets) -> IdMap {
+        let mut map = IdMap {
+            n: self.n,
+            unions: Vec::with_capacity(other.parts.len()),
+        };
+        for &(a, b) in &other.parts {
+            let id = self.union(map.get(a), map.get(b));
+            map.unions.push(id);
+        }
+        map
+    }
+
     fn len(&self, id: u32) -> usize {
         match id {
             EMPTY => 0,
@@ -262,6 +301,22 @@ impl EndSets {
         }
         out.sort_unstable();
         out
+    }
+}
+
+/// Where [`EndSets::reintern`] put another interner's ids:
+/// singletons stay, union `n + i` went to `unions[i]`.
+struct IdMap {
+    n: u32,
+    unions: Vec<u32>,
+}
+
+impl IdMap {
+    fn get(&self, id: u32) -> u32 {
+        match id.checked_sub(self.n) {
+            Some(i) => self.unions[i as usize],
+            None => id,
+        }
     }
 }
 
@@ -355,6 +410,29 @@ mod tests {
             .map(|fl| hopcroft_karp(fl))
             .collect();
         assert_eq!(groups.matchings(), pairs);
+    }
+
+    #[test]
+    fn merged_shards_equal_one_serial_sweep() {
+        use fractanet_route::dor::torus_xy_routes;
+        use fractanet_topo::{Topology, Torus2D};
+        let t = Torus2D::new(4, 4, 1, 6).unwrap();
+        let routes = torus_xy_routes(&t);
+        let (net, ends) = (t.net(), t.end_nodes());
+        let mut forest = DestForest::new(net, ends, &routes);
+        let serial = Groups::from_tables(net, ends, &routes);
+        for cut in [1, 7, 13, ends.len() - 1] {
+            let mut first = serial.fork();
+            let mut later = serial.fork();
+            for d in 0..ends.len() {
+                forest.resolve(d);
+                if d < cut { &mut first } else { &mut later }.absorb(&forest);
+            }
+            first.merge(later);
+            assert_eq!(first.per_channel, serial.per_channel, "cut {cut}");
+            assert_eq!(first.sets.parts, serial.sets.parts, "cut {cut}");
+            assert_eq!(first.sets.sizes, serial.sets.sizes, "cut {cut}");
+        }
     }
 
     #[test]

@@ -65,9 +65,7 @@ impl HopStats {
     /// each route's hop count off its destination's routing forest
     /// instead of tracing pairs: O(nodes · N).
     pub fn routed_tables(net: &Network, ends: &[NodeId], routes: &Routes) -> Option<Self> {
-        let mut sweep = HopSweep::new(ends.len());
-        DestForest::sweep(net, ends, routes, &mut [&mut sweep]);
-        sweep.finish()
+        DestForest::sweep(net, ends, routes, HopSweep::new(ends.len())).finish()
     }
 
     /// How many extra hops routing adds over shortest paths, summed
@@ -88,7 +86,7 @@ impl HopStats {
 
 /// The routed hop histogram, one pair at a time or one routing forest
 /// at a time: each absorbed forest counts every source's hops toward
-/// its destination.
+/// its destination. Shards merge by summing their histograms.
 pub struct HopSweep {
     addresses: usize,
     histogram: Vec<usize>,
@@ -142,6 +140,20 @@ impl ForestConsumer for HopSweep {
             self.count(forest.route_hops(s));
         }
     }
+
+    fn fork(&self) -> Self {
+        HopSweep::new(self.addresses)
+    }
+
+    fn merge(&mut self, later: Self) {
+        if self.histogram.len() < later.histogram.len() {
+            self.histogram.resize(later.histogram.len(), 0);
+        }
+        for (count, other) in self.histogram.iter_mut().zip(later.histogram) {
+            *count += other;
+        }
+        self.unrouted |= later.unrouted;
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +190,28 @@ mod tests {
         let topo = HopStats::topological(h.net()).unwrap();
         assert!(routed.avg >= topo.avg - 1e-12);
         let _ = stretch;
+    }
+
+    #[test]
+    fn merged_shards_sum_and_keep_failures() {
+        let mut first = HopSweep::new(4);
+        first.count(Some(1));
+        first.count(Some(3));
+        let mut later = first.fork();
+        later.count(Some(1));
+        later.count(Some(4));
+        let mut whole = first.fork();
+        for h in [1, 3, 1, 4] {
+            whole.count(Some(h));
+        }
+        let mut merged = HopSweep::new(4);
+        merged.merge(first);
+        merged.merge(later);
+        assert_eq!(merged.histogram, whole.histogram);
+        let mut failed = merged.fork();
+        failed.count(None);
+        merged.merge(failed);
+        assert_eq!(merged.finish(), None);
     }
 
     #[test]

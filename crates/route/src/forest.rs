@@ -30,10 +30,17 @@
 //!
 //! [`DestForest::sweep`] is the one loop over destinations: it
 //! resolves each forest once and hands it to every [`ForestConsumer`],
-//! so analyses reading the same tables share the resolution.
+//! so analyses reading the same tables share the resolution. Forests
+//! of different destinations are independent, so the sweep shards the
+//! destinations into contiguous runs of whole column blocks, one per
+//! worker of the [`pool`], each with its own forest and its own
+//! consumer states, and merges the shards in address order
+//! (DESIGN.md §10, §13). Every consumer's merge is exact, so the result is
+//! the same at every width.
 
 use crate::table::{Routes, NO_ENTRY};
-use fractanet_graph::{ChannelId, Network, NodeId};
+use fractanet_graph::{pool, ChannelId, Network, NodeId};
+use std::ops::Range;
 
 /// Not yet visited for the current destination.
 const UNSEEN: u32 = u32::MAX;
@@ -54,6 +61,15 @@ const VACANT: u32 = u32::MAX;
 /// in runs of contiguous bytes and the snapshot stays O(nodes).
 const BLOCK: usize = 64;
 
+/// Work, in nodes × addresses, each shard of a [`DestForest::sweep`]
+/// must have before the sweep forks: below twice this a sweep runs on
+/// one shard at any width, so the paper's specs (at most 7 776 units,
+/// `mesh:6x6`) never pay for a thread. Measured on a 2-vCPU guest
+/// (DESIGN.md §13): two shards lost at 7 776 and 20 000 units, broke
+/// even near 14 000 and won from about 25 000 on, so the sweep forks
+/// from 32 768.
+pub const SWEEP_FORK_MIN_WORK: usize = 16_384;
+
 /// Why a node's walk toward the destination fails — the
 /// [`RouteError`](crate::RouteError) a pair trace from there reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,11 +83,63 @@ pub enum Failure {
 }
 
 /// One analysis fed by [`DestForest::sweep`]: it reads what it needs
-/// off each destination's resolved forest, in address order.
-pub trait ForestConsumer {
+/// off each destination's resolved forest, in address order within
+/// its shard, and folds shards together in address order.
+pub trait ForestConsumer: Sized + Send + Sync {
     /// Takes in the forest of destination [`DestForest::dst`].
     fn absorb(&mut self, forest: &DestForest<'_>);
+
+    /// An empty consumer of the same analysis, for one shard.
+    fn fork(&self) -> Self;
+
+    /// Folds in `later`, a [`ForestConsumer::fork`] that absorbed the
+    /// destinations right after this consumer's, so the result is
+    /// exactly that of one consumer absorbing both runs in order.
+    fn merge(&mut self, later: Self);
 }
+
+/// Consumers that may be absent: `None` forks and merges to `None`.
+impl<C: ForestConsumer> ForestConsumer for Option<C> {
+    fn absorb(&mut self, forest: &DestForest<'_>) {
+        if let Some(c) = self {
+            c.absorb(forest);
+        }
+    }
+
+    fn fork(&self) -> Self {
+        self.as_ref().map(C::fork)
+    }
+
+    fn merge(&mut self, later: Self) {
+        if let (Some(c), Some(later)) = (self, later) {
+            c.merge(later);
+        }
+    }
+}
+
+/// Several consumers sharing one sweep, fed in tuple order.
+macro_rules! consumer_tuple {
+    ($($c:ident $i:tt),+) => {
+        impl<$($c: ForestConsumer),+> ForestConsumer for ($($c,)+) {
+            fn absorb(&mut self, forest: &DestForest<'_>) {
+                $(self.$i.absorb(forest);)+
+            }
+
+            fn fork(&self) -> Self {
+                ($(self.$i.fork(),)+)
+            }
+
+            fn merge(&mut self, later: Self) {
+                $(self.$i.merge(later.$i);)+
+            }
+        }
+    };
+}
+
+consumer_tuple!(A 0, B 1);
+consumer_tuple!(A 0, B 1, C 2);
+consumer_tuple!(A 0, B 1, C 2, D 3);
+consumer_tuple!(A 0, B 1, C 2, D 3, E 4);
 
 /// One destination's routes as an in-forest over the network's nodes,
 /// re-resolved in place by [`DestForest::resolve`] so scratch storage
@@ -161,22 +229,45 @@ impl<'a> DestForest<'a> {
         }
     }
 
-    /// Resolves every destination's forest in address order and hands
-    /// each to every consumer — the one pass over the tables that any
-    /// number of analyses share.
-    pub fn sweep(
+    /// Resolves every destination's forest and hands each to
+    /// `consumer` (a tuple of consumers shares the pass), returning
+    /// the consumer with every destination absorbed — the one pass
+    /// over the tables that any number of analyses share. `consumer`
+    /// comes in empty: each shard absorbs into a fork of it, one
+    /// shard per [`pool::workers`] under [`SWEEP_FORK_MIN_WORK`], and
+    /// the shards merge in address order.
+    pub fn sweep<C: ForestConsumer>(
         net: &Network,
         ends: &[NodeId],
         routes: &Routes,
-        consumers: &mut [&mut dyn ForestConsumer],
-    ) {
-        let mut forest = DestForest::new(net, ends, routes);
-        for d in 0..ends.len() {
-            forest.resolve(d);
-            for c in consumers.iter_mut() {
-                c.absorb(&forest);
+        consumer: C,
+    ) -> C {
+        let runs = shard_runs(
+            ends.len(),
+            pool::workers(Self::work(net, ends), SWEEP_FORK_MIN_WORK),
+        );
+        let shards = pool::parallel_map(runs.len(), runs.len(), |i| {
+            let mut part = consumer.fork();
+            let mut forest = DestForest::new(net, ends, routes);
+            for d in runs[i].clone() {
+                forest.resolve(d);
+                part.absorb(&forest);
             }
-        }
+            part
+        });
+        shards
+            .into_iter()
+            .reduce(|mut merged, later| {
+                merged.merge(later);
+                merged
+            })
+            .expect("a sweep has at least one shard")
+    }
+
+    /// A sweep's work in the units of [`SWEEP_FORK_MIN_WORK`]: nodes
+    /// resolved per forest times forests.
+    pub fn work(net: &Network, ends: &[NodeId]) -> usize {
+        net.node_count().saturating_mul(ends.len())
     }
 
     /// Resolves every node's route toward destination address `dst`,
@@ -339,6 +430,17 @@ impl<'a> DestForest<'a> {
     pub fn route_hops(&self, src: usize) -> Option<usize> {
         self.depth(self.inject(src).1)
     }
+}
+
+/// Splits destinations `0..addresses` into at most `shards` contiguous
+/// runs of whole column blocks (the last block may be partial), in
+/// address order and none empty — one run when there is nothing to
+/// split.
+fn shard_runs(addresses: usize, shards: usize) -> Vec<Range<usize>> {
+    let blocks = addresses.div_ceil(BLOCK);
+    let shards = shards.clamp(1, blocks.max(1));
+    let edge = |i: usize| (i * blocks / shards * BLOCK).min(addresses);
+    (0..shards).map(|i| edge(i)..edge(i + 1)).collect()
 }
 
 #[cfg(test)]
@@ -544,5 +646,65 @@ mod tests {
         }
         // Routed, unrouted, misdelivered and looping pairs all occur.
         assert!(seen.iter().all(|&k| k > 0), "{seen:?}");
+    }
+
+    #[test]
+    fn shard_runs_cover_whole_blocks_in_order() {
+        assert_eq!(shard_runs(0, 4), vec![0..0]);
+        assert_eq!(shard_runs(10, 4), vec![0..10]);
+        assert_eq!(shard_runs(64, 2), vec![0..64]);
+        assert_eq!(shard_runs(65, 2), vec![0..64, 64..65]);
+        assert_eq!(shard_runs(65, 9), vec![0..64, 64..65]);
+        assert_eq!(shard_runs(300, 1), vec![0..300]);
+        assert_eq!(shard_runs(300, 2), vec![0..128, 128..300]);
+        assert_eq!(shard_runs(300, 3), vec![0..64, 64..192, 192..300]);
+        assert_eq!(
+            shard_runs(4096, 4),
+            vec![0..1024, 1024..2048, 2048..3072, 3072..4096]
+        );
+    }
+
+    /// The destinations a shard saw, in order; merging concatenates.
+    struct Seen(Vec<usize>);
+
+    impl ForestConsumer for Seen {
+        fn absorb(&mut self, forest: &DestForest<'_>) {
+            self.0.push(forest.dst());
+        }
+
+        fn fork(&self) -> Self {
+            Seen(Vec::new())
+        }
+
+        fn merge(&mut self, later: Self) {
+            self.0.extend(later.0);
+        }
+    }
+
+    #[test]
+    fn sharded_sweeps_absorb_every_destination_in_address_order() {
+        let mut ring = Network::new();
+        let rs: Vec<NodeId> = (0..50)
+            .map(|i| ring.add_router(format!("r{i}"), 8))
+            .collect();
+        for i in 0..50 {
+            ring.connect_any(rs[i], rs[(i + 1) % 50], LinkClass::Local)
+                .unwrap();
+        }
+        let ends: Vec<NodeId> = (0..200)
+            .map(|i| {
+                let e = ring.add_end_node(format!("n{i}"));
+                ring.connect_any(e, rs[i % 50], LinkClass::Attach).unwrap();
+                e
+            })
+            .collect();
+        let routes = Routes::new(&ring, ends.len());
+        for width in [1, 2, 3, 4, 7] {
+            let (seen, absent) = pool::with_width(width, || {
+                DestForest::sweep(&ring, &ends, &routes, (Seen(vec![]), None::<Seen>))
+            });
+            assert_eq!(seen.0, (0..200).collect::<Vec<_>>(), "width {width}");
+            assert!(absent.is_none());
+        }
     }
 }

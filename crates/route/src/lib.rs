@@ -46,7 +46,7 @@ pub mod ringroute;
 pub mod table;
 pub mod treeroute;
 
-pub use forest::{DestForest, Failure, ForestConsumer};
+pub use forest::{DestForest, Failure, ForestConsumer, SWEEP_FORK_MIN_WORK};
 pub use paths::Paths;
 pub use repair::{
     repair_tables, survivor_components, DeadMask, IncrementalRepair, PairCoverage, TableRepair,

@@ -170,9 +170,12 @@ pub fn certify_tables(
     tables: &Routes,
 ) -> Result<usize, HealError> {
     let linter = gate_linter(net, ends, mask);
-    let mut cdg = CdgSweep::new(net);
-    let mut pairs = linter.pair_sweep(tables);
-    DestForest::sweep(net, ends, tables, &mut [&mut cdg, &mut pairs]);
+    let (cdg, pairs) = DestForest::sweep(
+        net,
+        ends,
+        tables,
+        (CdgSweep::new(net), linter.pair_sweep(tables)),
+    );
     let pairs = pairs.finish();
     let cdg = verify_deadlock_free_cdg(net, cdg.finish()).map_err(HealError::Cyclic)?;
     gate(linter, &cdg, &pairs, |l| l.check_tables(tables))

@@ -38,7 +38,6 @@ pub mod config;
 pub mod engine;
 pub mod fault;
 mod jsonin;
-pub mod pool;
 pub mod stats;
 pub mod sweep;
 pub mod trace;
@@ -53,7 +52,6 @@ pub use fractanet_telemetry::{
     Anomaly, AnomalyKind, MetricsConfig, MetricsReport, SpanKind, Telemetry, TelemetryReport,
     TraceEvent,
 };
-pub use pool::parallel_map;
 pub use stats::{CreditStats, DeadlockEvent, RecoveryStats, SimResult};
 pub use sweep::{sweep_loads, LoadPoint};
 pub use trace::{parse_trace, write_trace, RecordedTrace, TraceExpectation};

@@ -1,16 +1,16 @@
 //! Parallel offered-load sweeps for load–latency curves.
 //!
 //! Each load point is an independent simulation over the same network
-//! and shared tables, so points run on the shared worker pool
-//! ([`crate::pool::parallel_map`]). Determinism is preserved: every
-//! point gets a seed derived from the base seed and its index, and
-//! results are returned in rate order.
+//! and shared tables, so points run on the workspace's worker pool
+//! ([`fractanet_graph::pool`]) at its width. Determinism is preserved:
+//! every point gets a seed derived from the base seed and its index,
+//! and results are returned in rate order.
 
 use crate::config::SimConfig;
 use crate::engine::Engine;
-use crate::pool::parallel_map;
 use crate::stats::SimResult;
 use crate::traffic::{DstPattern, Workload};
+use fractanet_graph::pool::{parallel_map, width};
 use fractanet_graph::{Network, NodeId};
 use fractanet_route::Routes;
 use std::sync::Arc;
@@ -36,10 +36,7 @@ pub fn sweep_loads(
     rates: &[f64],
     until_cycle: u64,
 ) -> Vec<LoadPoint> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    parallel_map(threads, rates.len(), |i| {
+    parallel_map(width(), rates.len(), |i| {
         let rate = rates[i];
         let point_cfg = cfg
             .clone()

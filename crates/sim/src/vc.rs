@@ -339,6 +339,8 @@ impl VcMap {
 /// tables that feeds the physical CDG (DESIGN.md §13). The edge set
 /// equals that of [`VcMap::annotate`] over the traced pairs; pairs
 /// whose route fails add nothing, as an empty path adds nothing.
+/// Shards merge by appending each state's new successors from the
+/// later shard in its order, which is the serial insertion order.
 pub struct VcSweep<'a> {
     map: &'a VcMap,
     /// Over the `channel · vcs + vc` vertices
@@ -387,11 +389,34 @@ impl ForestConsumer for VcSweep<'_> {
                 // A state turns into `b` on one VC, so its successors
                 // number at most its router's ports.
                 let next = (b.index() * vcs + y as usize) as u32;
-                if !self.graph.succ(state as u32).contains(&next) {
-                    self.graph.add_edge(state as u32, next);
-                }
+                self.add(state as u32, next);
                 (a, v, x) = (b, forest.channel_dst(b), y);
             }
+        }
+    }
+
+    fn fork(&self) -> Self {
+        VcSweep {
+            map: self.map,
+            graph: AdjList::new(self.graph.len()),
+            claimed: vec![u32::MAX; self.claimed.len()],
+        }
+    }
+
+    fn merge(&mut self, later: Self) {
+        for state in 0..later.graph.len() as u32 {
+            for &next in later.graph.succ(state) {
+                self.add(state, next);
+            }
+        }
+    }
+}
+
+impl VcSweep<'_> {
+    /// Records the dependency `state → next` once.
+    fn add(&mut self, state: u32, next: u32) {
+        if !self.graph.succ(state).contains(&next) {
+            self.graph.add_edge(state, next);
         }
     }
 }

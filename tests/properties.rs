@@ -839,3 +839,142 @@ fn parked_source_wakes_when_its_copy_settles() {
         format!("{:?}", run(Telemetry::recording()))
     );
 }
+
+/// Grammar specs for the sweep-width property: most have more than one
+/// 64-destination column block, so two workers really split them, and
+/// between them they cover every consumer of the shared sweep — VC
+/// graphs, a cyclic physical graph, multi-level trees and fan-out.
+/// Tori are left out: the masked lint of a torus enumerates its wrap
+/// cycles for seconds, and the ring's cycles cover that case.
+const WIDE_SPECS: [&str; 12] = [
+    "mesh:6x6",
+    "mesh:5x7",
+    "mesh:6x6:vc2:ecube",
+    "ring:66",
+    "ring:66:vc2",
+    "hypercube:7",
+    "fattree:80:4:2",
+    "fattree:100:3:2",
+    "thin-fractahedron:2:fanout",
+    "bintree:6:3",
+    "fat-fractahedron:2",
+    "cluster:3",
+];
+
+/// Everything a forest sweep feeds, rendered: the system's lint (text
+/// and JSON), analysis and extended `(channel, vc)` graph, then —
+/// under `mask`, on the repaired and
+/// the stale tables — the masked lint, the dependency graph with its
+/// witnesses and first cycle, per-channel contention, hop statistics
+/// and the heal gate's verdict. Built from scratch, so no certificate is cached
+/// across widths.
+fn sweep_transcript(spec: &str, dead_links: &[usize], dead_router: Option<usize>) -> String {
+    use fractanet::deadlock::ChannelDependencyGraph;
+    use fractanet::graph::ChannelId;
+    use fractanet::lint::Linter;
+    let sys = spec.parse::<TopoSpec>().expect("grammar spec").build();
+    let (net, ends) = (sys.net(), sys.end_nodes());
+    let lint = sys.lint();
+    let mut out = format!("{lint}\n{}\n{:?}\n", lint.to_json(), sys.analyze());
+    if let Some(map) = sys.vc_map() {
+        let sweep = fractanet::sim::VcSweep::new(net, map);
+        let graph = fractanet::route::DestForest::sweep(net, ends, sys.routes(), sweep).finish();
+        for v in 0..graph.len() as u32 {
+            out.push_str(&format!("{v}:{:?};", graph.succ(v)));
+        }
+        out.push('\n');
+    }
+    let links: Vec<LinkId> = net.links().collect();
+    let routers: Vec<NodeId> = net.routers().collect();
+    let dead: Vec<LinkId> = dead_links.iter().map(|&p| links[p % links.len()]).collect();
+    let dead_routers: Vec<NodeId> = dead_router
+        .map(|p| routers[p % routers.len()])
+        .into_iter()
+        .collect();
+    let mask = DeadMask::from_dead(net, &dead, &dead_routers);
+    let repaired = repair_tables(net, ends, &mask).tables;
+    for tables in [&repaired, sys.routes()] {
+        let masked = Linter::new(net, ends).with_mask(&mask).check_tables(tables);
+        out.push_str(&format!("{masked}\n{}\n", masked.to_json()));
+        let cdg = ChannelDependencyGraph::from_tables(net, ends, tables);
+        for (a, b) in cdg.dependencies() {
+            let w = cdg.witness(ChannelId(a), ChannelId(b));
+            out.push_str(&format!("{a}->{b} {w:?};"));
+        }
+        let contention = max_link_contention_paths(net, Paths::tables(net, ends, tables));
+        out.push_str(&format!(
+            "\n{:?}\n{:?} {:?}\n{:?}\n",
+            cdg.find_cycle(),
+            contention.worst,
+            contention.worst_channel,
+            contention.per_channel
+        ));
+        out.push_str(&format!(
+            "{:?}\n{:?}\n",
+            fractanet::metrics::HopStats::routed_tables(net, ends, tables),
+            certify_tables(net, ends, &mask, tables)
+        ));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The sharded forest sweep is byte-identical at every width: one
+    /// worker and two give the same lint text and JSON, analysis,
+    /// dependency witnesses, per-channel contention and heal-gate
+    /// verdicts, on fault-free and masked tables alike.
+    #[test]
+    fn sweep_is_identical_at_every_width(
+        pick in 0usize..WIDE_SPECS.len(),
+        dead_links in prop::collection::vec(0usize..100_000, 0usize..4),
+        kill_router in any::<bool>(),
+        router in 0usize..100_000,
+    ) {
+        let spec = WIDE_SPECS[pick];
+        let dead_router = kill_router.then_some(router);
+        let at = |width| {
+            fractanet::graph::pool::with_width(width, || {
+                sweep_transcript(spec, &dead_links, dead_router)
+            })
+        };
+        let serial = at(1);
+        prop_assert!(serial == at(2), "{} differs at width 2", spec);
+    }
+}
+
+/// The fork floor keeps every paper system of the `certify` benchmark
+/// workload on one shard at any width, and lets the at-scale systems
+/// fork.
+#[test]
+fn fork_floor_keeps_paper_specs_serial() {
+    use fractanet::graph::pool::workers_at;
+    use fractanet::route::{DestForest, SWEEP_FORK_MIN_WORK};
+    let shards = |spec: &str, width: usize| {
+        let sys = spec.parse::<TopoSpec>().expect("spec").build();
+        let work = DestForest::work(sys.net(), sys.end_nodes());
+        workers_at(width, work, SWEEP_FORK_MIN_WORK)
+    };
+    for spec in [
+        "fat-fractahedron:2",
+        "thin-fractahedron:2",
+        "mesh:6x6",
+        "fattree:64:4:2",
+        "hypercube:5",
+        "tetrahedron",
+        "torus:4x4",
+        "torus:4x4:vc2:dateline",
+        "ring:8",
+    ] {
+        assert_eq!(shards(spec, usize::MAX), 1, "{spec}");
+    }
+    for spec in [
+        "mesh:10x10",
+        "fat-fractahedron:3",
+        "mesh:12x12",
+        "mesh:24x24",
+    ] {
+        assert_eq!(shards(spec, 2), 2, "{spec}");
+    }
+}
